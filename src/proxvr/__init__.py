@@ -7,7 +7,7 @@ from .errors import (
     ParseError,
     RateDomainError,
 )
-from .linalg import BlockPartition, DenseVec, SparseVec, axpy_sparse, block_view, sparse_dot
+from .linalg import BlockPartition, DenseVec, SparseVec, sparse_dot
 from .problem import (
     Dataset,
     LossKind,
@@ -20,7 +20,6 @@ from .problem import (
     loss_value,
     minibatch_grad,
     objective_value,
-    prox_block,
     prox_elastic,
     vr_gradient,
 )

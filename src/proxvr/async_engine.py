@@ -1,29 +1,31 @@
 """Asynchronous execution of the variance-reduced solvers.
 
-Two algorithms, two read disciplines:
+Both algorithms run the sequential stage skeleton (``run_stages``) on a
+delayed, perturbed read of the iterate:
 
-* consistent read (whole-vector): a worker pulls one atomic snapshot of the
-  parameter vector, possibly ``tau_k`` commits stale, and the commit applies a
-  whole-vector prox step;
-* inconsistent read (block-level): a worker's view mixes coordinate blocks
-  from different clocks -- the old iterate plus exactly the updates in an
-  applied subset J(k) of the pending window -- and the commit touches one
-  block.
+* consistent read (SVRG): one atomic snapshot of the parameter vector,
+  possibly ``tau_k`` commits stale; the commit is a whole-vector prox step;
+* inconsistent read (SVRCD): blocks from different clocks -- the old iterate
+  plus exactly the updates in an applied subset J(k) of the pending window;
+  the commit touches one block.
 
-Two execution modes:
+A consistent read is an inconsistent read with J(k) empty, and SVRG is SVRCD
+with one block (logged as block -1), so each execution mode has one loop:
 
-* simulate: one logical thread replays a pre-drawn delay schedule against a
-  master state with bounded iterate history; fully deterministic, and with an
-  all-zero schedule it reproduces the sequential solvers bit-for-bit;
-* threads: P worker threads against an internally synchronized master (one
-  exclusive region for the whole vector in consistent mode, one per block in
-  inconsistent mode). Delays are measured from commit-clock stamps.
+* simulate (``replay``): one logical thread replays a pre-drawn delay
+  schedule against a master state with bounded iterate history; fully
+  deterministic. With no schedule every read is current: that is the
+  sequential ProxSVRG/ProxSVRCD solver, which a zero-delay simulation
+  therefore reproduces bit-for-bit;
+* threads: P workers against a block-locked master (one block for SVRG, m
+  for SVRCD). Lock order is always block lock -> clock lock; a worker takes
+  its clock stamp inside block 0's lock, so one block gives an atomic
+  snapshot. Delays are measured from commit-clock stamps.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import ContractViolation
 from .linalg import BlockPartition, DenseVec
 from .problem import Problem, prox_elastic
-from .seq_solvers import RunTrace, SolverConfig, StageRecord, draw_batch, draw_block, make_streams
+from .seq_solvers import RunTrace, SolverConfig, draw_batch, draw_block, make_streams, run_stages
 
 
 class ReadMode(str, Enum):
@@ -127,19 +129,22 @@ def sample_delay_schedule(
 
 class MasterState:
     """Simulation-mode master: current iterate, global clock, and a ring
-    buffer of the last ``tau_bound + 1`` iterates for delayed reads."""
+    buffer of the last ``tau_bound + 1`` iterates for delayed reads.
+
+    Committed vectors are kept by reference and must not be modified
+    afterwards; reads return them without copying."""
 
     def __init__(self, x0: DenseVec, tau_bound: int):
         self.x = np.array(x0, dtype=np.float64, copy=True)
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
-        self._hist = deque([self.x.copy()], maxlen=tau_bound + 1)
+        self._hist = deque([self.x], maxlen=tau_bound + 1)
 
     def commit(self, x_new: DenseVec) -> None:
         self.x = x_new
         self.clock += 1
         self.stage_sum += x_new
-        self._hist.append(x_new.copy())
+        self._hist.append(x_new)
 
     def iterate_at(self, clock_idx: int) -> DenseVec:
         """Iterate as of clock ``clock_idx`` (0 = stage start)."""
@@ -153,10 +158,9 @@ class MasterState:
 
 
 def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
-    """Atomic snapshot of the full iterate from ``tau_k`` commits ago."""
-    if tau_k < 0:
-        raise ContractViolation("tau_k must be >= 0")
-    return state.iterate_at(state.clock - tau_k).copy()
+    """Atomic snapshot of the full iterate from ``tau_k`` commits ago: the
+    inconsistent read with no applied updates."""
+    return read_inconsistent(state, tau_k, ())
 
 
 def read_inconsistent(state: MasterState, tau_k: int, applied) -> DenseVec:
@@ -166,12 +170,13 @@ def read_inconsistent(state: MasterState, tau_k: int, applied) -> DenseVec:
 
     Updates are applied in order; where the running view still bitwise-equals
     the pre-update iterate the update lands by substitution, which keeps the
-    all-applied case exactly equal to the current iterate.
+    all-applied case exactly equal to the current iterate. The result is
+    read-only: with no applied updates it is the retained iterate itself.
     """
     if tau_k < 0:
         raise ContractViolation("tau_k must be >= 0")
     lo = state.clock - tau_k
-    xhat = state.iterate_at(lo).copy()
+    xhat = state.iterate_at(lo)
     for h in sorted(int(h) for h in applied):
         if h < lo or h >= state.clock:
             raise ContractViolation(
@@ -206,57 +211,45 @@ class CommitRecord:
 
 @dataclass
 class AsyncReport:
-    """RunTrace plus observed-delay statistics and per-worker update counts."""
+    """RunTrace plus the observed delay of every commit, its statistics, and
+    per-worker update counts."""
 
     trace: RunTrace
     read_mode: str
-    delay_mean: float
-    delay_max: int
-    delay_histogram: np.ndarray
+    delays: np.ndarray  # one per commit, in commit order
     stage_mean_delays: list
     worker_updates: list
-    total_commits: int
     delay_law: str | None = None
     declared_tau: int | None = None
-    mean_delay_exceeded: bool = False
     commit_log: list | None = None
+
+    def __post_init__(self):
+        self.delays = np.asarray(self.delays, dtype=np.int64)
+
+    @property
+    def total_commits(self) -> int:
+        return int(self.delays.size)
+
+    @property
+    def delay_mean(self) -> float:
+        return float(self.delays.mean()) if self.delays.size else 0.0
+
+    @property
+    def delay_max(self) -> int:
+        return int(self.delays.max()) if self.delays.size else 0
+
+    @property
+    def delay_histogram(self) -> np.ndarray:
+        return np.bincount(self.delays, minlength=1)
+
+    @property
+    def mean_delay_exceeded(self) -> bool:
+        return self.declared_tau is not None and self.delay_mean > self.declared_tau
 
 
 def format_commit_log(log) -> str:
     """Line-oriented `clock,worker_id,block_id_or_-1,delay` records."""
     return "\n".join(f"{r.clock},{r.worker},{r.block},{r.delay}" for r in log)
-
-
-def _finish_report(
-    trace, read_mode, all_delays, stage_means, worker_updates, law, declared_tau, log
-) -> AsyncReport:
-    delays = np.asarray(all_delays, dtype=np.int64)
-    mean = float(delays.mean()) if delays.size else 0.0
-    mx = int(delays.max()) if delays.size else 0
-    hist = np.bincount(delays) if delays.size else np.zeros(1, dtype=np.int64)
-    exceeded = declared_tau is not None and mean > declared_tau
-    return AsyncReport(
-        trace=trace,
-        read_mode=read_mode,
-        delay_mean=mean,
-        delay_max=mx,
-        delay_histogram=hist,
-        stage_mean_delays=stage_means,
-        worker_updates=worker_updates,
-        total_commits=int(delays.size),
-        delay_law=law,
-        declared_tau=declared_tau,
-        mean_delay_exceeded=exceeded,
-        commit_log=log,
-    )
-
-
-def _check_simulate(config: SolverConfig, mode: SimulateMode) -> None:
-    need = config.S * config.K
-    if len(mode.schedule) < need:
-        raise ContractViolation(
-            f"schedule length {len(mode.schedule)} < S*K = {need}"
-        )
 
 
 def async_svrg_run(
@@ -269,20 +262,9 @@ def async_svrg_run(
     record_iterates: bool = False,
     debug: bool = False,
 ) -> AsyncReport:
-    """Asynchronous SVRG under the consistent (whole-vector) read model."""
-    config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
-    if isinstance(mode, SimulateMode):
-        _check_simulate(config, mode)
-        return _simulate_consistent(
-            problem, config, x0, mode.schedule, stop_below, record_iterates, debug
-        )
-    if isinstance(mode, ThreadsMode):
-        if mode.workers < 1:
-            raise ContractViolation("need at least one worker")
-        return _threads_consistent(problem, config, x0, mode, stop_below, debug)
-    raise ContractViolation(f"unknown mode {mode!r}")
+    """Asynchronous SVRG under the consistent (whole-vector) read model;
+    ``config.m`` is ignored."""
+    return _run(problem, config, x0, mode, ReadMode.CONSISTENT, stop_below, record_iterates, debug)
 
 
 def async_svrcd_run(
@@ -296,259 +278,149 @@ def async_svrcd_run(
     debug: bool = False,
 ) -> AsyncReport:
     """Asynchronous SVRCD under the inconsistent (block-level) read model."""
-    config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
+    return _run(problem, config, x0, mode, ReadMode.INCONSISTENT, stop_below, record_iterates, debug)
+
+
+def _run(problem, config, x0, mode, read_mode, stop_below, record_iterates, debug):
+    # SVRG is the one-block case of SVRCD
+    m = config.m if read_mode is ReadMode.INCONSISTENT else 1
     if isinstance(mode, SimulateMode):
-        _check_simulate(config, mode)
-        return _simulate_inconsistent(
-            problem, config, x0, mode.schedule, stop_below, record_iterates, debug
-        )
+        need = config.S * config.K
+        if len(mode.schedule) < need:
+            raise ContractViolation(f"schedule length {len(mode.schedule)} < S*K = {need}")
+        return replay(problem, config, x0, read_mode, m, mode.schedule, stop_below,
+                      record_iterates, debug)
     if isinstance(mode, ThreadsMode):
         if mode.workers < 1:
             raise ContractViolation("need at least one worker")
-        return _threads_inconsistent(problem, config, x0, mode, stop_below, debug)
+        return _threads(problem, config, x0, read_mode, m, mode, stop_below, debug)
     raise ContractViolation(f"unknown mode {mode!r}")
 
 
 # --------------------------------------------------------------------------
-# simulate mode
+# single-thread replay (simulate mode; sequential solvers with no schedule)
 # --------------------------------------------------------------------------
 
-def _simulate_consistent(problem, config, x0, schedule, stop_below, record_iterates, debug):
-    batch_rng, _ = make_streams(config.seed)
-    x_tilde = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
-    all_delays, stage_means = [], []
-    log = [] if debug else None
-    g = 0
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde)
-        state = MasterState(x_tilde, schedule.tau_bound)
-        stage_delays = []
+def replay(
+    problem: Problem,
+    config: SolverConfig,
+    x0: DenseVec,
+    read_mode: ReadMode,
+    m: int,
+    schedule: DelaySchedule | None,
+    stop_below: float | None = None,
+    record_iterates: bool = False,
+    debug: bool = False,
+) -> AsyncReport:
+    """One logical thread replays ``schedule`` against a MasterState, with
+    ``m`` coordinate blocks; with ``schedule=None`` every read is current and
+    this is the sequential ProxSVRG/ProxSVRCD solver."""
+    part = BlockPartition.equal(problem.d, m)
+    batch_rng, block_rng = make_streams(config.seed)
+    svrg = read_mode is ReadMode.CONSISTENT
+    tau_bound = 0 if schedule is None else schedule.tau_bound
+    # SVRG reads consistently: its applied sets are empty whatever the schedule
+    offsets = None if schedule is None or svrg else schedule.applied_offsets
+    eta = config.eta
+    delays, stage_means, log = [], [], ([] if debug else None)
+    g = 0  # global update index into the schedule
+
+    def inner(s, anchor, x_tilde, iterates):
+        nonlocal g
+        state = MasterState(x_tilde, tau_bound)
         for _ in range(config.K):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
-            tau = min(int(schedule.taus[g]), state.clock)
-            x_read = read_consistent(state, tau)
-            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-            u = problem.vr_grad(batch, x_read, anchor)
-            state.commit(prox_elastic(state.x - config.eta * u, config.eta, problem.reg))
-            stage_delays.append(tau)
-            if record_iterates:
-                trace.iterates.append(state.x.copy())
-            if log is not None:
-                log.append(CommitRecord(s, state.clock, 0, -1, tau))
-            g += 1
-        x_tilde = state.x if (config.last_iterate or config.K == 0) else state.stage_sum / config.K
-        trace.records.append(
-            StageRecord(s, problem.objective(x_tilde), time.perf_counter() - t0, config.K)
-        )
-        all_delays.extend(stage_delays)
-        stage_means.append(float(np.mean(stage_delays)) if stage_delays else 0.0)
-        if stop_below is not None and trace.records[-1].objective <= stop_below:
-            break
-    trace.x_final = x_tilde
-    return _finish_report(
-        trace, ReadMode.CONSISTENT.value, all_delays, stage_means, [len(all_delays)],
-        schedule.law, schedule.tau_bound, log,
-    )
-
-
-def _simulate_inconsistent(problem, config, x0, schedule, stop_below, record_iterates, debug):
-    batch_rng, block_rng = make_streams(config.seed)
-    part = BlockPartition.equal(problem.d, config.m)
-    x_tilde = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
-    all_delays, stage_means = [], []
-    log = [] if debug else None
-    g = 0
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde)
-        state = MasterState(x_tilde, schedule.tau_bound)
-        stage_delays = []
-        for _ in range(config.K):
-            tau = min(int(schedule.taus[g]), state.clock)
-            if schedule.applied_offsets is None:
-                applied = ()
-            else:
-                offs = np.asarray(schedule.applied_offsets[g], dtype=np.int64)
+            tau = 0 if schedule is None else min(int(schedule.taus[g]), state.clock)
+            applied = ()
+            if offsets is not None:
+                offs = np.asarray(offsets[g], dtype=np.int64)
                 applied = (state.clock - offs[offs <= tau]).tolist()
-            x_hat = read_inconsistent(state, tau, applied)
+            x_read = read_inconsistent(state, tau, applied)
             batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-            j = draw_block(block_rng, config.m)
-            u = problem.vr_grad(batch, x_hat, anchor)
-            lo, hi = part.block_bounds(j)
-            x_next = state.x.copy()
-            x_next[lo:hi] = prox_elastic(
-                state.x[lo:hi] - config.eta * u[lo:hi], config.eta, problem.reg
-            )
+            j = draw_block(block_rng, m) if m > 1 else 0
+            u = problem.vr_grad(batch, x_read, anchor)
+            if m == 1:
+                x_next = prox_elastic(state.x - eta * u, eta, problem.reg)
+            else:
+                lo, hi = part.block_bounds(j)
+                x_next = state.x.copy()
+                x_next[lo:hi] = prox_elastic(state.x[lo:hi] - eta * u[lo:hi], eta, problem.reg)
             state.commit(x_next)
-            stage_delays.append(tau)
-            if record_iterates:
-                trace.iterates.append(state.x.copy())
+            delays.append(tau)
+            if iterates is not None:
+                iterates.append(state.x.copy())
             if log is not None:
-                log.append(CommitRecord(s, state.clock, 0, j, tau))
+                log.append(CommitRecord(s, state.clock, 0, -1 if svrg else j, tau))
             g += 1
-        x_tilde = state.x if (config.last_iterate or config.K == 0) else state.stage_sum / config.K
-        trace.records.append(
-            StageRecord(s, problem.objective(x_tilde), time.perf_counter() - t0, config.K)
-        )
-        all_delays.extend(stage_delays)
-        stage_means.append(float(np.mean(stage_delays)) if stage_delays else 0.0)
-        if stop_below is not None and trace.records[-1].objective <= stop_below:
-            break
-    trace.x_final = x_tilde
-    return _finish_report(
-        trace, ReadMode.INCONSISTENT.value, all_delays, stage_means, [len(all_delays)],
-        schedule.law, schedule.tau_bound, log,
-    )
+        stage_means.append(float(np.mean(delays[-config.K:])) if config.K else 0.0)
+        return state.x, state.stage_sum
+
+    trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
+                       record_iterates=record_iterates)
+    law = None if schedule is None else schedule.law
+    return AsyncReport(trace, read_mode.value, delays, stage_means, [len(delays)], law,
+                       tau_bound, log)
 
 
 # --------------------------------------------------------------------------
 # threads mode
 # --------------------------------------------------------------------------
 
-def _worker_streams(seed: int, workers: int):
-    pairs = []
-    for child in np.random.SeedSequence(seed).spawn(workers):
-        b, j = child.spawn(2)
-        pairs.append(
-            (np.random.Generator(np.random.PCG64(b)), np.random.Generator(np.random.PCG64(j)))
-        )
-    return pairs
-
-
-def _threads_consistent(problem, config, x0, mode, stop_below, debug):
+def _threads(problem, config, x0, read_mode, m, mode, stop_below, debug):
     P = mode.workers
-    streams = _worker_streams(config.seed, P)
-    x_tilde = x0.copy()
-    trace = RunTrace()
-    all_delays, stage_means, worker_updates = [], [], [0] * P
+    streams = [make_streams(child) for child in np.random.SeedSequence(config.seed).spawn(P)]
+    svrg = read_mode is ReadMode.CONSISTENT
+    part = BlockPartition.equal(problem.d, m)
+    bounds = [part.block_bounds(j) for j in range(m)]
+    eta = config.eta
+    delays, stage_means, worker_updates = [], [], [0] * P
     log = [] if debug else None
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde, workers=P)
-        lock = threading.Lock()
-        shared = {
-            "x": x_tilde.copy(),
-            "clock": 0,
-            "tickets": config.K,
-            "sum": np.zeros_like(x_tilde),
-        }
-        stage_delays = []
 
-        def run_worker(wid):
-            batch_rng, _ = streams[wid]
-            while True:
-                with lock:
-                    if shared["tickets"] == 0:
-                        return
-                    shared["tickets"] -= 1
-                    snap = shared["x"].copy()
-                    pulled_at = shared["clock"]
-                batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-                u = problem.vr_grad(batch, snap, anchor)
-                with lock:
-                    delay = shared["clock"] - pulled_at
-                    shared["x"] = prox_elastic(
-                        shared["x"] - config.eta * u, config.eta, problem.reg
-                    )
-                    shared["clock"] += 1
-                    shared["sum"] += shared["x"]
-                    stage_delays.append(delay)
-                    worker_updates[wid] += 1
-                    if log is not None:
-                        log.append(CommitRecord(s, shared["clock"], wid, -1, delay))
-
-        threads = [threading.Thread(target=run_worker, args=(w,)) for w in range(P)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        x_tilde = (
-            shared["x"]
-            if (config.last_iterate or config.K == 0)
-            else shared["sum"] / config.K
-        )
-        trace.records.append(
-            StageRecord(s, problem.objective(x_tilde), time.perf_counter() - t0, config.K)
-        )
-        all_delays.extend(stage_delays)
-        stage_means.append(float(np.mean(stage_delays)) if stage_delays else 0.0)
-        if stop_below is not None and trace.records[-1].objective <= stop_below:
-            break
-    trace.x_final = x_tilde
-    return _finish_report(
-        trace, ReadMode.CONSISTENT.value, all_delays, stage_means, worker_updates,
-        None, mode.declared_tau, log,
-    )
-
-
-def _threads_inconsistent(problem, config, x0, mode, stop_below, debug):
-    P = mode.workers
-    streams = _worker_streams(config.seed, P)
-    part = BlockPartition.equal(problem.d, config.m)
-    x_tilde = x0.copy()
-    trace = RunTrace()
-    all_delays, stage_means, worker_updates = [], [], [0] * P
-    log = [] if debug else None
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde, workers=P)
+    def inner(s, anchor, x_tilde, iterates):
         x = x_tilde.copy()
         stage_sum = np.zeros_like(x)
-        # lock order is always block lock -> clock lock; the pull phase takes
-        # block locks one at a time and never holds the clock lock
-        block_locks = [threading.Lock() for _ in range(config.m)]
+        # lock order block -> clock; the ticket and clock stamp are taken
+        # inside block 0's lock, so a one-block pull is an atomic snapshot
+        block_locks = [threading.Lock() for _ in range(m)]
         clock_lock = threading.Lock()
         shared = {"clock": 0, "tickets": config.K}
-        last_commit = [0] * config.m
-        stage_delays = []
+        # first iterate (clock >= 1) at which each block's value is current
+        since = [1] * m
 
         def run_worker(wid):
             batch_rng, block_rng = streams[wid]
-            d = problem.d
             while True:
-                with clock_lock:
-                    if shared["tickets"] == 0:
-                        return
-                    shared["tickets"] -= 1
-                    pulled_at = shared["clock"]
-                # block-by-block pull: blocks may come from different clocks
-                x_hat = np.empty(d)
-                for jj in range(config.m):
-                    lo, hi = part.block_bounds(jj)
+                x_hat = np.empty(problem.d)
+                for jj, (lo, hi) in enumerate(bounds):
                     with block_locks[jj]:
+                        if jj == 0:
+                            with clock_lock:
+                                if shared["tickets"] == 0:
+                                    return
+                                shared["tickets"] -= 1
+                                pulled_at = shared["clock"]
                         x_hat[lo:hi] = x[lo:hi]
                 batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-                jk = draw_block(block_rng, config.m)
+                jk = draw_block(block_rng, m) if m > 1 else 0
                 u = problem.vr_grad(batch, x_hat, anchor)
-                lo, hi = part.block_bounds(jk)
+                lo, hi = bounds[jk]
                 with block_locks[jk]:
-                    old_block = x[lo:hi].copy()
-                    new_block = prox_elastic(
-                        x[lo:hi] - config.eta * u[lo:hi], config.eta, problem.reg
-                    )
+                    new_block = prox_elastic(x[lo:hi] - eta * u[lo:hi], eta, problem.reg)
                     with clock_lock:
                         shared["clock"] += 1
                         t_commit = shared["clock"]
                         delay = (t_commit - 1) - pulled_at
-                        stage_delays.append(delay)
+                        delays.append(delay)
                         worker_updates[wid] += 1
-                    # lazy stage sum: the old block value survived the
-                    # iterates since its own commit (stage start counts from
-                    # iterate 1, so the initial value gets one less)
-                    weight = t_commit - last_commit[jk] - (1 if last_commit[jk] == 0 else 0)
-                    stage_sum[lo:hi] += old_block * weight
+                    # lazy stage sum: the old block value was current in
+                    # the iterates since[jk] .. t_commit - 1
+                    stage_sum[lo:hi] += x[lo:hi] * (t_commit - since[jk])
                     x[lo:hi] = new_block
-                    last_commit[jk] = t_commit
+                    since[jk] = t_commit
                     if log is not None:
-                        log.append(
-                            CommitRecord(s, t_commit, wid, jk, delay, new_block.copy())
-                        )
+                        log.append(CommitRecord(s, t_commit, wid, -1 if svrg else jk, delay,
+                                                new_block))
 
         threads = [threading.Thread(target=run_worker, args=(w,)) for w in range(P)]
         for t in threads:
@@ -556,22 +428,11 @@ def _threads_inconsistent(problem, config, x0, mode, stop_below, debug):
         for t in threads:
             t.join()
         if config.K > 0 and not config.last_iterate:
-            for jj in range(config.m):
-                lo, hi = part.block_bounds(jj)
-                weight = config.K - last_commit[jj] + 1 - (1 if last_commit[jj] == 0 else 0)
-                stage_sum[lo:hi] += x[lo:hi] * weight
-            x_tilde = stage_sum / config.K
-        else:
-            x_tilde = x
-        trace.records.append(
-            StageRecord(s, problem.objective(x_tilde), time.perf_counter() - t0, config.K)
-        )
-        all_delays.extend(stage_delays)
-        stage_means.append(float(np.mean(stage_delays)) if stage_delays else 0.0)
-        if stop_below is not None and trace.records[-1].objective <= stop_below:
-            break
-    trace.x_final = x_tilde
-    return _finish_report(
-        trace, ReadMode.INCONSISTENT.value, all_delays, stage_means, worker_updates,
-        None, mode.declared_tau, log,
-    )
+            for jj, (lo, hi) in enumerate(bounds):
+                stage_sum[lo:hi] += x[lo:hi] * (config.K + 1 - since[jj])
+        stage_means.append(float(np.mean(delays[-config.K:])) if config.K else 0.0)
+        return x, stage_sum
+
+    trace = run_stages(problem, config, x0, inner, stop_below=stop_below, workers=P)
+    return AsyncReport(trace, read_mode.value, delays, stage_means, worker_updates, None,
+                       mode.declared_tau, log)

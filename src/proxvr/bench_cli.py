@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import async_engine, data_io, seq_solvers, theory
-from .errors import ContractViolation, ConvergenceFailure
+from .errors import ContractViolation, ConvergenceFailure, ParseError
 from .linalg import DenseVec
 from .problem import Dataset, LossKind, Problem, Regularizer, prox_elastic
 
@@ -86,6 +86,30 @@ _FLOAT_KEYS = {
 _ALIASES = {"S": "max_stages"}
 
 
+def _int(raw: str) -> int:
+    """Integer literal, or a float literal with an integral value (``1e6``)."""
+    try:
+        return int(raw)
+    except ValueError:
+        val = float(raw)
+        if not val.is_integer():
+            raise
+        return int(val)
+
+
+def _pair(raw: str) -> tuple:
+    eta0, sigma0 = (float(tok) for tok in raw.split(","))
+    return (eta0, sigma0)
+
+
+def _number(key: str, raw: str, kind):
+    """``kind(raw)``, with a failure reported as a usage error naming the key."""
+    try:
+        return kind(raw.strip())
+    except ValueError:
+        raise ContractViolation(f"bad value for {key}: {raw!r}") from None
+
+
 def _coerce(key: str, raw: str):
     raw = raw.strip()
     if key in _BOOL_KEYS:
@@ -95,12 +119,11 @@ def _coerce(key: str, raw: str):
             return False
         raise ContractViolation(f"bad boolean for {key}: {raw!r}")
     if key in _INT_KEYS:
-        return int(raw)
+        return _number(key, raw, _int)
     if key in _FLOAT_KEYS:
-        return float(raw)
+        return _number(key, raw, float)
     if key == "eta_decay":
-        eta0, sigma0 = (float(tok) for tok in raw.split(","))
-        return (eta0, sigma0)
+        return _number(key, raw, _pair)
     return raw
 
 
@@ -137,6 +160,7 @@ def build_experiment(mapping: dict) -> ExperimentConfig:
         raise ContractViolation("async algorithms need mode=simulate:... or threads:P")
     if cfg.algorithm in SEQ_ALGOS and cfg.mode != "seq":
         raise ContractViolation("sequential algorithms use mode=seq")
+    _mode_parts(cfg.mode)
     if cfg.stop_tol <= 0:
         raise ContractViolation("stop_tol must be > 0")
     # Table-defaults for the standard benchmark files when lambdas were not given
@@ -156,10 +180,8 @@ def _parse_synth_spec(spec: str) -> dict:
             continue
         key, _, raw = tok.partition("=")
         key = key.strip()
-        if key == "n" or key == "d" or key == "seed":
-            out[key] = int(raw)
-        elif key == "delta":
-            out[key] = float(raw)
+        if key in ("n", "d", "seed", "delta"):
+            out[key] = _number(key, raw, float if key == "delta" else _int)
         elif key == "label":
             out[key] = raw.strip()
         else:
@@ -170,7 +192,7 @@ def _parse_synth_spec(spec: str) -> dict:
     return out
 
 
-def load_dataset(source: str, normalize: bool = True) -> Dataset:
+def load_dataset(source: str, normalize: bool = True, expected_dim: int | None = None) -> Dataset:
     """`path/to/file[.gz]` or `synth:n=..,d=..,delta=..[,seed=..][,label=..]`."""
     if source.startswith("synth:"):
         spec = _parse_synth_spec(source[len("synth:"):])
@@ -178,7 +200,7 @@ def load_dataset(source: str, normalize: bool = True) -> Dataset:
             spec["n"], spec["d"], spec["delta"], label_rule=spec["label"], seed=spec["seed"]
         )
         return ds  # synth_dataset already normalizes
-    ds = data_io.read_libsvm(source)
+    ds = data_io.read_libsvm(source, expected_dim)
     if normalize:
         ds = data_io.normalize_rows(ds)
     return ds
@@ -229,29 +251,22 @@ def compute_reference_optimum(
     )
 
 
-def _parse_mode(cfg: ExperimentConfig, total_updates: int):
-    """Translate the mode string into an engine mode object."""
-    if cfg.mode == "seq":
-        return None
-    parts = cfg.mode.split(":")
-    if parts[0] == "threads":
-        if len(parts) != 2:
-            raise ContractViolation("threads mode is threads:<P>")
-        return async_engine.ThreadsMode(int(parts[1]), declared_tau=cfg.tau)
-    if parts[0] == "simulate":
-        if len(parts) != 3:
-            raise ContractViolation("simulate mode is simulate:<law>:<tau>")
-        law, tau = parts[1], int(parts[2])
-        schedule = async_engine.sample_delay_schedule(
-            law,
-            tau,
-            total_updates,
-            cfg.schedule_seed if cfg.schedule_seed is not None else cfg.seed,
-            inconsistent=cfg.algorithm.endswith("svrcd"),
-            include_prob=cfg.include_prob,
-        )
-        return async_engine.SimulateMode(schedule)
-    raise ContractViolation(f"unknown mode {cfg.mode!r}")
+def _mode_parts(mode: str) -> tuple:
+    """Split a mode string into ("seq",), ("threads", P) or
+    ("simulate", law, tau); anything else is a usage error."""
+    parts = mode.split(":")
+    try:
+        if parts == ["seq"]:
+            return ("seq",)
+        if parts[0] == "threads" and len(parts) == 2:
+            return ("threads", _int(parts[1]))
+        if parts[0] == "simulate" and len(parts) == 3 and parts[1] in ("constant", "uniform"):
+            return ("simulate", parts[1], _int(parts[2]))
+    except ValueError:
+        pass
+    raise ContractViolation(
+        f"bad value for mode: {mode!r} (expected seq, threads:<P> or simulate:<law>:<tau>)"
+    )
 
 
 def _theory_verdict(cfg: ExperimentConfig, problem: Problem, tau_for_theory: float):
@@ -296,28 +311,46 @@ def _solver_config(cfg: ExperimentConfig) -> seq_solvers.SolverConfig:
     )
 
 
-_SEQ_RUNNERS = {
+_RUNNERS = {
     "prox_sgd": seq_solvers.prox_sgd_run,
     "prox_scd": seq_solvers.prox_scd_run,
     "prox_svrg": seq_solvers.prox_svrg_run,
     "prox_svrcd": seq_solvers.prox_svrcd_run,
+    "async_svrg": async_engine.async_svrg_run,
+    "async_svrcd": async_engine.async_svrcd_run,
 }
+
+
+def _reference(cfg: ExperimentConfig, problem: Problem) -> ReferenceOptimum:
+    """The configured ``p_star`` if given, else the certified optimum."""
+    if cfg.p_star is not None:
+        return ReferenceOptimum(np.zeros(problem.d), cfg.p_star, math.nan, 0)
+    return compute_reference_optimum(
+        problem, cfg.ref_tol, eta=cfg.ref_eta, max_iter=cfg.ref_max_iter
+    )
 
 
 def _execute(cfg: ExperimentConfig, problem: Problem, stop_below: float | None):
     """Run the configured solver; returns (RunTrace, AsyncReport | None)."""
     sc = _solver_config(cfg)
     x0 = np.zeros(problem.d)
-    if cfg.algorithm in SEQ_ALGOS:
-        trace = _SEQ_RUNNERS[cfg.algorithm](problem, sc, x0, stop_below=stop_below)
-        return trace, None
-    mode = _parse_mode(cfg, sc.S * sc.K)
-    runner = (
-        async_engine.async_svrg_run
-        if cfg.algorithm == "async_svrg"
-        else async_engine.async_svrcd_run
-    )
-    report = runner(problem, sc, x0, mode, stop_below=stop_below)
+    kind, *args = _mode_parts(cfg.mode)
+    if kind == "seq":
+        return _RUNNERS[cfg.algorithm](problem, sc, x0, stop_below=stop_below), None
+    if kind == "threads":
+        mode = async_engine.ThreadsMode(args[0], declared_tau=cfg.tau)
+    else:
+        law, tau = args
+        schedule = async_engine.sample_delay_schedule(
+            law,
+            tau,
+            sc.S * sc.K,
+            cfg.schedule_seed if cfg.schedule_seed is not None else cfg.seed,
+            inconsistent=cfg.algorithm.endswith("svrcd"),
+            include_prob=cfg.include_prob,
+        )
+        mode = async_engine.SimulateMode(schedule)
+    report = _RUNNERS[cfg.algorithm](problem, sc, x0, mode, stop_below=stop_below)
     return report.trace, report
 
 
@@ -332,16 +365,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     stats = data_io.dataset_stats(problem.dataset)
+    ref = _reference(cfg, problem)
 
-    if cfg.p_star is not None:
-        ref = ReferenceOptimum(np.zeros(problem.d), cfg.p_star, math.nan, 0)
-    else:
-        ref = compute_reference_optimum(
-            problem, cfg.ref_tol, eta=cfg.ref_eta, max_iter=cfg.ref_max_iter
-        )
-
-    if cfg.mode.startswith("simulate:"):
-        tau_for_theory = float(cfg.mode.split(":")[2])
+    mode_parts = _mode_parts(cfg.mode)
+    if mode_parts[0] == "simulate":
+        tau_for_theory = float(mode_parts[2])
     elif cfg.tau is not None:
         tau_for_theory = float(cfg.tau)
     else:
@@ -434,22 +462,13 @@ def speedup_report(cfg: ExperimentConfig, worker_counts, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
-    if cfg.p_star is not None:
-        ref = ReferenceOptimum(np.zeros(problem.d), cfg.p_star, math.nan, 0)
-    else:
-        ref = compute_reference_optimum(
-            problem, cfg.ref_tol, eta=cfg.ref_eta, max_iter=cfg.ref_max_iter
-        )
+    ref = _reference(cfg, problem)
     target = ref.p_star + cfg.speedup_target
     sc = _solver_config(cfg)
-    runner = (
-        async_engine.async_svrg_run
-        if cfg.algorithm == "async_svrg"
-        else async_engine.async_svrcd_run
-    )
+    runner = _RUNNERS[cfg.algorithm]
 
     # sequential-solver baseline for the summary record
-    seq_runner = _SEQ_RUNNERS["prox_svrg" if cfg.algorithm == "async_svrg" else "prox_svrcd"]
+    seq_runner = _RUNNERS[cfg.algorithm.replace("async_", "prox_")]
     t0 = time.perf_counter()
     seq_trace = seq_runner(problem, sc, np.zeros(problem.d), stop_below=target)
     seq_seconds = time.perf_counter() - t0
@@ -553,7 +572,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ContractViolation, FileNotFoundError) as exc:
+    except (ContractViolation, ParseError, FileNotFoundError) as exc:
         print(f"proxvr: error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceFailure as exc:
@@ -563,13 +582,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "stats":
-        if args.dataset.startswith("synth:"):
-            ds = load_dataset(args.dataset, normalize=args.normalize)
-        else:
-            ds = data_io.read_libsvm(args.dataset, args.expected_dim)
-            if args.normalize:
-                ds = data_io.normalize_rows(ds)
-        stats = data_io.dataset_stats(ds)
+        stats = data_io.dataset_stats(
+            load_dataset(args.dataset, args.normalize, args.expected_dim)
+        )
         if args.json:
             print(json.dumps(data_io.stats_record(stats), indent=2))
         else:
@@ -577,10 +592,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "synth":
-        spec = _parse_synth_spec(args.spec)
-        ds = data_io.synth_dataset(
-            spec["n"], spec["d"], spec["delta"], label_rule=spec["label"], seed=spec["seed"]
-        )
+        ds = load_dataset("synth:" + args.spec)
         data_io.write_libsvm(ds, args.output)
         print(data_io.format_stats(data_io.dataset_stats(ds)))
         return 0

@@ -40,8 +40,8 @@ def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
     """Parse `label idx:val ...` lines with 1-based indices into a Dataset.
 
     Explicit zero values are dropped (canonical sparse form), duplicate
-    indices on a line are an error, and {0,1} label files are mapped to
-    {-1,+1} with a logged notice.
+    indices and non-finite labels or values on a line are errors, and {0,1}
+    label files are mapped to {-1,+1} with a logged notice.
     """
     examples = []
     labels = []
@@ -56,6 +56,8 @@ def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
                 label = float(toks[0])
             except ValueError:
                 raise ParseError(f"bad label {toks[0]!r}", path, lineno) from None
+            if not math.isfinite(label):
+                raise ParseError(f"non-finite label {toks[0]!r}", path, lineno)
             pairs = []
             for tok in toks[1:]:
                 try:
@@ -66,6 +68,8 @@ def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
                     raise ParseError(f"bad entry {tok!r}", path, lineno) from None
                 if idx < 1:
                     raise ParseError(f"index {idx} is not 1-based", path, lineno)
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite value {tok!r}", path, lineno)
                 pairs.append((idx - 1, val))
             pairs.sort(key=lambda p: p[0])
             for (i1, _), (i2, _) in zip(pairs, pairs[1:]):

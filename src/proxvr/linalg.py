@@ -48,12 +48,6 @@ class SparseVec:
         val = np.array([p[1] for p in pairs], dtype=np.float64)
         return SparseVec(idx, val, dim)
 
-    @staticmethod
-    def from_dense(x: DenseVec) -> "SparseVec":
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.flatnonzero(x)
-        return SparseVec(idx.astype(np.int64), x[idx].copy(), x.size)
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -72,20 +66,6 @@ def sparse_dot(a: SparseVec, x: DenseVec) -> float:
     if a.dim != x.shape[0]:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {x.shape[0]}")
     return float(np.dot(a.values, x[a.indices]))
-
-
-def axpy_sparse(alpha: float, a: SparseVec, x: DenseVec) -> DenseVec:
-    """Return a copy of ``x`` with ``alpha * a`` added on a's support.
-
-    Coordinates outside the support are bitwise unchanged; alpha == 0 returns
-    an exact copy (no +0.0 sign-bit churn).
-    """
-    if a.dim != x.shape[0]:
-        raise ContractViolation(f"dimension mismatch: {a.dim} vs {x.shape[0]}")
-    out = x.copy()
-    if alpha != 0.0:
-        out[a.indices] += alpha * a.values
-    return out
 
 
 @dataclass(frozen=True)
@@ -115,20 +95,8 @@ class BlockPartition:
     def m(self) -> int:
         return int(self.bounds.size - 1)
 
-    @property
-    def d(self) -> int:
-        return int(self.bounds[-1])
-
     def block_bounds(self, j: int) -> tuple[int, int]:
         """Half-open coordinate range [lo, hi) of block ``j`` (0-based)."""
         if not (0 <= j < self.m):
             raise ContractViolation(f"block index {j} out of range [0, {self.m})")
         return int(self.bounds[j]), int(self.bounds[j + 1])
-
-
-def block_view(x: DenseVec, p: BlockPartition, j: int) -> DenseVec:
-    """Writable view of block ``j`` of ``x``; touches only that block."""
-    if x.shape[0] != p.d:
-        raise ContractViolation(f"dimension mismatch: {p.d} vs {x.shape[0]}")
-    lo, hi = p.block_bounds(j)
-    return x[lo:hi]

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import BlockPartition, DenseVec, SparseVec, sparse_dot
+from .linalg import DenseVec, SparseVec, sparse_dot
 
 # Fixed shard size for full-gradient reduction. Shard boundaries must not
 # depend on the worker count, or the FP reduction order (and thus the bits of
@@ -77,9 +77,7 @@ class Dataset:
     @staticmethod
     def build(examples, d: int | None = None) -> "Dataset":
         examples = tuple(examples)
-        if not examples:
-            raise ContractViolation("dataset must contain at least one example")
-        if d is None:
+        if d is None and examples:
             d = examples[0].a.dim
         return Dataset(examples, d)
 
@@ -148,18 +146,13 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
         raise ContractViolation("mini-batch must be non-empty")
     if batch.min() < 0 or batch.max() >= dataset.n:
         raise ContractViolation("batch index out of range")
-    out = np.zeros(dataset.d)
-    for i in batch:
-        ex = dataset.examples[i]
-        c = _grad_coef(kind, ex, x)
-        out[ex.a.indices] += c * ex.a.values
-    out /= batch.size
-    return out
+    return _grad_sum(kind, dataset, batch, x) / batch.size
 
 
-def _shard_partial(kind: LossKind, dataset: Dataset, lo: int, hi: int, x: DenseVec) -> DenseVec:
+def _grad_sum(kind: LossKind, dataset: Dataset, rows, x: DenseVec) -> DenseVec:
+    """Sum of the member gradients of ``rows``, added in the given order."""
     out = np.zeros(dataset.d)
-    for i in range(lo, hi):
+    for i in rows:
         ex = dataset.examples[i]
         c = _grad_coef(kind, ex, x)
         out[ex.a.indices] += c * ex.a.values
@@ -178,11 +171,11 @@ def full_grad(kind: LossKind, dataset: Dataset, x: DenseVec, workers: int = 1) -
     n = dataset.n
     spans = [(lo, min(lo + _SHARD, n)) for lo in range(0, n, _SHARD)]
     if workers == 1 or len(spans) == 1:
-        partials = [_shard_partial(kind, dataset, lo, hi, x) for lo, hi in spans]
+        partials = [_grad_sum(kind, dataset, range(lo, hi), x) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(
-                pool.map(lambda sp: _shard_partial(kind, dataset, sp[0], sp[1], x), spans)
+                pool.map(lambda sp: _grad_sum(kind, dataset, range(*sp), x), spans)
             )
     total = partials[0].copy()
     for part in partials[1:]:
@@ -228,17 +221,6 @@ def prox_elastic(y: DenseVec, step: float, reg: Regularizer) -> DenseVec:
     return out
 
 
-def prox_block(
-    y: DenseVec, p: BlockPartition, j: int, step: float, reg: Regularizer
-) -> DenseVec:
-    """Apply the prox on block ``j`` only; all other coordinates are bitwise
-    unchanged."""
-    lo, hi = p.block_bounds(j)
-    out = y.copy()
-    out[lo:hi] = prox_elastic(y[lo:hi], step, reg)
-    return out
-
-
 def objective_value(kind: LossKind, dataset: Dataset, reg: Regularizer, x: DenseVec) -> float:
     """P(x) = mean loss + regularizer."""
     acc = 0.0
@@ -280,6 +262,3 @@ class Problem:
 
     def make_anchor(self, x_tilde: DenseVec, workers: int = 1) -> VRAnchor:
         return VRAnchor(x_tilde.copy(), self.full_grad(x_tilde, workers))
-
-    def prox(self, y: DenseVec, step: float) -> DenseVec:
-        return prox_elastic(y, step, self.reg)

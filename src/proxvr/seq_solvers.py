@@ -1,10 +1,12 @@
 """Sequential proximal solvers: ProxSGD, ProxSCD, ProxSVRG, ProxSVRCD.
 
-These single-threaded runs are the deterministic references: the asynchronous
-engine must reproduce them bit-for-bit at zero delay. Two dedicated RNG
-streams (mini-batch sampling, block sampling) are derived from the seed, so a
-one-block ProxSVRCD run consumes the same batch stream as ProxSVRG and walks
-the identical trajectory.
+These single-threaded runs are the deterministic references. ProxSVRG and
+ProxSVRCD share the stage skeleton ``run_stages`` with the asynchronous
+engine and run its replay loop with no delay schedule, so a zero-delay
+simulation reproduces them bit-for-bit. Two dedicated RNG streams (mini-batch
+sampling, block sampling) are derived from the seed, so a one-block ProxSVRCD
+run consumes the same batch stream as ProxSVRG and walks the identical
+trajectory.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from .linalg import BlockPartition, DenseVec
 from .problem import Problem, prox_elastic
 
 
-def make_streams(seed: int):
-    """(batch_rng, block_rng) pair derived independently from one seed."""
-    batch_ss, block_ss = np.random.SeedSequence(seed).spawn(2)
-    return (
-        np.random.Generator(np.random.PCG64(batch_ss)),
-        np.random.Generator(np.random.PCG64(block_ss)),
-    )
+def make_streams(seed):
+    """(batch_rng, block_rng) pair derived independently from one seed (an
+    int or a ``SeedSequence``)."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return tuple(np.random.Generator(np.random.PCG64(ss)) for ss in seed.spawn(2))
 
 
 def draw_batch(rng, n: int, B: int, with_replacement: bool = True) -> np.ndarray:
@@ -102,13 +103,17 @@ class RunTrace:
         return [r.objective for r in self.records]
 
 
-def _record_stage(trace, stage, problem, x, t0, updates):
-    trace.records.append(
-        StageRecord(stage, problem.objective(x), time.perf_counter() - t0, updates)
-    )
+def _check_run(problem: Problem, config: SolverConfig, x0: DenseVec) -> None:
+    config.validate(problem.n, problem.d)
+    if x0.shape[0] != problem.d:
+        raise ContractViolation("x0 dimension mismatch")
 
 
-def _stopped(trace, stop_below) -> bool:
+def _record_stage(trace, stage, problem, x, t0, updates, stop_below) -> bool:
+    """Append a stage record (the clock stops before the objective pass) and
+    tell whether the objective reached ``stop_below``."""
+    seconds = time.perf_counter() - t0
+    trace.records.append(StageRecord(stage, problem.objective(x), seconds, updates))
     return stop_below is not None and trace.records[-1].objective <= stop_below
 
 
@@ -125,9 +130,7 @@ def prox_sgd_run(
     Runs S*K updates with a trace record every K; the step decays per
     ``config.eta_decay`` when set, else stays constant.
     """
-    config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
+    _check_run(problem, config, x0)
     batch_rng, _ = make_streams(config.seed)
     x = x0.copy()
     trace = RunTrace(iterates=[] if record_iterates else None)
@@ -146,8 +149,7 @@ def prox_sgd_run(
             k_global += 1
             if record_iterates:
                 trace.iterates.append(x.copy())
-        _record_stage(trace, s, problem, x, t0, config.K)
-        if _stopped(trace, stop_below):
+        if _record_stage(trace, s, problem, x, t0, config.K, stop_below):
             break
     trace.x_final = x
     return trace
@@ -167,9 +169,7 @@ def prox_scd_run(
     using the exact partial gradient of F at the current iterate, and leaves
     every other coordinate bitwise unchanged.
     """
-    config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
+    _check_run(problem, config, x0)
     _, block_rng = make_streams(config.seed)
     part = BlockPartition.equal(problem.d, config.m)
     x = x0.copy()
@@ -183,10 +183,43 @@ def prox_scd_run(
             x[lo:hi] = prox_elastic(x[lo:hi] - config.eta * g[lo:hi], config.eta, problem.reg)
             if record_iterates:
                 trace.iterates.append(x.copy())
-        _record_stage(trace, s, problem, x, t0, config.K)
-        if _stopped(trace, stop_below):
+        if _record_stage(trace, s, problem, x, t0, config.K, stop_below):
             break
     trace.x_final = x
+    return trace
+
+
+
+
+def run_stages(
+    problem: Problem,
+    config: SolverConfig,
+    x0: DenseVec,
+    inner,
+    *,
+    stop_below: float | None = None,
+    record_iterates: bool = False,
+    workers: int = 1,
+) -> RunTrace:
+    """Stage skeleton of the variance-reduced solvers, in every mode.
+
+    Per stage: compute the anchor (snapshot + full gradient), run the K inner
+    updates ``inner(stage, anchor, x_tilde, iterates)``, which returns the
+    last inner iterate and the sum of the K inner iterates, advance to their
+    average (or to the last iterate), record the stage, and stop early once
+    the objective reaches ``stop_below``.
+    """
+    _check_run(problem, config, x0)
+    x_tilde = x0.copy()
+    trace = RunTrace(iterates=[] if record_iterates else None)
+    for s in range(1, config.S + 1):
+        t0 = time.perf_counter()
+        anchor = problem.make_anchor(x_tilde, workers)
+        x_last, x_sum = inner(s, anchor, x_tilde, trace.iterates)
+        x_tilde = x_last if (config.last_iterate or config.K == 0) else x_sum / config.K
+        if _record_stage(trace, s, problem, x_tilde, t0, config.K, stop_below):
+            break
+    trace.x_final = x_tilde
     return trace
 
 
@@ -200,35 +233,14 @@ def prox_svrg_run(
 ) -> RunTrace:
     """Stage-based variance-reduced proximal SGD.
 
-    Per stage: compute the anchor (snapshot + full gradient), run K inner
-    updates x <- prox_{eta R}(x - eta * v) with the variance-corrected
-    gradient v evaluated at the current iterate, then advance to the average
-    of the K inner iterates.
+    Each inner update is x <- prox_{eta R}(x - eta * v), with the
+    variance-corrected gradient v evaluated at the current iterate; stages
+    advance to the average of the K inner iterates. ``config.m`` is ignored.
     """
-    config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
-    batch_rng, _ = make_streams(config.seed)
-    x_tilde = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde)
-        x = x_tilde.copy()
-        inner_sum = np.zeros_like(x)
-        for _ in range(config.K):
-            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-            v = problem.vr_grad(batch, x, anchor)
-            x = prox_elastic(x - config.eta * v, config.eta, problem.reg)
-            inner_sum += x
-            if record_iterates:
-                trace.iterates.append(x.copy())
-        x_tilde = x if (config.last_iterate or config.K == 0) else inner_sum / config.K
-        _record_stage(trace, s, problem, x_tilde, t0, config.K)
-        if _stopped(trace, stop_below):
-            break
-    trace.x_final = x_tilde
-    return trace
+    from .async_engine import ReadMode, replay
+
+    return replay(problem, config, x0, ReadMode.CONSISTENT, 1, None, stop_below,
+                  record_iterates).trace
 
 
 def prox_svrcd_run(
@@ -242,36 +254,10 @@ def prox_svrcd_run(
     """Variance-reduced proximal coordinate descent.
 
     Same stage structure as ``prox_svrg_run``; each inner update additionally
-    samples a coordinate block and applies the prox step on that block only.
-    With m = 1 this consumes the same batch stream as ProxSVRG and the
-    trajectories coincide bitwise.
+    samples one of ``config.m`` coordinate blocks and applies the prox step on
+    that block only. With m = 1 the trajectories coincide bitwise.
     """
-    config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
-    batch_rng, block_rng = make_streams(config.seed)
-    part = BlockPartition.equal(problem.d, config.m)
-    x_tilde = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde)
-        x = x_tilde.copy()
-        inner_sum = np.zeros_like(x)
-        for _ in range(config.K):
-            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-            j = draw_block(block_rng, config.m)
-            v = problem.vr_grad(batch, x, anchor)
-            lo, hi = part.block_bounds(j)
-            x_next = x.copy()
-            x_next[lo:hi] = prox_elastic(x[lo:hi] - config.eta * v[lo:hi], config.eta, problem.reg)
-            x = x_next
-            inner_sum += x
-            if record_iterates:
-                trace.iterates.append(x.copy())
-        x_tilde = x if (config.last_iterate or config.K == 0) else inner_sum / config.K
-        _record_stage(trace, s, problem, x_tilde, t0, config.K)
-        if _stopped(trace, stop_below):
-            break
-    trace.x_final = x_tilde
-    return trace
+    from .async_engine import ReadMode, replay
+
+    return replay(problem, config, x0, ReadMode.INCONSISTENT, config.m, None, stop_below,
+                  record_iterates).trace

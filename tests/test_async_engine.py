@@ -1,3 +1,6 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,53 @@ def test_simulate_svrcd_singleton_blocks_contracts_within_rate(rng):
     assert float(np.median(ratios)) <= rho
 
 
+def test_simulate_one_block_svrcd_equals_svrg_under_delay(rng):
+    prob = make_problem(rng, 30, 6)
+    cfg = SolverConfig(eta=0.1, B=2, K=40, S=3, m=1, seed=4)
+    sched = sample_delay_schedule("uniform", 3, cfg.S * cfg.K, seed=6)
+    assert sched.applied_offsets is None
+    a = async_svrg_run(prob, cfg, np.zeros(6), SimulateMode(sched), record_iterates=True)
+    b = async_svrcd_run(prob, cfg, np.zeros(6), SimulateMode(sched), record_iterates=True)
+    assert a.delay_max == 3  # the schedule really delays the reads
+    assert a.trace.objectives == b.trace.objectives
+    assert np.array_equal(a.trace.x_final, b.trace.x_final)
+    assert len(a.trace.iterates) == len(b.trace.iterates) == cfg.S * cfg.K
+    assert all(np.array_equal(u, v) for u, v in zip(a.trace.iterates, b.trace.iterates))
+    assert (a.delay_mean, a.delay_max, a.stage_mean_delays) == (
+        b.delay_mean, b.delay_max, b.stage_mean_delays
+    )
+    assert np.array_equal(a.delay_histogram, b.delay_histogram)
+    # SVRG reads consistently: applied sets in the schedule change nothing
+    mixed = sample_delay_schedule("uniform", 3, cfg.S * cfg.K, seed=6, inconsistent=True)
+    assert np.array_equal(mixed.taus, sched.taus)
+    c = async_svrg_run(prob, cfg, np.zeros(6), SimulateMode(mixed), record_iterates=True)
+    assert c.trace.objectives == a.trace.objectives
+    assert all(np.array_equal(u, v) for u, v in zip(a.trace.iterates, c.trace.iterates))
+
+
+@pytest.mark.parametrize("threads", [False, True], ids=["simulate", "threads"])
+def test_commit_log_block_label_follows_algorithm(rng, threads):
+    prob = make_problem(rng, 20, 6)
+    cfg = SolverConfig(eta=0.1, B=1, K=30, S=2, m=1, seed=8)
+
+    def mode():
+        if threads:
+            return ThreadsMode(2)
+        return SimulateMode(sample_delay_schedule("uniform", 2, 60, seed=3))
+
+    for m in (1, 3):
+        c = replace(cfg, m=m)
+        svrg = async_svrg_run(prob, c, np.zeros(6), mode(), debug=True)
+        assert [r.block for r in svrg.commit_log] == [-1] * 60  # SVRG ignores m
+        assert format_commit_log(svrg.commit_log).splitlines()[0].split(",")[2] == "-1"
+        svrcd = async_svrcd_run(prob, c, np.zeros(6), mode(), debug=True)
+        blocks = [r.block for r in svrcd.commit_log]
+        if m == 1:
+            assert blocks == [0] * 60
+        else:
+            assert set(blocks) == {0, 1, 2}
+
+
 def test_simulate_objectives_decrease_under_delay(rng):
     prob = make_problem(rng, 60, 10, lambda2=0.1)
     cfg = SolverConfig(eta=0.1, B=2, K=150, S=4, seed=9)
@@ -274,6 +324,36 @@ def test_threads_svrcd_block_isolation_fold(rng):
     clock, worker, block, delay = lines[0].split(",")
     assert int(clock) >= 1 and 0 <= int(worker) < 4 and 0 <= int(block) < 4
     assert int(delay) >= 0
+
+
+@pytest.mark.parametrize("algo", ["svrg", "svrcd"])
+def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
+    # more workers than cores and frequent thread switches; a lost block
+    # write or a wrong lazy-sum weight breaks the rebuilt stage average
+    prob = make_problem(rng, 30, 8, lambda2=0.1)
+    m = 4 if algo == "svrcd" else 1
+    cfg = SolverConfig(eta=0.1, B=1, K=150, S=2, m=m, seed=5)
+    part = BlockPartition.equal(8, m)
+    runner = async_svrcd_run if algo == "svrcd" else async_svrg_run
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = runner(prob, cfg, np.zeros(8), ThreadsMode(6), debug=True)
+    finally:
+        sys.setswitchinterval(interval)
+    x_tilde = np.zeros(8)
+    for s in (1, 2):
+        commits = sorted((r for r in rep.commit_log if r.stage == s), key=lambda r: r.clock)
+        assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
+        x, total = x_tilde.copy(), np.zeros(8)
+        for r in commits:
+            assert 0 <= r.delay < r.clock
+            lo, hi = part.block_bounds(max(r.block, 0))
+            x[lo:hi] = r.block_values
+            total += x
+        x_tilde = total / cfg.K
+        assert np.allclose(prob.objective(x_tilde), rep.trace.objectives[s - 1], rtol=1e-12)
+    assert np.allclose(x_tilde, rep.trace.x_final, rtol=1e-12, atol=1e-15)
 
 
 def test_threads_declared_tau_flag(rng):

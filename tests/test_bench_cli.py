@@ -341,9 +341,39 @@ def test_cli_usage_error_exit_code():
     assert err2.value.code == 1
 
 
-def test_cli_bad_config_value_is_usage_error(tmp_path):
-    cfg = _cfg(tmp_path, "dataset = nope.txt\nalgorithm = prox_svrg\neta = 0.1\nK = 5\n")
-    assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("1 1:x\n")
+    svrg = "algorithm = prox_svrg\neta = 0.1\nK = 5\n"
+    async_svrg = "algorithm = async_svrg\neta = 0.1\nK = 5\n"
+    cases = [
+        ("dataset = nope.txt\n" + svrg, []),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "K=abc"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "K=1.5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_max_iter=1e6.5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=0.5"]),
+        (f"dataset = {SYNTH}\n" + async_svrg + "mode = threads:x\n", []),
+        (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform\n", []),
+        (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform:x\n", []),
+        (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:weird:2\n", []),
+        ("dataset = synth:n=x,d=3,delta=0.5\n" + svrg, []),
+        (f"dataset = {malformed}\n" + svrg, []),
+    ]
+    for text, extra in cases:
+        cfg = _cfg(tmp_path, text)
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out"), *extra]) == 1, (text, extra)
+        assert "proxvr: error:" in capsys.readouterr().err
+    assert main(["stats", str(malformed)]) == 1
+    assert "malformed.txt:1" in capsys.readouterr().err
+
+
+def test_int_keys_accept_integral_float_literals():
+    cfg = build_experiment(
+        {"dataset": SYNTH, "algorithm": "prox_svrg", "eta": "0.1", "K": "1e2",
+         "ref_max_iter": "1e6"}
+    )
+    assert cfg.K == 100 and cfg.ref_max_iter == 1_000_000
+    assert isinstance(cfg.ref_max_iter, int)
 
 
 def test_load_dataset_synth_spec_errors():

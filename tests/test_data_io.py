@@ -48,6 +48,19 @@ def test_read_malformed_entry_reports_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_read_rejects_non_finite_values_and_labels(tmp_path):
+    for text, line in (
+        ("1 1:nan 2:1\n-1 1:inf\n", 1),
+        ("1 2:1\n-1 1:inf\n", 2),
+        ("1 1:-inf\n", 1),
+        ("nan 1:1\n", 1),
+        ("1 1:1\ninf 2:1\n", 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            read_libsvm(_write(tmp_path, text))
+        assert err.value.line == line, text
+
+
 def test_read_zero_based_index_rejected(tmp_path):
     with pytest.raises(ParseError):
         read_libsvm(_write(tmp_path, "+1 0:1.0\n"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxvr.errors import ContractViolation
-from proxvr.linalg import BlockPartition, SparseVec, axpy_sparse, block_view, sparse_dot
+from proxvr.linalg import BlockPartition, SparseVec, sparse_dot
 
 
 def test_sparse_vec_canonical_form():
@@ -50,33 +50,6 @@ def test_sparse_dot_matches_dense(rng):
         assert sparse_dot(a, x) == pytest.approx(float(np.dot(a.to_dense(), x)), abs=1e-12)
 
 
-def test_axpy_hand_cases():
-    a = SparseVec.from_pairs([(1, 3.0)], 2)
-    x = np.array([0.0, 1.0])
-    assert axpy_sparse(1.0, a, x).tolist() == [0.0, 4.0]
-    # alpha = 0 leaves x bitwise unchanged
-    out = axpy_sparse(0.0, a, x)
-    assert np.array_equal(out, x)
-    # self-cancellation zeroes the support
-    y = np.array([2.0, -3.5, 0.25])
-    ay = SparseVec.from_pairs([(0, 2.0), (2, 0.25)], 3)
-    out = axpy_sparse(-1.0, ay, y)
-    assert out[0] == 0.0 and out[2] == 0.0 and out[1] == y[1]
-
-
-def test_axpy_untouched_coords_bitwise(rng):
-    for _ in range(100):
-        d = int(rng.integers(2, 20))
-        nnz = int(rng.integers(1, d))
-        idx = np.sort(rng.choice(d, size=nnz, replace=False))
-        a = SparseVec(idx, rng.standard_normal(nnz) + 0.1, d)
-        x = rng.standard_normal(d)
-        out = axpy_sparse(float(rng.standard_normal()), a, x)
-        mask = np.ones(d, dtype=bool)
-        mask[idx] = False
-        assert np.array_equal(out[mask], x[mask])
-
-
 def test_block_partition_hand_case():
     p = BlockPartition.equal(6, 3)
     assert p.block_bounds(1) == (2, 4)  # second block covers {2, 3}
@@ -84,6 +57,10 @@ def test_block_partition_hand_case():
     assert whole.block_bounds(0) == (0, 5)
     singles = BlockPartition.equal(4, 4)
     assert [singles.block_bounds(j) for j in range(4)] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    with pytest.raises(ContractViolation):
+        p.block_bounds(3)
+    with pytest.raises(ContractViolation):
+        BlockPartition.equal(4, 5)
 
 
 def test_block_partition_covers_everything():
@@ -96,16 +73,3 @@ def test_block_partition_covers_everything():
                 assert hi > lo
                 covered.extend(range(lo, hi))
             assert covered == list(range(d))
-
-
-def test_block_view_reads_and_writes_only_block():
-    p = BlockPartition.equal(6, 3)
-    x = np.arange(6, dtype=float)
-    v = block_view(x, p, 1)
-    assert v.tolist() == [2.0, 3.0]
-    v[:] = -1.0
-    assert x.tolist() == [0.0, 1.0, -1.0, -1.0, 4.0, 5.0]
-    with pytest.raises(ContractViolation):
-        block_view(x, p, 3)
-    with pytest.raises(ContractViolation):
-        BlockPartition.equal(4, 5)

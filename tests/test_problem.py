@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_problem, prox_ternary_oracle, random_dataset, random_sparse_vec
 from proxvr.errors import ContractViolation
-from proxvr.linalg import BlockPartition, SparseVec
+from proxvr.linalg import SparseVec
 from proxvr.problem import (
     Dataset,
     LossKind,
@@ -19,7 +19,6 @@ from proxvr.problem import (
     loss_value,
     minibatch_grad,
     objective_value,
-    prox_block,
     prox_elastic,
     vr_gradient,
 )
@@ -234,20 +233,6 @@ def test_prox_nonexpansive(rng):
         py = prox_elastic(y, 0.5, reg)
         pz = prox_elastic(z, 0.5, reg)
         assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-12
-
-
-def test_prox_block_cases(rng):
-    p = BlockPartition.equal(4, 2)
-    y = rng.standard_normal(4)
-    reg = Regularizer(0.3, 0.1)
-    out = prox_block(y, p, 0, 0.5, reg)
-    assert np.array_equal(out[2:], y[2:])  # untouched block bitwise unchanged
-    assert np.array_equal(out[:2], prox_elastic(y[:2], 0.5, reg))
-    whole = BlockPartition.equal(4, 1)
-    assert np.array_equal(prox_block(y, whole, 0, 0.5, reg), prox_elastic(y, 0.5, reg))
-    assert np.array_equal(prox_block(y, p, 1, 0.5, Regularizer(0.0, 0.0)), y)
-    with pytest.raises(ContractViolation):
-        prox_block(y, p, 2, 0.5, reg)
 
 
 # ---------------------------------------------------------------- objective

@@ -1,9 +1,18 @@
+import time
+
 import numpy as np
 import pytest
 
 from conftest import make_problem, one_dim_problem, separable_quadratic
+from proxvr.async_engine import (
+    SimulateMode,
+    ThreadsMode,
+    async_svrcd_run,
+    async_svrg_run,
+    sample_delay_schedule,
+)
 from proxvr.errors import ContractViolation
-from proxvr.problem import LossKind, Regularizer, prox_elastic
+from proxvr.problem import LossKind, Problem, Regularizer, prox_elastic
 from proxvr.seq_solvers import (
     SolverConfig,
     draw_batch,
@@ -216,6 +225,45 @@ def test_svrcd_deterministic(rng):
     a = prox_svrcd_run(prob, cfg, np.zeros(6))
     b = prox_svrcd_run(prob, cfg, np.zeros(6))
     assert _traces_equal(a, b)
+
+
+# ---------------------------------------------------------------- stage records
+
+
+def _simulate(runner):
+    def run(prob, cfg, x0):
+        sched = sample_delay_schedule("uniform", 2, cfg.S * cfg.K, seed=0, inconsistent=True)
+        return runner(prob, cfg, x0, SimulateMode(sched)).trace
+
+    return run
+
+
+_RUNS = {
+    "prox_sgd": prox_sgd_run,
+    "prox_scd": prox_scd_run,
+    "prox_svrg": prox_svrg_run,
+    "prox_svrcd": prox_svrcd_run,
+    "async_svrg_simulate": _simulate(async_svrg_run),
+    "async_svrcd_simulate": _simulate(async_svrcd_run),
+    "async_svrg_threads": lambda p, c, x0: async_svrg_run(p, c, x0, ThreadsMode(2)).trace,
+    "async_svrcd_threads": lambda p, c, x0: async_svrcd_run(p, c, x0, ThreadsMode(2)).trace,
+}
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_stage_seconds_exclude_objective_evaluation(rng, monkeypatch, name):
+    prob = make_problem(rng, 8, 4)
+    objective = Problem.objective
+
+    def slow_objective(self, x):
+        time.sleep(0.05)
+        return objective(self, x)
+
+    monkeypatch.setattr(Problem, "objective", slow_objective)
+    cfg = SolverConfig(eta=0.1, B=2, K=5, S=3, m=2, seed=1)
+    trace = _RUNS[name](prob, cfg, np.zeros(4))
+    assert len(trace.records) == 3
+    assert all(r.seconds < 0.05 for r in trace.records)
 
 
 # ---------------------------------------------------------------- sampling
