@@ -129,7 +129,8 @@ def sample_delay_schedule(
 
 class MasterState:
     """Simulation-mode master: current iterate, global clock, and a ring
-    buffer of the last ``tau_bound + 1`` iterates for delayed reads.
+    buffer of the last ``tau_bound + 1`` iterates for delayed reads, each with
+    the coordinate span its commit changed.
 
     Committed vectors are kept by reference and must not be modified
     afterwards; reads return them without copying."""
@@ -138,16 +139,18 @@ class MasterState:
         self.x = np.array(x0, dtype=np.float64, copy=True)
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
-        self._hist = deque([self.x], maxlen=tau_bound + 1)
+        self._hist = deque([(self.x, (0, self.x.size))], maxlen=tau_bound + 1)
 
-    def commit(self, x_new: DenseVec) -> None:
+    def commit(self, x_new: DenseVec, span: tuple[int, int] | None = None) -> None:
+        """Make ``x_new`` the current iterate. ``span = (lo, hi)`` promises
+        that it equals the previous iterate bitwise outside [lo, hi); None
+        means the whole vector may have changed."""
         self.x = x_new
         self.clock += 1
         self.stage_sum += x_new
-        self._hist.append(x_new)
+        self._hist.append((x_new, (0, x_new.size) if span is None else span))
 
-    def iterate_at(self, clock_idx: int) -> DenseVec:
-        """Iterate as of clock ``clock_idx`` (0 = stage start)."""
+    def _entry(self, clock_idx: int):
         back = self.clock - clock_idx
         if back < 0 or back >= len(self._hist):
             raise ContractViolation(
@@ -155,6 +158,10 @@ class MasterState:
                 f"history={len(self._hist)})"
             )
         return self._hist[len(self._hist) - 1 - back]
+
+    def iterate_at(self, clock_idx: int) -> DenseVec:
+        """Iterate as of clock ``clock_idx`` (0 = stage start)."""
+        return self._entry(clock_idx)[0]
 
 
 def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
@@ -168,23 +175,31 @@ def read_inconsistent(state: MasterState, tau_k: int, applied) -> DenseVec:
     the updates in ``applied`` (absolute update indices inside the window
     {clock - tau_k .. clock - 1}).
 
-    Updates are applied in order; where the running view still bitwise-equals
-    the pre-update iterate the update lands by substitution, which keeps the
-    all-applied case exactly equal to the current iterate. The result is
-    read-only: with no applied updates it is the retained iterate itself.
+    Updates are applied in order, each on the span its commit changed only;
+    where the running view still bitwise-equals the pre-update iterate the
+    update lands by substitution, which keeps the all-applied case exactly
+    equal to the current iterate. This equals the same substitution over the
+    whole vector except, possibly, in the sign of zero coordinates, which no
+    gradient can see. The result is read-only: with no applied updates it is
+    the retained iterate itself.
     """
     if tau_k < 0:
         raise ContractViolation("tau_k must be >= 0")
     lo = state.clock - tau_k
     xhat = state.iterate_at(lo)
-    for h in sorted(int(h) for h in applied):
+    applied = sorted(int(h) for h in applied)
+    if applied:
+        xhat = xhat.copy()
+    for h in applied:
         if h < lo or h >= state.clock:
             raise ContractViolation(
                 f"applied update {h} outside window [{lo}, {state.clock - 1}]"
             )
-        before = state.iterate_at(h)
-        after = state.iterate_at(h + 1)
-        xhat = np.where(xhat == before, after, xhat + (after - before))
+        after, (a, b) = state._entry(h + 1)
+        before, after, view = state.iterate_at(h)[a:b], after[a:b], xhat[a:b]
+        landed = view == before
+        view += after - before
+        np.copyto(view, after, where=landed)
     return xhat
 
 
@@ -341,12 +356,12 @@ def replay(
             j = draw_block(block_rng, m) if m > 1 else 0
             u = problem.vr_grad(batch, x_read, anchor)
             if m == 1:
-                x_next = prox_elastic(state.x - eta * u, eta, problem.reg)
+                x_next, span = prox_elastic(state.x - eta * u, eta, problem.reg), None
             else:
-                lo, hi = part.block_bounds(j)
+                span = lo, hi = part.block_bounds(j)
                 x_next = state.x.copy()
                 x_next[lo:hi] = prox_elastic(state.x[lo:hi] - eta * u[lo:hi], eta, problem.reg)
-            state.commit(x_next)
+            state.commit(x_next, span)
             delays.append(tau)
             if iterates is not None:
                 iterates.append(state.x.copy())

@@ -5,14 +5,19 @@ elastic-net regularizer, with its proximal operators and gradient oracles.
 
 Losses are the logistic loss log(1 + exp(-b * a^T x)) and the least-squares
 loss (a^T x - b)^2 / 2. Gradients of f_i have support inside support(a_i).
+
+A Dataset is one CSR layout (``indptr``, ``indices``, ``data``, ``labels``).
+The kernels compute every row's dot product and gradient coefficient in one
+vector operation and scatter with ``np.bincount``, which adds each
+coordinate's terms in row order.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .linalg import DenseVec, SparseVec, sparse_dot
 # depend on the worker count, or the FP reduction order (and thus the bits of
 # the result) would change with parallelism.
 _SHARD = 256
+_FIRST = np.zeros(1, dtype=np.intp)  # reduceat offsets of a one-segment sum
 
 
 class LossKind(str, Enum):
@@ -62,28 +68,111 @@ class SparseExample:
     b: float
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype).view()
+    if arr.ndim != 1:
+        raise ContractViolation(f"{name} must be 1-D")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    examples: tuple
+    """n examples in CSR form: row i stores the features
+    ``indices[indptr[i]:indptr[i+1]]`` with values ``data[...]`` and has the
+    label ``labels[i]``. Every row is in canonical sparse form (strictly
+    increasing indices in [0, d), no stored zeros); the arrays are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    labels: np.ndarray
     d: int
+    row_nnz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.examples) < 1:
+        fields = {
+            "indptr": _read_only(self.indptr, np.int64, "indptr"),
+            "indices": _read_only(self.indices, np.int64, "indices"),
+            "data": _read_only(self.data, np.float64, "data"),
+            "labels": _read_only(self.labels, np.float64, "labels"),
+            "d": int(self.d),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        indptr, indices, data, d = self.indptr, self.indices, self.data, self.d
+        if self.labels.size < 1:
             raise ContractViolation("dataset must contain at least one example")
-        for ex in self.examples:
-            if ex.a.dim != self.d:
-                raise ContractViolation("all examples must share dimension d")
+        if indptr.size != self.labels.size + 1:
+            raise ContractViolation("indptr must have n + 1 entries")
+        if indices.size != data.size:
+            raise ContractViolation("indices and data must have the same length")
+        if indptr[0] != 0 or indptr[-1] != data.size:
+            raise ContractViolation("indptr must run from 0 to the number of stored entries")
+        row_nnz = np.diff(indptr)
+        if np.any(row_nnz < 0):
+            raise ContractViolation("indptr must be non-decreasing")
+        object.__setattr__(self, "row_nnz", row_nnz)
+        if data.size:
+            if indices.min() < 0 or indices.max() >= d:
+                raise ContractViolation(f"index out of range for dim={d}")
+            if np.any(data == 0.0):
+                raise ContractViolation("canonical form forbids stored zeros")
+            # each index must exceed its predecessor unless a row starts there
+            rising = np.diff(indices) > 0
+            starts = indptr[1:-1]
+            rising[starts[(starts > 0) & (starts < data.size)] - 1] = True
+            if not rising.all():
+                raise ContractViolation("indices must be strictly increasing within a row")
 
     @staticmethod
     def build(examples, d: int | None = None) -> "Dataset":
+        """CSR dataset from a sequence of SparseExample rows."""
         examples = tuple(examples)
-        if d is None and examples:
+        if not examples:
+            raise ContractViolation("dataset must contain at least one example")
+        if d is None:
             d = examples[0].a.dim
-        return Dataset(examples, d)
+        if any(ex.a.dim != d for ex in examples):
+            raise ContractViolation("all examples must share dimension d")
+        indptr = np.zeros(len(examples) + 1, dtype=np.int64)
+        np.cumsum([ex.a.nnz for ex in examples], out=indptr[1:])
+        return Dataset(
+            indptr,
+            np.concatenate([ex.a.indices for ex in examples]),
+            np.concatenate([ex.a.values for ex in examples]),
+            [ex.b for ex in examples],
+            d,
+        )
 
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return int(self.labels.size)
+
+    @cached_property
+    def examples(self) -> tuple:
+        """Per-row SparseExample views of the arrays, built on first access.
+
+        For per-example callers and tests; the solvers and the set-up code
+        read the arrays."""
+        ptr = self.indptr.tolist()
+        return tuple(
+            SparseExample(SparseVec(self.indices[lo:hi], self.data[lo:hi], self.d), b)
+            for lo, hi, b in zip(ptr[:-1], ptr[1:], self.labels.tolist())
+        )
+
+    def row_norms_sq(self) -> np.ndarray:
+        """Squared L2 norm of every row, each summed by ``np.dot`` over the
+        row as ``SparseVec.norm_sq`` sums it. ``np.dot`` and a ufunc
+        reduction round differently, and row normalization and the Lipschitz
+        estimate keep the bits of the per-row sum."""
+        ptr = self.indptr.tolist()
+        data = self.data
+        return np.array(
+            [np.dot(data[lo:hi], data[lo:hi]) for lo, hi in zip(ptr[:-1], ptr[1:])],
+            dtype=np.float64,
+        )
 
 
 @dataclass(frozen=True)
@@ -94,49 +183,102 @@ class VRAnchor:
     full_grad: DenseVec
 
 
-def _sigmoid(s: float) -> float:
-    # branch keeps exp() argument non-positive
-    if s >= 0.0:
-        return 1.0 / (1.0 + math.exp(-s))
-    e = math.exp(s)
-    return e / (1.0 + e)
-
-
 def _check_labels(kind: LossKind, dataset: Dataset) -> None:
     if kind is LossKind.LOGISTIC:
-        for ex in dataset.examples:
-            if ex.b not in (-1.0, 1.0):
-                raise ContractViolation(
-                    f"logistic loss needs labels in {{-1,+1}}, got {ex.b}"
-                )
+        bad = np.flatnonzero(np.abs(dataset.labels) != 1.0)
+        if bad.size:
+            raise ContractViolation(
+                f"logistic loss needs labels in {{-1,+1}}, got {dataset.labels[bad[0]]}"
+            )
+
+
+def _losses(kind: LossKind, t, b):
+    """f_i from the dot products ``t = a_i^T x``; never overflows."""
+    if kind is LossKind.LOGISTIC:
+        return np.logaddexp(0.0, -b * t)
+    r = t - b
+    return 0.5 * r * r
+
+
+def _coefs(kind: LossKind, t, b):
+    """Scalars c_i with grad f_i(x) = c_i a_i, from ``t = a_i^T x``."""
+    if kind is LossKind.LOGISTIC:
+        # -b sigmoid(-b t) = -b q' / (1 + q) with q = exp(-|b t|), and q' = q
+        # where b t >= 0, else 1; exp() never sees a positive argument
+        m = b * t
+        q = np.exp(-np.abs(m))
+        return -b * np.where(m >= 0.0, q, 1.0) / (1.0 + q)
+    return t - b
+
+
+def _coef(kind: LossKind, t: float, b: float) -> float:
+    """``_coefs`` of one row in Python floats: the same operations in the
+    same order, and np.exp gives a scalar the bits it gives an array."""
+    if kind is LossKind.LOGISTIC:
+        m = b * t
+        q = float(np.exp(-abs(m)))
+        return -b * (q if m >= 0.0 else 1.0) / (1.0 + q)
+    return t - b
+
+
+def _row_coef(kind: LossKind, idx, vals, b: float, x: DenseVec) -> float:
+    """c of one row, its dot product summed in the order a batch sums it."""
+    t = float(np.add.reduceat(vals * x[idx], _FIRST)[0]) if idx.size else 0.0
+    return _coef(kind, t, b)
+
+
+def _dots(idx, vals, lens, x: DenseVec) -> np.ndarray:
+    """a_i^T x for consecutive rows, row i holding the next ``lens[i]``
+    entries of ``idx``/``vals``. ``np.add.reduceat`` returns the start element
+    for an empty segment and rejects a start at the end, so empty rows are
+    left out of it."""
+    t = np.zeros(lens.size)
+    full = lens > 0
+    t[full] = np.add.reduceat(vals * x[idx], (np.cumsum(lens) - lens)[full])
+    return t
+
+
+def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec) -> DenseVec:
+    """Sum of the gradients of ``rows`` = (indices, values, row lengths,
+    labels); every coordinate adds its terms in row order."""
+    idx, vals, lens, b = rows
+    if not idx.size:
+        return np.zeros(d)  # np.bincount of nothing is an integer array
+    c = _coefs(kind, _dots(idx, vals, lens, x), b)
+    return np.bincount(idx, weights=np.repeat(c, lens) * vals, minlength=d)
+
+
+def _span(dataset: Dataset, lo: int, hi: int):
+    """Rows lo..hi-1 as (indices, values, row lengths, labels) views."""
+    p0, p1 = dataset.indptr[lo], dataset.indptr[hi]
+    return (dataset.indices[p0:p1], dataset.data[p0:p1], dataset.row_nnz[lo:hi],
+            dataset.labels[lo:hi])
+
+
+def _gather(dataset: Dataset, rows: np.ndarray):
+    """The listed rows, in order, as (indices, values, row lengths, labels)."""
+    starts = dataset.indptr[rows]
+    lens = dataset.row_nnz[rows]
+    ends = np.cumsum(lens)
+    pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+    return dataset.indices[pos], dataset.data[pos], lens, dataset.labels[rows]
 
 
 def loss_value(kind: LossKind, example: SparseExample, x: DenseVec) -> float:
     """f_i(x) for one example; the logistic branch never overflows."""
-    t = sparse_dot(example.a, x)
-    if kind is LossKind.LOGISTIC:
-        margin = example.b * t
-        if margin >= 0.0:
-            return math.log1p(math.exp(-margin))
-        return -margin + math.log1p(math.exp(margin))
-    r = t - example.b
-    return 0.5 * r * r
-
-
-def _grad_coef(kind: LossKind, example: SparseExample, x: DenseVec) -> float:
-    """Scalar c with grad f_i(x) = c * a_i."""
-    t = sparse_dot(example.a, x)
-    if kind is LossKind.LOGISTIC:
-        return -example.b * _sigmoid(-example.b * t)
-    return t - example.b
+    return float(_losses(kind, sparse_dot(example.a, x), example.b))
 
 
 def loss_grad(kind: LossKind, example: SparseExample, x: DenseVec) -> SparseVec:
-    """Gradient of one example's loss, supported on support(a_i)."""
-    c = _grad_coef(kind, example, x)
+    """Gradient of one example's loss, supported on support(a_i); the same
+    arithmetic as a one-row ``minibatch_grad``."""
+    a = example.a
+    if a.dim != x.shape[0]:
+        raise ContractViolation(f"dimension mismatch: {a.dim} vs {x.shape[0]}")
+    c = _row_coef(kind, a.indices, a.values, example.b, x)
     if c == 0.0:
-        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), example.a.dim)
-    return SparseVec(example.a.indices, c * example.a.values, example.a.dim)
+        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), a.dim)
+    return SparseVec(a.indices, c * a.values, a.dim)
 
 
 def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> DenseVec:
@@ -146,16 +288,16 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
         raise ContractViolation("mini-batch must be non-empty")
     if batch.min() < 0 or batch.max() >= dataset.n:
         raise ContractViolation("batch index out of range")
-    return _grad_sum(kind, dataset, batch, x) / batch.size
-
-
-def _grad_sum(kind: LossKind, dataset: Dataset, rows, x: DenseVec) -> DenseVec:
-    """Sum of the member gradients of ``rows``, added in the given order."""
+    if batch.size > 1:
+        out = _grad_sum(kind, dataset.d, _gather(dataset, batch), x)
+        out /= batch.size
+        return out
+    # one row: the batch arithmetic on slices, without the gather
+    i = int(batch.flat[0])
+    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+    idx, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
     out = np.zeros(dataset.d)
-    for i in rows:
-        ex = dataset.examples[i]
-        c = _grad_coef(kind, ex, x)
-        out[ex.a.indices] += c * ex.a.values
+    out[idx] += _row_coef(kind, idx, vals, float(dataset.labels[i]), x) * vals
     return out
 
 
@@ -169,15 +311,17 @@ def full_grad(kind: LossKind, dataset: Dataset, x: DenseVec, workers: int = 1) -
     if workers < 1:
         raise ContractViolation("workers must be >= 1")
     n = dataset.n
-    spans = [(lo, min(lo + _SHARD, n)) for lo in range(0, n, _SHARD)]
-    if workers == 1 or len(spans) == 1:
-        partials = [_grad_sum(kind, dataset, range(lo, hi), x) for lo, hi in spans]
+
+    def shard(lo):
+        return _grad_sum(kind, dataset.d, _span(dataset, lo, min(lo + _SHARD, n)), x)
+
+    starts = range(0, n, _SHARD)
+    if workers == 1 or len(starts) == 1:
+        partials = [shard(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda sp: _grad_sum(kind, dataset, range(*sp), x), spans)
-            )
-    total = partials[0].copy()
+            partials = list(pool.map(shard, starts))
+    total = partials[0]
     for part in partials[1:]:
         total += part
     total /= n
@@ -223,10 +367,8 @@ def prox_elastic(y: DenseVec, step: float, reg: Regularizer) -> DenseVec:
 
 def objective_value(kind: LossKind, dataset: Dataset, reg: Regularizer, x: DenseVec) -> float:
     """P(x) = mean loss + regularizer."""
-    acc = 0.0
-    for ex in dataset.examples:
-        acc += loss_value(kind, ex, x)
-    return acc / dataset.n + reg.value(x)
+    t = _dots(dataset.indices, dataset.data, dataset.row_nnz, x)
+    return float(np.sum(_losses(kind, t, dataset.labels)) / dataset.n + reg.value(x))
 
 
 @dataclass(frozen=True)

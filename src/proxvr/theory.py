@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractViolation, RateDomainError
 from .problem import Dataset, LossKind
 
@@ -65,11 +67,7 @@ def data_sparsity_delta(dataset: Dataset) -> float:
     """Max over features of (examples containing the feature) / n."""
     if dataset.n < 1:
         raise ContractViolation("empty dataset")
-    counts = [0] * dataset.d
-    for ex in dataset.examples:
-        for j in ex.a.indices:
-            counts[j] += 1
-    top = max(counts) if counts else 0
+    top = int(np.bincount(dataset.indices).max()) if dataset.indices.size else 0
     if top == 0:
         warnings.warn("dataset has no stored features; Delta = 0 is degenerate")
         return 0.0
@@ -159,6 +157,6 @@ def estimate_lipschitz(dataset: Dataset, kind: LossKind) -> tuple[float, float]:
     T defaults to L (a conservative bound on per-coordinate curvature)."""
     if dataset.n < 1:
         raise ContractViolation("empty dataset")
-    top = max(ex.a.norm_sq() for ex in dataset.examples)
+    top = float(dataset.row_norms_sq().max())
     L = 0.25 * top if kind is LossKind.LOGISTIC else top
     return L, L

@@ -19,6 +19,7 @@ from proxvr.async_engine import (
 )
 from proxvr.errors import ContractViolation
 from proxvr.linalg import BlockPartition
+from proxvr.problem import Regularizer, prox_elastic
 from proxvr.seq_solvers import SolverConfig, prox_svrcd_run, prox_svrg_run
 
 
@@ -102,6 +103,69 @@ def test_read_inconsistent_rejects_out_of_window(rng):
         read_inconsistent(state, 2, [k - 3])
     with pytest.raises(ContractViolation):
         read_inconsistent(state, 2, [k])
+
+
+def _whole_vector_read(state, tau_k, applied):
+    """The substitution read over the whole vector, one O(d) pass per applied
+    update: the reference for the block-only read."""
+    lo = state.clock - tau_k
+    xhat = state.iterate_at(lo)
+    for h in sorted(int(h) for h in applied):
+        before, after = state.iterate_at(h), state.iterate_at(h + 1)
+        xhat = np.where(xhat == before, after, xhat + (after - before))
+    return xhat
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_block_only_read_matches_whole_vector_read(rng, m):
+    d, steps = 14, 10
+    part = BlockPartition.equal(d, m)
+    reg = Regularizer(0.3, 0.0)
+    neg_zeros = 0
+    for _ in range(30):
+        state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps)
+        for _ in range(steps):
+            j = int(rng.integers(0, m))
+            span = lo, hi = part.block_bounds(j)
+            x_new = state.x.copy()
+            # lambda1 > 0: the prox emits -0.0 for thresholded negatives
+            x_new[lo:hi] = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo),
+                                        1.0, reg)
+            state.commit(x_new, None if m == 1 else span)
+            neg_zeros += int(np.sum(np.signbit(x_new) & (x_new == 0.0)))
+        k = state.clock
+        for tau in range(steps + 1):
+            for p in (0.0, 0.5, 1.0):
+                applied = [h for h in range(k - tau, k) if rng.random() < p]
+                got = read_inconsistent(state, tau, applied)
+                want = _whole_vector_read(state, tau, applied)
+                assert np.array_equal(got, want)
+                # bytes agree except possibly the sign of a zero
+                nonzero = want != 0.0
+                assert got[nonzero].tobytes() == want[nonzero].tobytes()
+                if m == 1:
+                    assert got.tobytes() == want.tobytes()
+    assert neg_zeros > 0
+
+
+@pytest.mark.parametrize("lambda1", [0.0, 1e-3, 5e-2])
+def test_block_only_read_leaves_simulate_runs_bitwise_unchanged(monkeypatch, lambda1):
+    # the sign of a zero in the read cannot reach a gradient, so a whole run
+    # with the whole-vector read is byte-identical
+    from proxvr import async_engine
+
+    for seed, (m, tau, p) in enumerate(((4, 4, 0.5), (7, 3, 1.0), (3, 6, 0.3))):
+        prob = make_problem(np.random.default_rng(seed), 30, 14, lambda1=lambda1, lambda2=0.05)
+        cfg = SolverConfig(eta=0.1, B=2, K=40, S=3, m=m, seed=seed)
+        sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, seed, inconsistent=True,
+                                      include_prob=p)
+        runs = []
+        for read in (async_engine.read_inconsistent, _whole_vector_read):
+            monkeypatch.setattr(async_engine, "read_inconsistent", read)
+            tr = async_svrcd_run(prob, cfg, np.zeros(14), SimulateMode(sched),
+                                 record_iterates=True).trace
+            runs.append([o.hex() for o in tr.objectives] + [x.tobytes() for x in tr.iterates])
+        assert runs[0] == runs[1]
 
 
 # ------------------------------------------------------------- schedules

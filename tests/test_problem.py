@@ -273,3 +273,179 @@ def test_logistic_labels_validated():
     ex = _ex([(0, 1.0)], 1, 2.0)
     with pytest.raises(ContractViolation):
         Problem(Dataset.build([ex], 1), LossKind.LOGISTIC, Regularizer())
+
+
+# ---------------------------------------------------------------- CSR kernels
+#
+# The per-row loop the CSR kernels replaced, kept as the reference: np.dot per
+# row, a scalar sigmoid, and a row-by-row scatter-add.
+
+
+def _oracle_coef(kind, a, b, x):
+    t = float(np.dot(a.values, x[a.indices]))
+    if kind is LossKind.LOGISTIC:
+        s = -b * t
+        sig = 1.0 / (1.0 + math.exp(-s)) if s >= 0.0 else math.exp(s) / (1.0 + math.exp(s))
+        return -b * sig
+    return t - b
+
+
+def _oracle_grad(kind, ds, rows, x):
+    out = np.zeros(ds.d)
+    for i in rows:
+        ex = ds.examples[i]
+        out[ex.a.indices] += _oracle_coef(kind, ex.a, ex.b, x) * ex.a.values
+    return out / len(rows)
+
+
+def _oracle_objective(kind, ds, reg, x):
+    acc = 0.0
+    for ex in ds.examples:
+        t = float(np.dot(ex.a.values, x[ex.a.indices]))
+        if kind is LossKind.LOGISTIC:
+            m = ex.b * t
+            acc += math.log1p(math.exp(-m)) if m >= 0.0 else -m + math.log1p(math.exp(m))
+        else:
+            acc += 0.5 * (t - ex.b) ** 2
+    return acc / ds.n + reg.value(x)
+
+
+def _with_empty_rows(rng, n, d):
+    """Random dataset whose first, a middle and the last rows are empty."""
+    empty = SparseVec(np.empty(0, dtype=np.int64), np.empty(0), d)
+    exs = [
+        SparseExample(random_sparse_vec(rng, d, 0.5) if i not in (0, n // 2, n - 1) else empty,
+                      float(rng.choice([-1.0, 1.0])))
+        for i in range(n)
+    ]
+    return Dataset.build(exs, d)
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.LEAST_SQUARES])
+def test_kernels_match_per_row_oracle(rng, kind):
+    n, d = 40, 9
+    ds = _with_empty_rows(rng, n, d)
+    reg = Regularizer(0.01, 0.1)
+    anchor = Problem(ds, kind, reg).make_anchor(rng.standard_normal(d))
+    batches = [
+        [5],                                  # B = 1
+        [0],                                  # one empty row
+        [0, n // 2, n - 1, 0],                # empty rows only
+        [3, 3, 0, 11, 3, n - 1, 8],           # B = 7, duplicates and empty rows
+        list(range(n)),                       # B = n
+        rng.integers(0, n, size=7).tolist(),
+    ]
+    for _ in range(5):
+        x = rng.standard_normal(d)
+        for batch in batches:
+            _close(minibatch_grad(kind, ds, batch, x), _oracle_grad(kind, ds, batch, x))
+            want_vr = (_oracle_grad(kind, ds, batch, x)
+                       - _oracle_grad(kind, ds, batch, anchor.x_tilde) + anchor.full_grad)
+            np.testing.assert_allclose(vr_gradient(kind, ds, batch, x, anchor), want_vr,
+                                       rtol=1e-12, atol=1e-15)
+        _close(full_grad(kind, ds, x), _oracle_grad(kind, ds, range(n), x))
+        _close(objective_value(kind, ds, reg, x), _oracle_objective(kind, ds, reg, x))
+
+
+def test_kernels_on_a_dataset_of_empty_rows_only():
+    empty = SparseExample(SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 3), 1.0)
+    ds = Dataset.build([empty] * 3, 3)
+    x = np.array([1.0, -2.0, 3.0])
+    for kind in (LossKind.LOGISTIC, LossKind.LEAST_SQUARES):
+        assert minibatch_grad(kind, ds, [0, 2, 2], x).tolist() == [0.0] * 3
+        assert full_grad(kind, ds, x).tolist() == [0.0] * 3
+    assert objective_value(LossKind.LOGISTIC, ds, Regularizer(), x) == pytest.approx(LN2)
+
+
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.LEAST_SQUARES])
+def test_kernels_bitwise_identities(rng, kind):
+    d = 400
+    wide = SparseExample(random_sparse_vec(rng, d, 0.6), 1.0)  # 240 nnz
+    assert wide.a.nnz >= 200
+    rows = [wide] + [SparseExample(random_sparse_vec(rng, d, 0.3), float(rng.choice([-1.0, 1.0])))
+                     for _ in range(255)]
+    ds = Dataset.build(rows, d)
+    for _ in range(5):
+        x = rng.standard_normal(d)
+        # the one-row path and the batch path compute a row's gradient with
+        # the same arithmetic in the same order
+        for i in range(ds.n):
+            g1 = minibatch_grad(kind, ds, [i], x)
+            assert g1.tobytes() == minibatch_grad(kind, ds, [i, i], x).tobytes()
+        g1 = minibatch_grad(kind, ds, [0], x)
+        assert g1.tobytes() == loss_grad(kind, wide, x).to_dense().tobytes()
+        # a batch of every row is the (single-shard) full gradient
+        assert minibatch_grad(kind, ds, range(ds.n), x).tobytes() == full_grad(kind, ds, x).tobytes()
+        one = Dataset.build([wide], d)
+        assert full_grad(kind, one, x).tobytes() == loss_grad(kind, wide, x).to_dense().tobytes()
+    big = _with_empty_rows(rng, 300, 8)  # two shards
+    x = rng.standard_normal(8)
+    assert full_grad(kind, big, x, workers=1).tobytes() == full_grad(kind, big, x, workers=8).tobytes()
+
+
+def test_logistic_kernels_raise_no_warning_at_large_margins():
+    import warnings
+
+    ds = Dataset.build([_ex([(0, 1.0)], 1, 1.0), _ex([(0, 1.0)], 1, -1.0)], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e3, -1e3):
+            x = np.array([t])
+            g = minibatch_grad(LossKind.LOGISTIC, ds, [0, 1], x)
+            assert np.all(np.isfinite(g))
+            assert np.isfinite(minibatch_grad(LossKind.LOGISTIC, ds, [1], x)).all()
+            assert np.isfinite(full_grad(LossKind.LOGISTIC, ds, x)).all()
+            assert objective_value(LossKind.LOGISTIC, ds, Regularizer(), x) == pytest.approx(500.0)
+            for ex in ds.examples:
+                assert math.isfinite(loss_value(LossKind.LOGISTIC, ex, x))
+                loss_grad(LossKind.LOGISTIC, ex, x)
+
+
+# ---------------------------------------------------------------- CSR contract
+
+
+def _csr(indptr, indices, data, labels=None, d=4):
+    labels = [1.0] * (len(indptr) - 1) if labels is None else labels
+    return Dataset(np.array(indptr), np.array(indices), np.array(data, dtype=float), labels, d)
+
+
+def test_csr_constructor_accepts_canonical_rows():
+    # indices may fall across a row boundary; empty rows anywhere
+    ds = _csr([0, 0, 2, 3, 3], [1, 3, 0], [1.0, -2.0, 0.5])
+    assert ds.n == 4 and ds.row_nnz.tolist() == [0, 2, 1, 0]
+    assert [ex.a.indices.tolist() for ex in ds.examples] == [[], [1, 3], [0], []]
+    assert ds.examples is ds.examples  # built once
+    with pytest.raises(ValueError):
+        ds.data[0] = 2.0  # read-only
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, data",
+    [
+        ([0, 2], [2, 1], [1.0, 1.0]),           # unsorted within a row
+        ([0, 1, 3], [0, 2, 2], [1.0, 1.0, 1.0]),  # duplicate within a row
+        ([0, 2], [0, 4], [1.0, 1.0]),           # index out of range
+        ([0, 1], [-1], [1.0]),                  # negative index
+        ([0, 2], [0, 1], [1.0, 0.0]),           # stored zero
+        ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0]),  # indptr not monotone
+        ([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0]),  # indptr short of the data
+        ([1, 2], [0, 1], [1.0, 1.0]),           # indptr not starting at 0
+        ([0, 2], [0, 1], [1.0]),                # indices and data lengths differ
+    ],
+)
+def test_csr_constructor_rejects_non_canonical_input(indptr, indices, data):
+    with pytest.raises(ContractViolation):
+        _csr(indptr, indices, data)
+
+
+def test_csr_constructor_rejects_bad_shapes():
+    with pytest.raises(ContractViolation):
+        _csr([0], [], [], labels=[])  # no rows
+    with pytest.raises(ContractViolation):
+        _csr([0, 1], [0], [1.0], labels=[1.0, -1.0])  # labels vs indptr
+    with pytest.raises(ContractViolation):
+        Dataset.build([_ex([(0, 1.0)], 2, 1.0), _ex([(0, 1.0)], 3, 1.0)])
