@@ -36,7 +36,6 @@ from .async_engine import (
     AsyncReport,
     DelaySchedule,
     MasterState,
-    ReadMode,
     SimulateMode,
     ThreadsMode,
     async_svrcd_run,

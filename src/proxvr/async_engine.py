@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -38,26 +37,21 @@ from .problem import Problem, prox_elastic
 from .seq_solvers import RunTrace, SolverConfig, draw_batch, draw_block, make_streams, run_stages
 
 
-class ReadMode(str, Enum):
-    CONSISTENT = "consistent"      # whole-vector snapshot (SVRG)
-    INCONSISTENT = "inconsistent"  # block-mixed view (SVRCD)
-
-
 @dataclass
 class DelaySchedule:
     """Pre-drawn per-update delays, plus applied-update subsets for the
     inconsistent read model.
 
     ``taus[k]`` is the delay of update k (0-based global position); it never
-    exceeds ``tau_bound`` nor k itself. ``applied_offsets[k]`` lists offsets
-    o in {1..taus[k]} meaning "the update committed o clocks before k is
-    already visible"; None means empty subsets everywhere.
+    exceeds ``tau_bound`` nor k itself. ``applied`` is a boolean array of
+    shape (length, tau_bound): ``applied[k, o-1]`` means "the update
+    committed o clocks before k is already visible", for o in {1..taus[k]}.
+    None means empty subsets everywhere.
     """
 
     taus: np.ndarray
     tau_bound: int
-    applied_offsets: list | None = None
-    law: str = "constant"
+    applied: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.taus, dtype=np.int64)
@@ -68,23 +62,24 @@ class DelaySchedule:
             raise ContractViolation("delays must lie in [0, tau_bound]")
         if t.size and np.any(t > np.arange(t.size)):
             raise ContractViolation("delay tau_k cannot exceed the clock k")
-        if self.applied_offsets is not None:
-            if len(self.applied_offsets) != t.size:
-                raise ContractViolation("applied_offsets length mismatch")
-            for k, offs in enumerate(self.applied_offsets):
-                offs = np.asarray(offs, dtype=np.int64)
-                if offs.size and (offs.min() < 1 or offs.max() > t[k]):
-                    raise ContractViolation(
-                        f"applied set at k={k} outside the window {{1..tau_k}}"
-                    )
+        if self.applied is not None:
+            applied = np.asarray(self.applied, dtype=bool)
+            if applied.shape != (t.size, self.tau_bound):
+                raise ContractViolation("applied must have shape (length, tau_bound)")
+            if np.any(applied & ~(np.arange(self.tau_bound) < t[:, None])):
+                raise ContractViolation("an applied set lies outside its window {1..tau_k}")
+            object.__setattr__(self, "applied", applied)
 
     def __len__(self) -> int:
         return int(self.taus.size)
 
-    @staticmethod
-    def zeros(length: int, inconsistent: bool = False) -> "DelaySchedule":
-        offs = [np.empty(0, dtype=np.int64)] * length if inconsistent else None
-        return DelaySchedule(np.zeros(length, dtype=np.int64), 0, offs, law="constant")
+    @property
+    def applied_offsets(self) -> list | None:
+        """The offsets o in each applied set J(k), one ascending array per
+        update; None when the subsets are empty everywhere."""
+        if self.applied is None:
+            return None
+        return [np.flatnonzero(row) + 1 for row in self.applied]
 
 
 def sample_delay_schedule(
@@ -100,31 +95,27 @@ def sample_delay_schedule(
 
     ``kind`` is "constant" (always tau) or "uniform" (uniform on {0..tau}).
     For the inconsistent model each pending update enters J(k) independently
-    with probability ``include_prob``.
+    with probability ``include_prob``; the inclusion uniforms are drawn in
+    update order, then offset order.
     """
     if tau < 0:
         raise ContractViolation("tau must be >= 0")
     if kind not in ("constant", "uniform"):
         raise ContractViolation(f"unknown delay law {kind!r}")
+    if not 0.0 <= include_prob <= 1.0:
+        raise ContractViolation(f"include_prob must lie in [0, 1], got {include_prob}")
     rng = np.random.default_rng(seed)
     if kind == "constant":
         raw = np.full(length, tau, dtype=np.int64)
     else:
         raw = rng.integers(0, tau + 1, size=length)
     taus = np.minimum(raw, np.arange(length, dtype=np.int64))
-    offsets = None
+    applied = None
     if inconsistent:
-        offsets = []
-        for k in range(length):
-            win = int(taus[k])
-            if win == 0 or include_prob <= 0.0:
-                offsets.append(np.empty(0, dtype=np.int64))
-            elif include_prob >= 1.0:
-                offsets.append(np.arange(1, win + 1, dtype=np.int64))
-            else:
-                mask = rng.random(win) < include_prob
-                offsets.append((np.flatnonzero(mask) + 1).astype(np.int64))
-    return DelaySchedule(taus, tau, offsets, law=kind)
+        window = np.arange(tau) < taus[:, None]
+        applied = np.zeros_like(window)
+        applied[window] = rng.random(int(taus.sum())) < include_prob
+    return DelaySchedule(taus, tau, applied)
 
 
 class MasterState:
@@ -230,11 +221,9 @@ class AsyncReport:
     per-worker update counts."""
 
     trace: RunTrace
-    read_mode: str
     delays: np.ndarray  # one per commit, in commit order
     stage_mean_delays: list
     worker_updates: list
-    delay_law: str | None = None
     declared_tau: int | None = None
     commit_log: list | None = None
 
@@ -279,7 +268,7 @@ def async_svrg_run(
 ) -> AsyncReport:
     """Asynchronous SVRG under the consistent (whole-vector) read model;
     ``config.m`` is ignored."""
-    return _run(problem, config, x0, mode, ReadMode.CONSISTENT, stop_below, record_iterates, debug)
+    return _run(problem, config, x0, mode, True, stop_below, record_iterates, debug)
 
 
 def async_svrcd_run(
@@ -293,22 +282,20 @@ def async_svrcd_run(
     debug: bool = False,
 ) -> AsyncReport:
     """Asynchronous SVRCD under the inconsistent (block-level) read model."""
-    return _run(problem, config, x0, mode, ReadMode.INCONSISTENT, stop_below, record_iterates, debug)
+    return _run(problem, config, x0, mode, False, stop_below, record_iterates, debug)
 
 
-def _run(problem, config, x0, mode, read_mode, stop_below, record_iterates, debug):
-    # SVRG is the one-block case of SVRCD
-    m = config.m if read_mode is ReadMode.INCONSISTENT else 1
+def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
     if isinstance(mode, SimulateMode):
         need = config.S * config.K
         if len(mode.schedule) < need:
             raise ContractViolation(f"schedule length {len(mode.schedule)} < S*K = {need}")
-        return replay(problem, config, x0, read_mode, m, mode.schedule, stop_below,
-                      record_iterates, debug)
+        return replay(problem, config, x0, svrg, mode.schedule, stop_below, record_iterates,
+                      debug)
     if isinstance(mode, ThreadsMode):
         if mode.workers < 1:
             raise ContractViolation("need at least one worker")
-        return _threads(problem, config, x0, read_mode, m, mode, stop_below, debug)
+        return _threads(problem, config, x0, svrg, mode, stop_below, debug)
     raise ContractViolation(f"unknown mode {mode!r}")
 
 
@@ -320,22 +307,22 @@ def replay(
     problem: Problem,
     config: SolverConfig,
     x0: DenseVec,
-    read_mode: ReadMode,
-    m: int,
+    svrg: bool,
     schedule: DelaySchedule | None,
     stop_below: float | None = None,
     record_iterates: bool = False,
     debug: bool = False,
 ) -> AsyncReport:
-    """One logical thread replays ``schedule`` against a MasterState, with
-    ``m`` coordinate blocks; with ``schedule=None`` every read is current and
-    this is the sequential ProxSVRG/ProxSVRCD solver."""
+    """One logical thread replays ``schedule`` against a MasterState: SVRG
+    (``svrg``) with one block, else SVRCD with ``config.m`` blocks; with
+    ``schedule=None`` every read is current and this is the sequential
+    ProxSVRG/ProxSVRCD solver."""
+    m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
     batch_rng, block_rng = make_streams(config.seed)
-    svrg = read_mode is ReadMode.CONSISTENT
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
-    offsets = None if schedule is None or svrg else schedule.applied_offsets
+    applied_sets = None if schedule is None or svrg else schedule.applied
     eta = config.eta
     delays, stage_means, log = [], [], ([] if debug else None)
     g = 0  # global update index into the schedule
@@ -348,9 +335,9 @@ def replay(
             # stage start
             tau = 0 if schedule is None else min(int(schedule.taus[g]), state.clock)
             applied = ()
-            if offsets is not None:
-                offs = np.asarray(offsets[g], dtype=np.int64)
-                applied = (state.clock - offs[offs <= tau]).tolist()
+            if applied_sets is not None:
+                # offset o is column o - 1 and names the commit at clock - o
+                applied = (state.clock - 1 - np.flatnonzero(applied_sets[g, :tau])).tolist()
             x_read = read_inconsistent(state, tau, applied)
             batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
             j = draw_block(block_rng, m) if m > 1 else 0
@@ -373,19 +360,17 @@ def replay(
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
                        record_iterates=record_iterates)
-    law = None if schedule is None else schedule.law
-    return AsyncReport(trace, read_mode.value, delays, stage_means, [len(delays)], law,
-                       tau_bound, log)
+    return AsyncReport(trace, delays, stage_means, [len(delays)], tau_bound, log)
 
 
 # --------------------------------------------------------------------------
 # threads mode
 # --------------------------------------------------------------------------
 
-def _threads(problem, config, x0, read_mode, m, mode, stop_below, debug):
+def _threads(problem, config, x0, svrg, mode, stop_below, debug):
     P = mode.workers
     streams = [make_streams(child) for child in np.random.SeedSequence(config.seed).spawn(P)]
-    svrg = read_mode is ReadMode.CONSISTENT
+    m = 1 if svrg else config.m
     part = BlockPartition.equal(problem.d, m)
     bounds = [part.block_bounds(j) for j in range(m)]
     eta = config.eta
@@ -448,6 +433,5 @@ def _threads(problem, config, x0, read_mode, m, mode, stop_below, debug):
         stage_means.append(float(np.mean(delays[-config.K:])) if config.K else 0.0)
         return x, stage_sum
 
-    trace = run_stages(problem, config, x0, inner, stop_below=stop_below, workers=P)
-    return AsyncReport(trace, read_mode.value, delays, stage_means, worker_updates, None,
-                       mode.declared_tau, log)
+    trace = run_stages(problem, config, x0, inner, stop_below=stop_below)
+    return AsyncReport(trace, delays, stage_means, worker_updates, mode.declared_tau, log)

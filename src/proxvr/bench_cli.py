@@ -12,7 +12,8 @@ Subcommands:
     run <config>                        one experiment; per-stage CSV + summary
     speedup <config> --workers 1,2,4    threads-mode speedup table
 
-Exit codes: 0 success, 1 usage errors, 2 DNF or fatally inadmissible runs.
+Exit codes: 0 success, 1 usage errors, 2 DNF, diverged or fatally
+inadmissible runs.
 """
 
 from __future__ import annotations
@@ -97,8 +98,16 @@ def _int(raw: str) -> int:
         return int(val)
 
 
+def _float(raw: str) -> float:
+    """Float literal other than NaN; ``inf`` stays valid (``stop_tol = inf``)."""
+    val = float(raw)
+    if math.isnan(val):
+        raise ValueError(raw)
+    return val
+
+
 def _pair(raw: str) -> tuple:
-    eta0, sigma0 = (float(tok) for tok in raw.split(","))
+    eta0, sigma0 = (_float(tok) for tok in raw.split(","))
     return (eta0, sigma0)
 
 
@@ -121,7 +130,7 @@ def _coerce(key: str, raw: str):
     if key in _INT_KEYS:
         return _number(key, raw, _int)
     if key in _FLOAT_KEYS:
-        return _number(key, raw, float)
+        return _number(key, raw, _float)
     if key == "eta_decay":
         return _number(key, raw, _pair)
     return raw
@@ -163,6 +172,8 @@ def build_experiment(mapping: dict) -> ExperimentConfig:
     _mode_parts(cfg.mode)
     if cfg.stop_tol <= 0:
         raise ContractViolation("stop_tol must be > 0")
+    if not 0.0 <= cfg.include_prob <= 1.0:
+        raise ContractViolation(f"include_prob must lie in [0, 1], got {cfg.include_prob}")
     # Table-defaults for the standard benchmark files when lambdas were not given
     if "lambda1" not in kwargs and "lambda2" not in kwargs:
         name = Path(cfg.dataset).name.lower()
@@ -357,7 +368,7 @@ def _execute(cfg: ExperimentConfig, problem: Problem, stop_below: float | None):
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment; write trace.csv and summary.txt.
 
-    Returns the summary mapping (status OK/DNF/FAILED included). An
+    Returns the summary mapping (status OK/DIVERGED/FAILED/DNF included). An
     inadmissible step size is a warning, not an error; the theory fields in
     the summary record the verdict either way.
     """
@@ -388,7 +399,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     subopts = [rec.objective - ref.p_star for rec in trace.records]
     status = "OK"
-    if any(s < -1e-12 for s in subopts):
+    if not all(math.isfinite(rec.objective) for rec in trace.records):
+        status = "DIVERGED"  # the run stopped at its first non-finite objective
+    elif any(s < -1e-12 for s in subopts):
         status = "FAILED"  # reference optimum too loose for this run
     elif not math.isinf(cfg.stop_tol) and (not subopts or subopts[-1] > cfg.stop_tol):
         status = "DNF"
@@ -547,6 +560,14 @@ def _load_config(args) -> ExperimentConfig:
     return build_experiment(mapping)
 
 
+def _worker_counts(raw: str) -> list:
+    """``--workers``: comma-separated worker counts, each an integer >= 1."""
+    counts = [_number("workers", tok, _int) for tok in raw.split(",")]
+    if min(counts) < 1:
+        raise ContractViolation(f"bad value for workers: {raw!r} (each count must be >= 1)")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="proxvr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -627,7 +648,7 @@ def _dispatch(args) -> int:
         return 0 if summary["status"] == "OK" else 2
 
     if args.command == "speedup":
-        counts = [int(tok) for tok in args.workers.split(",") if tok]
+        counts = _worker_counts(args.workers)
         rows = speedup_report(cfg, counts, args.out)
         for row in rows:
             mark = "DNF" if row["dnf"] else f"{row['seconds']:.3f}s"

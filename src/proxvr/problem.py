@@ -14,7 +14,6 @@ coordinate's terms in row order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -24,10 +23,6 @@ import numpy as np
 from .errors import ContractViolation
 from .linalg import DenseVec, SparseVec, sparse_dot
 
-# Fixed shard size for full-gradient reduction. Shard boundaries must not
-# depend on the worker count, or the FP reduction order (and thus the bits of
-# the result) would change with parallelism.
-_SHARD = 256
 _FIRST = np.zeros(1, dtype=np.intp)  # reduceat offsets of a one-segment sum
 
 
@@ -248,13 +243,6 @@ def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec) -> DenseVec:
     return np.bincount(idx, weights=np.repeat(c, lens) * vals, minlength=d)
 
 
-def _span(dataset: Dataset, lo: int, hi: int):
-    """Rows lo..hi-1 as (indices, values, row lengths, labels) views."""
-    p0, p1 = dataset.indptr[lo], dataset.indptr[hi]
-    return (dataset.indices[p0:p1], dataset.data[p0:p1], dataset.row_nnz[lo:hi],
-            dataset.labels[lo:hi])
-
-
 def _gather(dataset: Dataset, rows: np.ndarray):
     """The listed rows, in order, as (indices, values, row lengths, labels)."""
     starts = dataset.indptr[rows]
@@ -301,31 +289,14 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
     return out
 
 
-def full_grad(kind: LossKind, dataset: Dataset, x: DenseVec, workers: int = 1) -> DenseVec:
-    """(1/n) sum_i grad f_i(x), reduced over fixed-size shards.
-
-    Shard boundaries are independent of ``workers``, and shard partials are
-    added in shard order, so the result is bit-identical for any worker count;
-    ``workers`` only parallelizes shard evaluation.
-    """
-    if workers < 1:
-        raise ContractViolation("workers must be >= 1")
-    n = dataset.n
-
-    def shard(lo):
-        return _grad_sum(kind, dataset.d, _span(dataset, lo, min(lo + _SHARD, n)), x)
-
-    starts = range(0, n, _SHARD)
-    if workers == 1 or len(starts) == 1:
-        partials = [shard(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(shard, starts))
-    total = partials[0]
-    for part in partials[1:]:
-        total += part
-    total /= n
-    return total
+def full_grad(kind: LossKind, dataset: Dataset, x: DenseVec) -> DenseVec:
+    """(1/n) sum_i grad f_i(x): one pass over every row in row order, the
+    arithmetic ``minibatch_grad`` uses for a batch of every row, so the two
+    agree bit for bit."""
+    rows = (dataset.indices, dataset.data, dataset.row_nnz, dataset.labels)
+    out = _grad_sum(kind, dataset.d, rows, x)
+    out /= dataset.n
+    return out
 
 
 def vr_gradient(
@@ -393,8 +364,8 @@ class Problem:
     def objective(self, x: DenseVec) -> float:
         return objective_value(self.loss, self.dataset, self.reg, x)
 
-    def full_grad(self, x: DenseVec, workers: int = 1) -> DenseVec:
-        return full_grad(self.loss, self.dataset, x, workers)
+    def full_grad(self, x: DenseVec) -> DenseVec:
+        return full_grad(self.loss, self.dataset, x)
 
     def minibatch_grad(self, batch, x: DenseVec) -> DenseVec:
         return minibatch_grad(self.loss, self.dataset, batch, x)
@@ -402,5 +373,5 @@ class Problem:
     def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor) -> DenseVec:
         return vr_gradient(self.loss, self.dataset, batch, x_read, anchor)
 
-    def make_anchor(self, x_tilde: DenseVec, workers: int = 1) -> VRAnchor:
-        return VRAnchor(x_tilde.copy(), self.full_grad(x_tilde, workers))
+    def make_anchor(self, x_tilde: DenseVec) -> VRAnchor:
+        return VRAnchor(x_tilde.copy(), self.full_grad(x_tilde))

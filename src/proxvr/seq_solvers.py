@@ -11,6 +11,7 @@ trajectory.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -111,10 +112,12 @@ def _check_run(problem: Problem, config: SolverConfig, x0: DenseVec) -> None:
 
 def _record_stage(trace, stage, problem, x, t0, updates, stop_below) -> bool:
     """Append a stage record (the clock stops before the objective pass) and
-    tell whether the objective reached ``stop_below``."""
+    tell whether the run stops: the objective reached ``stop_below`` or is
+    not finite (the run diverged)."""
     seconds = time.perf_counter() - t0
-    trace.records.append(StageRecord(stage, problem.objective(x), seconds, updates))
-    return stop_below is not None and trace.records[-1].objective <= stop_below
+    objective = problem.objective(x)
+    trace.records.append(StageRecord(stage, objective, seconds, updates))
+    return not math.isfinite(objective) or (stop_below is not None and objective <= stop_below)
 
 
 def prox_sgd_run(
@@ -199,7 +202,6 @@ def run_stages(
     *,
     stop_below: float | None = None,
     record_iterates: bool = False,
-    workers: int = 1,
 ) -> RunTrace:
     """Stage skeleton of the variance-reduced solvers, in every mode.
 
@@ -207,14 +209,14 @@ def run_stages(
     updates ``inner(stage, anchor, x_tilde, iterates)``, which returns the
     last inner iterate and the sum of the K inner iterates, advance to their
     average (or to the last iterate), record the stage, and stop early once
-    the objective reaches ``stop_below``.
+    the objective reaches ``stop_below`` or is not finite.
     """
     _check_run(problem, config, x0)
     x_tilde = x0.copy()
     trace = RunTrace(iterates=[] if record_iterates else None)
     for s in range(1, config.S + 1):
         t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde, workers)
+        anchor = problem.make_anchor(x_tilde)
         x_last, x_sum = inner(s, anchor, x_tilde, trace.iterates)
         x_tilde = x_last if (config.last_iterate or config.K == 0) else x_sum / config.K
         if _record_stage(trace, s, problem, x_tilde, t0, config.K, stop_below):
@@ -237,10 +239,9 @@ def prox_svrg_run(
     variance-corrected gradient v evaluated at the current iterate; stages
     advance to the average of the K inner iterates. ``config.m`` is ignored.
     """
-    from .async_engine import ReadMode, replay
+    from .async_engine import replay
 
-    return replay(problem, config, x0, ReadMode.CONSISTENT, 1, None, stop_below,
-                  record_iterates).trace
+    return replay(problem, config, x0, True, None, stop_below, record_iterates).trace
 
 
 def prox_svrcd_run(
@@ -257,7 +258,6 @@ def prox_svrcd_run(
     samples one of ``config.m`` coordinate blocks and applies the prox step on
     that block only. With m = 1 the trajectories coincide bitwise.
     """
-    from .async_engine import ReadMode, replay
+    from .async_engine import replay
 
-    return replay(problem, config, x0, ReadMode.INCONSISTENT, config.m, None, stop_below,
-                  record_iterates).trace
+    return replay(problem, config, x0, False, None, stop_below, record_iterates).trace

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem
 from proxvr.async_engine import (
@@ -192,12 +194,11 @@ def test_schedule_uniform_mean_lln():
 
 def test_schedule_offsets_inside_window():
     s = sample_delay_schedule("uniform", 6, 500, seed=5, inconsistent=True, include_prob=0.5)
-    for k in range(500):
-        offs = s.applied_offsets[k]
+    for k, offs in enumerate(s.applied_offsets):
         assert np.all(offs >= 1) and np.all(offs <= s.taus[k])
     full = sample_delay_schedule("constant", 3, 50, seed=5, inconsistent=True, include_prob=1.0)
-    for k in range(4, 50):
-        assert full.applied_offsets[k].tolist() == [1, 2, 3]
+    for offs in full.applied_offsets[4:]:
+        assert offs.tolist() == [1, 2, 3]
 
 
 def test_schedule_validation():
@@ -207,9 +208,65 @@ def test_schedule_validation():
         DelaySchedule(np.array([1, 0]), 3)  # tau_0 > 0
     with pytest.raises(ContractViolation):
         sample_delay_schedule("weird", 1, 5, seed=0)
-    z = DelaySchedule.zeros(5, inconsistent=True)
-    assert len(z) == 5 and z.taus.tolist() == [0] * 5
-    assert all(off.size == 0 for off in z.applied_offsets)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ContractViolation):
+            sample_delay_schedule("uniform", 2, 5, seed=0, inconsistent=True, include_prob=p)
+    with pytest.raises(ContractViolation):
+        DelaySchedule(np.array([0, 1]), 2, np.zeros((2, 1), dtype=bool))  # wrong shape
+
+
+def _per_update_draw(kind, tau, length, seed, include_prob):
+    """Per-update draw of (taus, applied offsets): the reference for the
+    vectorised draw in ``sample_delay_schedule``."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        raw = np.full(length, tau, dtype=np.int64)
+    else:
+        raw = rng.integers(0, tau + 1, size=length)
+    taus = np.minimum(raw, np.arange(length, dtype=np.int64))
+    offsets = []
+    for k in range(length):
+        win = int(taus[k])
+        if win == 0 or include_prob <= 0.0:
+            offsets.append(np.empty(0, dtype=np.int64))
+        elif include_prob >= 1.0:
+            offsets.append(np.arange(1, win + 1, dtype=np.int64))
+        else:
+            mask = rng.random(win) < include_prob
+            offsets.append((np.flatnonzero(mask) + 1).astype(np.int64))
+    return taus, offsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "uniform"]),
+    tau=st.sampled_from([0, 1, 2, 4, 7]),
+    length=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    include_prob=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_schedule_draw_matches_per_update_oracle(kind, tau, length, seed, include_prob):
+    s = sample_delay_schedule(kind, tau, length, seed, inconsistent=True,
+                              include_prob=include_prob)
+    taus, offsets = _per_update_draw(kind, tau, length, seed, include_prob)
+    assert s.taus.tobytes() == taus.tobytes()
+    assert [o.tobytes() for o in s.applied_offsets] == [o.tobytes() for o in offsets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), tau_bound=st.integers(0, 5), length=st.integers(0, 12))
+def test_schedule_rejects_exactly_applied_sets_outside_window(data, tau_bound, length):
+    taus = np.array([data.draw(st.integers(0, min(k, tau_bound))) for k in range(length)],
+                    dtype=np.int64)
+    applied = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=tau_bound, max_size=tau_bound),
+        min_size=length, max_size=length)), dtype=bool).reshape(length, tau_bound)
+    outside = any(applied[k, o] for k in range(length) for o in range(taus[k], tau_bound))
+    if outside:
+        with pytest.raises(ContractViolation):
+            DelaySchedule(taus, tau_bound, applied)
+    else:
+        assert DelaySchedule(taus, tau_bound, applied).applied.tobytes() == applied.tobytes()
 
 
 # ------------------------------------------------------------- simulate mode

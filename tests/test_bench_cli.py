@@ -218,6 +218,23 @@ def test_run_experiment_detects_loose_reference(tmp_path):
     assert bad["status"] == "FAILED"
 
 
+def test_cli_diverged_run_stops_and_exits_2(tmp_path, capsys):
+    cfg = _cfg(
+        tmp_path,
+        "dataset = synth:n=50,d=10,delta=1.0,seed=1,label=regression\n"
+        "loss = least-squares\nalgorithm = prox_svrg\neta = 1e6\nB = 50\nK = 50\n"
+        "max_stages = 40\np_star = 0\n",
+    )
+    with pytest.warns(UserWarning, match="not admissible"), np.errstate(all="ignore"):
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert "status=DIVERGED" in capsys.readouterr().out
+    summary = dict(
+        line.split("=", 1) for line in (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    )
+    assert summary["status"] == "DIVERGED"
+    assert int(summary["stages_used"]) < int(summary["max_stages"])
+
+
 def test_run_experiment_inadmissible_eta_warns(tmp_path):
     with pytest.warns(UserWarning):
         summary = run_experiment(_base_cfg(eta=5.0, K=400, max_stages=25), tmp_path / "out")
@@ -352,6 +369,13 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "K=1.5"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_max_iter=1e6.5"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=0.5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=nan,1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta=nan"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "stop_tol=nan"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda2=nan"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=1.5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=-0.5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=nan"]),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = threads:x\n", []),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform\n", []),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform:x\n", []),
@@ -365,6 +389,19 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
         assert "proxvr: error:" in capsys.readouterr().err
     assert main(["stats", str(malformed)]) == 1
     assert "malformed.txt:1" in capsys.readouterr().err
+
+
+def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference optimum was computed before --workers was checked")
+
+    monkeypatch.setattr("proxvr.bench_cli.compute_reference_optimum", no_reference)
+    cfg = _cfg(tmp_path, f"dataset = {SYNTH}\nalgorithm = async_svrg\nmode = threads:1\n"
+                         "eta = 0.1\nK = 5\n")
+    for raw in ("abc", ",", "0", "1.5", "1,-2"):
+        assert main(["speedup", str(cfg), "--workers", raw, "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "proxvr: error:" in err and "workers" in err, raw
 
 
 def test_int_keys_accept_integral_float_literals():

@@ -138,14 +138,6 @@ def test_minibatch_rejects_empty_and_bad_indices():
         minibatch_grad(LossKind.LOGISTIC, ds, [4], np.zeros(3))
 
 
-def test_full_grad_bit_identical_across_workers(rng):
-    ds = random_dataset(rng, 300, 8)  # spans two shards
-    x = rng.standard_normal(8)
-    g1 = full_grad(LossKind.LOGISTIC, ds, x, workers=1)
-    g8 = full_grad(LossKind.LOGISTIC, ds, x, workers=8)
-    assert np.array_equal(g1, g8)
-
-
 def test_full_grad_single_example(rng):
     ex = _ex([(0, 1.0)], 2, 1.0)
     ds = Dataset.build([ex], 2)
@@ -378,13 +370,13 @@ def test_kernels_bitwise_identities(rng, kind):
             assert g1.tobytes() == minibatch_grad(kind, ds, [i, i], x).tobytes()
         g1 = minibatch_grad(kind, ds, [0], x)
         assert g1.tobytes() == loss_grad(kind, wide, x).to_dense().tobytes()
-        # a batch of every row is the (single-shard) full gradient
+        # a batch of every row is the full gradient
         assert minibatch_grad(kind, ds, range(ds.n), x).tobytes() == full_grad(kind, ds, x).tobytes()
         one = Dataset.build([wide], d)
         assert full_grad(kind, one, x).tobytes() == loss_grad(kind, wide, x).to_dense().tobytes()
-    big = _with_empty_rows(rng, 300, 8)  # two shards
+    big = _with_empty_rows(rng, 300, 8)
     x = rng.standard_normal(8)
-    assert full_grad(kind, big, x, workers=1).tobytes() == full_grad(kind, big, x, workers=8).tobytes()
+    assert minibatch_grad(kind, big, range(big.n), x).tobytes() == full_grad(kind, big, x).tobytes()
 
 
 def test_logistic_kernels_raise_no_warning_at_large_margins():
