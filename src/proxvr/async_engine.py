@@ -1,6 +1,6 @@
 """Asynchronous execution of the variance-reduced solvers.
 
-Both algorithms run the sequential stage skeleton (``run_stages``) on a
+Both algorithms run the sequential stage loop (``run_stages``) on a
 delayed, perturbed read of the iterate:
 
 * consistent read (SVRG): one atomic snapshot of the parameter vector,
@@ -98,8 +98,8 @@ def sample_delay_schedule(
     with probability ``include_prob``; the inclusion uniforms are drawn in
     update order, then offset order.
     """
-    if tau < 0:
-        raise ContractViolation("tau must be >= 0")
+    if min(tau, length, seed) < 0:
+        raise ContractViolation(f"need tau, length, seed >= 0, got {tau}, {length}, {seed}")
     if kind not in ("constant", "uniform"):
         raise ContractViolation(f"unknown delay law {kind!r}")
     if not 0.0 <= include_prob <= 1.0:
@@ -222,7 +222,6 @@ class AsyncReport:
 
     trace: RunTrace
     delays: np.ndarray  # one per commit, in commit order
-    stage_mean_delays: list
     worker_updates: list
     declared_tau: int | None = None
     commit_log: list | None = None
@@ -245,6 +244,12 @@ class AsyncReport:
     @property
     def delay_histogram(self) -> np.ndarray:
         return np.bincount(self.delays, minlength=1)
+
+    @property
+    def stage_mean_delays(self) -> list:
+        """Mean delay of each recorded stage's commits (0.0 for K = 0)."""
+        ends = np.cumsum([r.updates for r in self.trace.records], dtype=np.int64)
+        return [float(d.mean()) if d.size else 0.0 for d in np.split(self.delays, ends)[:-1]]
 
     @property
     def mean_delay_exceeded(self) -> bool:
@@ -324,11 +329,12 @@ def replay(
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
     eta = config.eta
-    delays, stage_means, log = [], [], ([] if debug else None)
+    delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
-    def inner(s, anchor, x_tilde, iterates):
+    def inner(s, x_tilde, iterates):
         nonlocal g
+        anchor = problem.make_anchor(x_tilde)
         state = MasterState(x_tilde, tau_bound)
         for _ in range(config.K):
             # full-gradient phase is a barrier: delays never reach past the
@@ -355,12 +361,11 @@ def replay(
             if log is not None:
                 log.append(CommitRecord(s, state.clock, 0, -1 if svrg else j, tau))
             g += 1
-        stage_means.append(float(np.mean(delays[-config.K:])) if config.K else 0.0)
         return state.x, state.stage_sum
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
                        record_iterates=record_iterates)
-    return AsyncReport(trace, delays, stage_means, [len(delays)], tau_bound, log)
+    return AsyncReport(trace, delays, [len(delays)], tau_bound, log)
 
 
 # --------------------------------------------------------------------------
@@ -374,10 +379,11 @@ def _threads(problem, config, x0, svrg, mode, stop_below, debug):
     part = BlockPartition.equal(problem.d, m)
     bounds = [part.block_bounds(j) for j in range(m)]
     eta = config.eta
-    delays, stage_means, worker_updates = [], [], [0] * P
+    delays, worker_updates = [], [0] * P
     log = [] if debug else None
 
-    def inner(s, anchor, x_tilde, iterates):
+    def inner(s, x_tilde, iterates):
+        anchor = problem.make_anchor(x_tilde)
         x = x_tilde.copy()
         stage_sum = np.zeros_like(x)
         # lock order block -> clock; the ticket and clock stamp are taken
@@ -427,11 +433,9 @@ def _threads(problem, config, x0, svrg, mode, stop_below, debug):
             t.start()
         for t in threads:
             t.join()
-        if config.K > 0 and not config.last_iterate:
-            for jj, (lo, hi) in enumerate(bounds):
-                stage_sum[lo:hi] += x[lo:hi] * (config.K + 1 - since[jj])
-        stage_means.append(float(np.mean(delays[-config.K:])) if config.K else 0.0)
+        for jj, (lo, hi) in enumerate(bounds):
+            stage_sum[lo:hi] += x[lo:hi] * (config.K + 1 - since[jj])
         return x, stage_sum
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below)
-    return AsyncReport(trace, delays, stage_means, worker_updates, mode.declared_tau, log)
+    return AsyncReport(trace, delays, worker_updates, mode.declared_tau, log)

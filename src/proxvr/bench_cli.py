@@ -170,10 +170,13 @@ def build_experiment(mapping: dict) -> ExperimentConfig:
     if cfg.algorithm in SEQ_ALGOS and cfg.mode != "seq":
         raise ContractViolation("sequential algorithms use mode=seq")
     _mode_parts(cfg.mode)
+    _solver_config(cfg)  # the solver's own range checks
     if cfg.stop_tol <= 0:
         raise ContractViolation("stop_tol must be > 0")
     if not 0.0 <= cfg.include_prob <= 1.0:
         raise ContractViolation(f"include_prob must lie in [0, 1], got {cfg.include_prob}")
+    if min(cfg.schedule_seed or 0, cfg.tau or 0) < 0 or cfg.ref_tol <= 0 or cfg.ref_max_iter < 1:
+        raise ContractViolation("need schedule_seed >= 0, tau >= 0, ref_tol > 0, ref_max_iter >= 1")
     # Table-defaults for the standard benchmark files when lambdas were not given
     if "lambda1" not in kwargs and "lambda2" not in kwargs:
         name = Path(cfg.dataset).name.lower()
@@ -193,6 +196,8 @@ def _parse_synth_spec(spec: str) -> dict:
         key = key.strip()
         if key in ("n", "d", "seed", "delta"):
             out[key] = _number(key, raw, float if key == "delta" else _int)
+            if key == "seed" and out[key] < 0:
+                raise ContractViolation(f"synth seed must be >= 0, got {out[key]}")
         elif key == "label":
             out[key] = raw.strip()
         else:
@@ -241,6 +246,8 @@ def compute_reference_optimum(
     """Deterministic proximal gradient descent until the prox-gradient
     mapping G_eta(x) = (x - prox_{eta R}(x - eta grad F(x))) / eta has norm
     below ``ref_tol``. Needs a unique minimizer (lambda2 > 0 suffices)."""
+    if not ref_tol > 0:
+        raise ContractViolation(f"ref_tol must be > 0, got {ref_tol}")
     if eta is None:
         L, _ = theory.estimate_lipschitz(problem.dataset, problem.loss)
         eta = 1.0 / L if L > 0 else 1.0
@@ -269,14 +276,16 @@ def _mode_parts(mode: str) -> tuple:
     try:
         if parts == ["seq"]:
             return ("seq",)
-        if parts[0] == "threads" and len(parts) == 2:
-            return ("threads", _int(parts[1]))
-        if parts[0] == "simulate" and len(parts) == 3 and parts[1] in ("constant", "uniform"):
-            return ("simulate", parts[1], _int(parts[2]))
+        if parts[0] == "threads" and len(parts) == 2 and (workers := _int(parts[1])) >= 1:
+            return ("threads", workers)
+        if (parts[0] == "simulate" and len(parts) == 3 and parts[1] in ("constant", "uniform")
+                and (tau := _int(parts[2])) >= 0):
+            return ("simulate", parts[1], tau)
     except ValueError:
         pass
     raise ContractViolation(
-        f"bad value for mode: {mode!r} (expected seq, threads:<P> or simulate:<law>:<tau>)"
+        f"bad value for mode: {mode!r} (expected seq, threads:<P> with P >= 1 or "
+        "simulate:<law>:<tau> with tau >= 0)"
     )
 
 
@@ -410,10 +419,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "suboptimality", "seconds", "updates", "observed_mean_delay"])
-        for i, rec in enumerate(trace.records):
-            mean_delay = report.stage_mean_delays[i] if report is not None else 0.0
+        mean_delays = report.stage_mean_delays if report is not None else [0.0] * len(subopts)
+        for rec, subopt, mean_delay in zip(trace.records, subopts, mean_delays):
             writer.writerow(
-                [rec.stage, f"{subopts[i]:.17g}", f"{rec.seconds:.6f}", rec.updates,
+                [rec.stage, f"{subopt:.17g}", f"{rec.seconds:.6f}", rec.updates,
                  f"{mean_delay:.6g}"]
             )
 
@@ -477,22 +486,19 @@ def speedup_report(cfg: ExperimentConfig, worker_counts, out_dir) -> list:
     problem = build_problem(cfg)
     ref = _reference(cfg, problem)
     target = ref.p_star + cfg.speedup_target
-    sc = _solver_config(cfg)
-    runner = _RUNNERS[cfg.algorithm]
 
     # sequential-solver baseline for the summary record
-    seq_runner = _RUNNERS[cfg.algorithm.replace("async_", "prox_")]
+    seq_cfg = replace(cfg, algorithm=cfg.algorithm.replace("async_", "prox_"), mode="seq")
     t0 = time.perf_counter()
-    seq_trace = seq_runner(problem, sc, np.zeros(problem.d), stop_below=target)
+    seq_trace, _ = _execute(seq_cfg, problem, target)
     seq_seconds = time.perf_counter() - t0
     seq_reached = seq_trace.records and seq_trace.records[-1].objective <= target
 
     rows = []
     base_seconds = None
     for P in worker_counts:
-        mode = async_engine.ThreadsMode(int(P), declared_tau=cfg.tau)
         t0 = time.perf_counter()
-        report = runner(problem, sc, np.zeros(problem.d), mode, stop_below=target)
+        _, report = _execute(replace(cfg, mode=f"threads:{int(P)}"), problem, target)
         seconds = time.perf_counter() - t0
         reached = report.trace.records[-1].objective <= target if report.trace.records else False
         row = {

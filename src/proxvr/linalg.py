@@ -57,9 +57,6 @@ class SparseVec:
         out[self.indices] = self.values
         return out
 
-    def norm_sq(self) -> float:
-        return float(np.dot(self.values, self.values))
-
 
 def sparse_dot(a: SparseVec, x: DenseVec) -> float:
     """Inner product of a sparse and a dense vector."""

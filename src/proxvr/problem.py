@@ -159,9 +159,9 @@ class Dataset:
 
     def row_norms_sq(self) -> np.ndarray:
         """Squared L2 norm of every row, each summed by ``np.dot`` over the
-        row as ``SparseVec.norm_sq`` sums it. ``np.dot`` and a ufunc
-        reduction round differently, and row normalization and the Lipschitz
-        estimate keep the bits of the per-row sum."""
+        row's stored values. ``np.dot`` and a ufunc reduction round
+        differently, and row normalization and the Lipschitz estimate keep
+        the bits of the per-row ``np.dot`` sum."""
         ptr = self.indptr.tolist()
         data = self.data
         return np.array(

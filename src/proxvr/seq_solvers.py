@@ -1,8 +1,8 @@
 """Sequential proximal solvers: ProxSGD, ProxSCD, ProxSVRG, ProxSVRCD.
 
-These single-threaded runs are the deterministic references. ProxSVRG and
-ProxSVRCD share the stage skeleton ``run_stages`` with the asynchronous
-engine and run its replay loop with no delay schedule, so a zero-delay
+These single-threaded runs are the deterministic references. All four run
+the stage loop ``run_stages``, as does the asynchronous engine; ProxSVRG and
+ProxSVRCD run its replay loop with no delay schedule, so a zero-delay
 simulation reproduces them bit-for-bit. Two dedicated RNG streams (mini-batch
 sampling, block sampling) are derived from the seed, so a one-block ProxSVRCD
 run consumes the same batch stream as ProxSVRG and walks the identical
@@ -69,20 +69,23 @@ class SolverConfig:
     with_replacement: bool = True
     last_iterate: bool = False
 
-    def validate(self, n: int, d: int) -> None:
-        if self.eta <= 0:
-            raise ContractViolation("eta must be > 0")
-        if not (1 <= self.B <= n):
-            raise ContractViolation(f"need 1 <= B <= n, got B={self.B}, n={n}")
+    def __post_init__(self):
+        """Range checks that need no data; NaN fails every one of them."""
+        if not all(math.isfinite(v) and v > 0 for v in (self.eta, *(self.eta_decay or ()))):
+            raise ContractViolation(f"eta and eta_decay must be finite and > 0, got "
+                                    f"eta={self.eta}, eta_decay={self.eta_decay}")
+        if self.B < 1 or self.m < 1:
+            raise ContractViolation(f"B and m must be >= 1, got B={self.B}, m={self.m}")
         # K = 0 or S = 0 is an explicit no-op run
-        if self.K < 0 or self.S < 0:
-            raise ContractViolation("K and S must be >= 0")
-        if not (1 <= self.m <= d):
+        if min(self.K, self.S, self.seed) < 0:
+            raise ContractViolation(f"K, S and seed must be >= 0, got {self.K}, {self.S}, "
+                                    f"{self.seed}")
+
+    def validate(self, n: int, d: int) -> None:
+        if self.B > n:
+            raise ContractViolation(f"need 1 <= B <= n, got B={self.B}, n={n}")
+        if self.m > d:
             raise ContractViolation(f"need 1 <= m <= d, got m={self.m}, d={d}")
-        if self.eta_decay is not None:
-            eta0, sigma0 = self.eta_decay
-            if eta0 <= 0 or sigma0 <= 0:
-                raise ContractViolation("eta_decay parameters must be > 0")
 
 
 @dataclass
@@ -104,20 +107,41 @@ class RunTrace:
         return [r.objective for r in self.records]
 
 
-def _check_run(problem: Problem, config: SolverConfig, x0: DenseVec) -> None:
+def run_stages(
+    problem: Problem,
+    config: SolverConfig,
+    x0: DenseVec,
+    inner,
+    *,
+    stop_below: float | None = None,
+    record_iterates: bool = False,
+) -> RunTrace:
+    """Stage loop of every solver, in every mode.
+
+    Per stage: ``inner(stage, x_tilde, iterates)`` runs the K inner updates
+    (the variance-reduced loops compute their anchor first) and returns the
+    last iterate and the sum of the K iterates, or None to advance to the
+    last iterate. Then advance to the average, record the stage (the clock
+    stops before the objective pass), and stop once the objective reaches
+    ``stop_below`` or is not finite (the run diverged).
+    """
     config.validate(problem.n, problem.d)
     if x0.shape[0] != problem.d:
         raise ContractViolation("x0 dimension mismatch")
-
-
-def _record_stage(trace, stage, problem, x, t0, updates, stop_below) -> bool:
-    """Append a stage record (the clock stops before the objective pass) and
-    tell whether the run stops: the objective reached ``stop_below`` or is
-    not finite (the run diverged)."""
-    seconds = time.perf_counter() - t0
-    objective = problem.objective(x)
-    trace.records.append(StageRecord(stage, objective, seconds, updates))
-    return not math.isfinite(objective) or (stop_below is not None and objective <= stop_below)
+    x_tilde = x0.copy()
+    trace = RunTrace(iterates=[] if record_iterates else None)
+    for s in range(1, config.S + 1):
+        t0 = time.perf_counter()
+        x_last, x_sum = inner(s, x_tilde, trace.iterates)
+        average = x_sum is not None and config.K > 0 and not config.last_iterate
+        x_tilde = x_sum / config.K if average else x_last
+        seconds = time.perf_counter() - t0
+        objective = problem.objective(x_tilde)
+        trace.records.append(StageRecord(s, objective, seconds, config.K))
+        if not math.isfinite(objective) or (stop_below is not None and objective <= stop_below):
+            break
+    trace.x_final = x_tilde
+    return trace
 
 
 def prox_sgd_run(
@@ -133,13 +157,11 @@ def prox_sgd_run(
     Runs S*K updates with a trace record every K; the step decays per
     ``config.eta_decay`` when set, else stays constant.
     """
-    _check_run(problem, config, x0)
     batch_rng, _ = make_streams(config.seed)
-    x = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
     k_global = 0
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
+
+    def inner(s, x, iterates):
+        nonlocal k_global
         for _ in range(config.K):
             if config.eta_decay is not None:
                 eta0, sigma0 = config.eta_decay
@@ -150,12 +172,12 @@ def prox_sgd_run(
             g = problem.minibatch_grad(batch, x)
             x = prox_elastic(x - eta_k * g, eta_k, problem.reg)
             k_global += 1
-            if record_iterates:
-                trace.iterates.append(x.copy())
-        if _record_stage(trace, s, problem, x, t0, config.K, stop_below):
-            break
-    trace.x_final = x
-    return trace
+            if iterates is not None:
+                iterates.append(x.copy())
+        return x, None
+
+    return run_stages(problem, config, x0, inner, stop_below=stop_below,
+                      record_iterates=record_iterates)
 
 
 def prox_scd_run(
@@ -172,57 +194,22 @@ def prox_scd_run(
     using the exact partial gradient of F at the current iterate, and leaves
     every other coordinate bitwise unchanged.
     """
-    _check_run(problem, config, x0)
     _, block_rng = make_streams(config.seed)
     part = BlockPartition.equal(problem.d, config.m)
-    x = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
+
+    def inner(s, x, iterates):
+        # x is the run's own copy of x0, updated in place
         for _ in range(config.K):
             j = draw_block(block_rng, config.m)
             g = problem.full_grad(x)
             lo, hi = part.block_bounds(j)
             x[lo:hi] = prox_elastic(x[lo:hi] - config.eta * g[lo:hi], config.eta, problem.reg)
-            if record_iterates:
-                trace.iterates.append(x.copy())
-        if _record_stage(trace, s, problem, x, t0, config.K, stop_below):
-            break
-    trace.x_final = x
-    return trace
+            if iterates is not None:
+                iterates.append(x.copy())
+        return x, None
 
-
-
-
-def run_stages(
-    problem: Problem,
-    config: SolverConfig,
-    x0: DenseVec,
-    inner,
-    *,
-    stop_below: float | None = None,
-    record_iterates: bool = False,
-) -> RunTrace:
-    """Stage skeleton of the variance-reduced solvers, in every mode.
-
-    Per stage: compute the anchor (snapshot + full gradient), run the K inner
-    updates ``inner(stage, anchor, x_tilde, iterates)``, which returns the
-    last inner iterate and the sum of the K inner iterates, advance to their
-    average (or to the last iterate), record the stage, and stop early once
-    the objective reaches ``stop_below`` or is not finite.
-    """
-    _check_run(problem, config, x0)
-    x_tilde = x0.copy()
-    trace = RunTrace(iterates=[] if record_iterates else None)
-    for s in range(1, config.S + 1):
-        t0 = time.perf_counter()
-        anchor = problem.make_anchor(x_tilde)
-        x_last, x_sum = inner(s, anchor, x_tilde, trace.iterates)
-        x_tilde = x_last if (config.last_iterate or config.K == 0) else x_sum / config.K
-        if _record_stage(trace, s, problem, x_tilde, t0, config.K, stop_below):
-            break
-    trace.x_final = x_tilde
-    return trace
+    return run_stages(problem, config, x0, inner, stop_below=stop_below,
+                      record_iterates=record_iterates)
 
 
 def prox_svrg_run(

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import one_dim_problem
+from proxvr import bench_cli
 from proxvr.bench_cli import (
     ExperimentConfig,
     build_experiment,
@@ -358,11 +363,16 @@ def test_cli_usage_error_exit_code():
     assert err2.value.code == 1
 
 
-def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
+def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference optimum was computed before the config was checked")
+
+    monkeypatch.setattr("proxvr.bench_cli.compute_reference_optimum", no_reference)
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("1 1:x\n")
     svrg = "algorithm = prox_svrg\neta = 0.1\nK = 5\n"
     async_svrg = "algorithm = async_svrg\neta = 0.1\nK = 5\n"
+    simulate = async_svrg + "mode = simulate:uniform:2\n"
     cases = [
         ("dataset = nope.txt\n" + svrg, []),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "K=abc"]),
@@ -376,6 +386,19 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=1.5"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=-0.5"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=nan"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=inf,1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "seed=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "max_stages=-2"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "B=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_tol=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_max_iter=0"]),
+        (f"dataset = {SYNTH}\n" + simulate, ["--set", "schedule_seed=-1"]),
+        (f"dataset = {SYNTH}\n" + simulate, ["--set", "seed=-1"]),
+        (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=simulate:uniform:-1"]),
+        (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=threads:1", "--set", "tau=-1"]),
+        (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=threads:0"]),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = threads:x\n", []),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform\n", []),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform:x\n", []),
@@ -389,6 +412,8 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
         assert "proxvr: error:" in capsys.readouterr().err
     assert main(["stats", str(malformed)]) == 1
     assert "malformed.txt:1" in capsys.readouterr().err
+    assert main(["synth", "n=5,d=3,delta=1,seed=-1", "-o", str(tmp_path / "s.txt")]) == 1
+    assert "proxvr: error:" in capsys.readouterr().err
 
 
 def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -402,6 +427,54 @@ def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
         assert main(["speedup", str(cfg), "--workers", raw, "-o", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "proxvr: error:" in err and "workers" in err, raw
+
+
+_FUZZ_KEYS = sorted(f.name for f in fields(ExperimentConfig)) + ["S", "no_such_key"]
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e400", "0.5", "2e0", "", "abc", "1,2",
+                     "1,2,3"]),
+)
+_FUZZ_MODES = st.sampled_from(["seq", "simulate:uniform:-1", "simulate:constant:3", "threads:0",
+                               "threads:1", "threads:2", "bogus"])
+_FUZZ_BASE = {
+    "prox_sgd": "seq", "prox_scd": "seq", "prox_svrg": "seq", "prox_svrcd": "seq",
+    "async_svrg": "simulate:uniform:2", "async_svrcd": "threads:2",
+}
+
+
+# n, d >= 6 keep B <= n and m <= d; K, S <= 6 and P <= 2 keep runs small
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    algorithm=st.sampled_from(sorted(_FUZZ_BASE)),
+    pairs=st.lists(
+        st.sampled_from(_FUZZ_KEYS).flatmap(
+            lambda key: st.tuples(st.just(key), _FUZZ_MODES if key == "mode" else _FUZZ_VALUES)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_cli_run_config_fuzz_exit_codes(tmp_path, monkeypatch, algorithm, pairs):
+    cfg = _cfg(tmp_path, "dataset = synth:n=20,d=8,delta=0.5,seed=3\n"
+                         f"algorithm = {algorithm}\nmode = {_FUZZ_BASE[algorithm]}\n"
+                         "eta = 0.1\nK = 4\nmax_stages = 2\np_star = 0\nstop_tol = inf\n")
+    execute, calls = bench_cli._execute, []
+
+    def recording_execute(*args):
+        calls.append(args)
+        return execute(*args)
+
+    monkeypatch.setattr(bench_cli, "_execute", recording_execute)
+    argv = ["run", str(cfg), "-o", str(tmp_path / "out")]
+    for key, value in pairs:
+        argv += ["--set", f"{key}={value}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # inadmissible step sizes warn by design
+        code = main(argv)
+    assert code in (0, 1, 2), pairs
+    if code == 1:
+        assert not calls, f"usage error raised inside the solver run: {pairs}"
 
 
 def test_int_keys_accept_integral_float_literals():

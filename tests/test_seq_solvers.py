@@ -11,6 +11,7 @@ from proxvr.async_engine import (
     async_svrg_run,
     sample_delay_schedule,
 )
+from proxvr.bench_cli import compute_reference_optimum
 from proxvr.errors import ContractViolation
 from proxvr.problem import LossKind, Problem, Regularizer, prox_elastic
 from proxvr.seq_solvers import (
@@ -84,6 +85,19 @@ def test_invalid_configs_rejected(rng):
         prox_svrcd_run(prob, SolverConfig(eta=0.1, B=1, K=1, S=1, m=9), np.zeros(4))
     with pytest.raises(ContractViolation):
         prox_sgd_run(prob, SolverConfig(eta=0.1, B=1, K=1, S=1), np.zeros(5))
+    # ranges that need no data fail when the config is built
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(eta=nan), dict(eta=inf), dict(eta=0.0), dict(B=0), dict(m=0),
+                dict(K=-1), dict(S=-2), dict(seed=-1), dict(eta_decay=(nan, 1.0)),
+                dict(eta_decay=(1.0, inf)), dict(eta_decay=(0.5, -1.0))):
+        with pytest.raises(ContractViolation):
+            SolverConfig(**{**dict(eta=0.1, B=1, K=1, S=1), **bad})
+    for length, seed in ((-3, 0), (5, -1)):
+        with pytest.raises(ContractViolation):
+            sample_delay_schedule("uniform", 2, length, seed)
+    for tol in (-1.0, 0.0, nan):
+        with pytest.raises(ContractViolation):
+            compute_reference_optimum(prob, tol, max_iter=1)
 
 
 # ---------------------------------------------------------------- ProxSCD
@@ -264,6 +278,28 @@ def test_stage_seconds_exclude_objective_evaluation(rng, monkeypatch, name):
     trace = _RUNS[name](prob, cfg, np.zeros(4))
     assert len(trace.records) == 3
     assert all(r.seconds < 0.05 for r in trace.records)
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_stage_seconds_include_anchor(rng, monkeypatch, name):
+    prob = make_problem(rng, 8, 4)
+    make_anchor = Problem.make_anchor
+    calls = []
+
+    def slow_anchor(self, x_tilde):
+        calls.append(1)
+        time.sleep(0.05)
+        return make_anchor(self, x_tilde)
+
+    monkeypatch.setattr(Problem, "make_anchor", slow_anchor)
+    cfg = SolverConfig(eta=0.1, B=2, K=5, S=3, m=2, seed=1)
+    trace = _RUNS[name](prob, cfg, np.zeros(4))
+    assert len(trace.records) == 3
+    if name in ("prox_sgd", "prox_scd"):
+        assert calls == []  # no anchor: no variance reduction
+    else:
+        assert len(calls) == 3
+        assert all(r.seconds >= 0.05 for r in trace.records)
 
 
 # ---------------------------------------------------------------- sampling
