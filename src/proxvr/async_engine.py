@@ -13,10 +13,13 @@ A consistent read is an inconsistent read with J(k) empty, and SVRG is SVRCD
 with one block (logged as block -1), so each execution mode has one loop:
 
 * simulate (``replay``): one logical thread replays a pre-drawn delay
-  schedule against a master state with bounded iterate history; fully
-  deterministic. With no schedule every read is current: that is the
-  sequential ProxSVRG/ProxSVRCD solver, which a zero-delay simulation
-  therefore reproduces bit-for-bit;
+  schedule against a master state that updates the iterate in place and
+  keeps an undo log of its last tau commits; fully deterministic. With no
+  schedule every read is current: that is the sequential ProxSVRG/ProxSVRCD
+  solver, which a zero-delay simulation therefore reproduces bit-for-bit.
+  A one-row update reads the iterate on the row's support only, computes
+  the gradient on the committed block only and commits that block, so it
+  costs O(nnz + d/m + tau * nnz) besides the O(d) stage sum;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
   its clock stamp inside block 0's lock, so one block gives an atomic
@@ -119,79 +122,109 @@ def sample_delay_schedule(
 
 
 class MasterState:
-    """Simulation-mode master: current iterate, global clock, and a ring
-    buffer of the last ``tau_bound + 1`` iterates for delayed reads, each with
-    the coordinate span its commit changed.
+    """Simulation-mode master: the current iterate ``x``, updated in place,
+    the global clock, the sum of the stage's iterates, and an undo log of the
+    last ``tau_bound`` commits for delayed reads.
 
-    Committed vectors are kept by reference and must not be modified
-    afterwards; reads return them without copying."""
+    A log entry ``(lo, hi, before, after)`` holds the span [lo, hi) a commit
+    changed and that span's values before and after it. Writing back the
+    ``before`` values of the newer commits rebuilds any retained iterate
+    exactly, so a commit costs O(span) and no whole iterate is stored.
+    Committed span values are kept by reference and must not be modified
+    afterwards."""
 
     def __init__(self, x0: DenseVec, tau_bound: int):
         self.x = np.array(x0, dtype=np.float64, copy=True)
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
-        self._hist = deque([(self.x, (0, self.x.size))], maxlen=tau_bound + 1)
+        self._log = deque(maxlen=tau_bound)
 
-    def commit(self, x_new: DenseVec, span: tuple[int, int] | None = None) -> None:
-        """Make ``x_new`` the current iterate. ``span = (lo, hi)`` promises
-        that it equals the previous iterate bitwise outside [lo, hi); None
-        means the whole vector may have changed."""
-        self.x = x_new
+    def commit(self, values: DenseVec, span: tuple[int, int] | None = None) -> None:
+        """Apply one update. ``span = (lo, hi)`` promises that only [lo, hi)
+        changes; ``values`` is either that span's new values or a whole new
+        iterate, equal to the current one outside the span. None means the
+        whole vector may have changed."""
+        lo, hi = (0, self.x.size) if span is None else span
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape[0] != hi - lo:
+            values = values[lo:hi].copy()
+        if self._log.maxlen:
+            self._log.append((lo, hi, self.x[lo:hi].copy(), values))
+        self.x[lo:hi] = values
         self.clock += 1
-        self.stage_sum += x_new
-        self._hist.append((x_new, (0, x_new.size) if span is None else span))
-
-    def _entry(self, clock_idx: int):
-        back = self.clock - clock_idx
-        if back < 0 or back >= len(self._hist):
-            raise ContractViolation(
-                f"clock {clock_idx} not retained (clock={self.clock}, "
-                f"history={len(self._hist)})"
-            )
-        return self._hist[len(self._hist) - 1 - back]
+        self.stage_sum += self.x
 
     def iterate_at(self, clock_idx: int) -> DenseVec:
-        """Iterate as of clock ``clock_idx`` (0 = stage start)."""
-        return self._entry(clock_idx)[0]
+        """A copy of the iterate as of clock ``clock_idx`` (0 = stage start)."""
+        return self.read(self.clock - clock_idx, ())
+
+    def read(self, tau_k: int, applied, coords=None) -> DenseVec:
+        """The iterate from ``tau_k`` commits ago plus exactly the updates in
+        ``applied`` (absolute update indices inside the window
+        {clock - tau_k .. clock - 1}), as a new array.
+
+        The old iterate is rebuilt from the undo log; then the updates are
+        applied in order, each on the span its commit changed only. Where the
+        running view still bitwise-equals the pre-update iterate the update
+        lands by substitution, which keeps the all-applied case exactly equal
+        to the current iterate. This equals the same substitution over the
+        whole vector except, possibly, in the sign of zero coordinates, which
+        no gradient can see.
+
+        ``coords``, sorted coordinate indices, restricts the read to those
+        coordinates and returns their values in that order; None reads every
+        coordinate. Each span's share of ``coords`` is found by
+        ``searchsorted``, so reading a row's support costs
+        O(nnz + tau_k * nnz), not O(d).
+        """
+        if tau_k < 0:
+            raise ContractViolation("tau_k must be >= 0")
+        start = self.clock - tau_k
+        if tau_k > len(self._log):
+            raise ContractViolation(
+                f"clock {start} not retained (clock={self.clock}, "
+                f"history={len(self._log) + 1})"
+            )
+        applied = sorted(int(h) for h in applied)
+        for h in applied[:1] + applied[-1:]:
+            if h < start or h >= self.clock:
+                raise ContractViolation(
+                    f"applied update {h} outside window [{start}, {self.clock - 1}]"
+                )
+        xhat = self.x.copy() if coords is None else self.x[coords]
+        if not tau_k:
+            return xhat
+        window = list(self._log)[-tau_k:]  # oldest first
+        # (positions in xhat, offsets into the entry's arrays) of each span
+        if coords is None:
+            where = [(slice(lo, hi), slice(None)) for lo, hi, _, _ in window]
+        else:
+            cuts = coords.searchsorted([entry[:2] for entry in window]).tolist()
+            where = [(slice(p, q), coords[p:q] - entry[0])
+                     for (p, q), entry in zip(cuts, window)]
+        for (_, _, before, _), (pos, off) in zip(reversed(window), reversed(where)):
+            xhat[pos] = before[off]
+        for h in applied:
+            _, _, before, after = window[h - start]
+            pos, off = where[h - start]
+            before, after, view = before[off], after[off], xhat[pos]
+            landed = view == before
+            view += after - before
+            np.copyto(view, after, where=landed)
+        return xhat
 
 
 def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
     """Atomic snapshot of the full iterate from ``tau_k`` commits ago: the
     inconsistent read with no applied updates."""
-    return read_inconsistent(state, tau_k, ())
+    return state.read(tau_k, ())
 
 
-def read_inconsistent(state: MasterState, tau_k: int, applied) -> DenseVec:
+def read_inconsistent(state: MasterState, tau_k: int, applied, coords=None) -> DenseVec:
     """Block-mixed view: the iterate from ``tau_k`` commits ago plus exactly
-    the updates in ``applied`` (absolute update indices inside the window
-    {clock - tau_k .. clock - 1}).
-
-    Updates are applied in order, each on the span its commit changed only;
-    where the running view still bitwise-equals the pre-update iterate the
-    update lands by substitution, which keeps the all-applied case exactly
-    equal to the current iterate. This equals the same substitution over the
-    whole vector except, possibly, in the sign of zero coordinates, which no
-    gradient can see. The result is read-only: with no applied updates it is
-    the retained iterate itself.
-    """
-    if tau_k < 0:
-        raise ContractViolation("tau_k must be >= 0")
-    lo = state.clock - tau_k
-    xhat = state.iterate_at(lo)
-    applied = sorted(int(h) for h in applied)
-    if applied:
-        xhat = xhat.copy()
-    for h in applied:
-        if h < lo or h >= state.clock:
-            raise ContractViolation(
-                f"applied update {h} outside window [{lo}, {state.clock - 1}]"
-            )
-        after, (a, b) = state._entry(h + 1)
-        before, after, view = state.iterate_at(h)[a:b], after[a:b], xhat[a:b]
-        landed = view == before
-        view += after - before
-        np.copyto(view, after, where=landed)
-    return xhat
+    the updates in ``applied``, on ``coords`` (sorted) or on every
+    coordinate; see ``MasterState.read``."""
+    return state.read(tau_k, applied, coords)
 
 
 @dataclass(frozen=True)
@@ -321,14 +354,27 @@ def replay(
     """One logical thread replays ``schedule`` against a MasterState: SVRG
     (``svrg``) with one block, else SVRCD with ``config.m`` blocks; with
     ``schedule=None`` every read is current and this is the sequential
-    ProxSVRG/ProxSVRCD solver."""
+    ProxSVRG/ProxSVRCD solver.
+
+    A stage draws its blocks and, for one-row batches drawn with
+    replacement, its rows in one call each: the same numbers as one draw per
+    update. A one-row update reads the iterate on the row's support only and
+    computes the gradient on the committed block only, so it costs
+    O(nnz + d/m + tau * nnz) plus the O(d) stage sum; a larger batch reads
+    and differentiates the whole vector."""
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
+    bounds = [part.block_bounds(j) for j in range(m)]
     batch_rng, block_rng = make_streams(config.seed)
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
-    eta = config.eta
+    eta, K, B = config.eta, config.K, config.B
+    one_row = B == 1
+    # one draw per stage where it saves per-update overhead; for large
+    # batches a K x B index array would cost more memory than it saves
+    stage_rows = one_row and config.with_replacement
+    ptr, indices = problem.dataset.indptr.tolist(), problem.dataset.indices
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
@@ -336,25 +382,30 @@ def replay(
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
         state = MasterState(x_tilde, tau_bound)
-        for _ in range(config.K):
+        if stage_rows:
+            rows = batch_rng.integers(0, problem.n, size=(K, 1))
+        blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
+        for k in range(K):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
-            tau = 0 if schedule is None else min(int(schedule.taus[g]), state.clock)
+            tau = 0 if schedule is None else min(int(schedule.taus[g]), k)
             applied = ()
             if applied_sets is not None:
                 # offset o is column o - 1 and names the commit at clock - o
-                applied = (state.clock - 1 - np.flatnonzero(applied_sets[g, :tau])).tolist()
-            x_read = read_inconsistent(state, tau, applied)
-            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-            j = draw_block(block_rng, m) if m > 1 else 0
-            u = problem.vr_grad(batch, x_read, anchor)
-            if m == 1:
-                x_next, span = prox_elastic(state.x - eta * u, eta, problem.reg), None
+                applied = (k - 1 - np.flatnonzero(applied_sets[g, :tau])).tolist()
+            if stage_rows:
+                batch = rows[k]
             else:
-                span = lo, hi = part.block_bounds(j)
-                x_next = state.x.copy()
-                x_next[lo:hi] = prox_elastic(state.x[lo:hi] - eta * u[lo:hi], eta, problem.reg)
-            state.commit(x_next, span)
+                batch = draw_batch(batch_rng, problem.n, B, config.with_replacement)
+            j = blocks[k]
+            lo, hi = bounds[j]
+            if one_row:
+                i = int(batch[0])
+                x_read = read_inconsistent(state, tau, applied, indices[ptr[i]:ptr[i + 1]])
+                u = problem.vr_grad(batch, x_read, anchor, (lo, hi))
+            else:
+                u = problem.vr_grad(batch, read_inconsistent(state, tau, applied), anchor)[lo:hi]
+            state.commit(prox_elastic(state.x[lo:hi] - eta * u, eta, problem.reg), (lo, hi))
             delays.append(tau)
             if iterates is not None:
                 iterates.append(state.x.copy())

@@ -177,6 +177,8 @@ def build_experiment(mapping: dict) -> ExperimentConfig:
         raise ContractViolation(f"include_prob must lie in [0, 1], got {cfg.include_prob}")
     if min(cfg.schedule_seed or 0, cfg.tau or 0) < 0 or cfg.ref_tol <= 0 or cfg.ref_max_iter < 1:
         raise ContractViolation("need schedule_seed >= 0, tau >= 0, ref_tol > 0, ref_max_iter >= 1")
+    if cfg.ref_eta is not None and not (math.isfinite(cfg.ref_eta) and cfg.ref_eta > 0):
+        raise ContractViolation(f"ref_eta must be finite and > 0, got {cfg.ref_eta}")
     # Table-defaults for the standard benchmark files when lambdas were not given
     if "lambda1" not in kwargs and "lambda2" not in kwargs:
         name = Path(cfg.dataset).name.lower()
@@ -290,13 +292,14 @@ def _mode_parts(mode: str) -> tuple:
 
 
 def _theory_verdict(cfg: ExperimentConfig, problem: Problem, tau_for_theory: float):
-    """(constants, admissible, rho) for the configured run; rho may be nan."""
+    """(constants, admissible, rho) for the configured run; rho may be nan.
+    A run with no inner updates (K = 0) has no rate."""
     delta = theory.data_sparsity_delta(problem.dataset)
     L_est, T_est = theory.estimate_lipschitz(problem.dataset, problem.loss)
     L = cfg.L_const if cfg.L_const is not None else L_est
     T = cfg.T_const if cfg.T_const is not None else T_est
     mu = cfg.mu if cfg.mu is not None else problem.reg.lambda2
-    if mu <= 0 or delta <= 0:
+    if mu <= 0 or delta <= 0 or cfg.K == 0:
         return None, None, None
     consts = theory.ProblemConstants(
         mu=mu, L=L, T=T, Delta=delta, tau=tau_for_theory,
@@ -385,7 +388,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     stats = data_io.dataset_stats(problem.dataset)
-    ref = _reference(cfg, problem)
 
     mode_parts = _mode_parts(cfg.mode)
     if mode_parts[0] == "simulate":
@@ -394,7 +396,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         tau_for_theory = float(cfg.tau)
     else:
         tau_for_theory = 0.0
+    # before the reference: bad theory constants (mu > L) are a config error
     consts, admissible, rho = _theory_verdict(cfg, problem, tau_for_theory)
+    ref = _reference(cfg, problem)
     if admissible is False:
         warnings.warn(
             f"step size eta={cfg.eta:g} is not admissible for {cfg.algorithm}; "

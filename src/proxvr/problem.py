@@ -177,6 +177,12 @@ class VRAnchor:
     x_tilde: DenseVec
     full_grad: DenseVec
 
+    @cached_property
+    def base(self) -> DenseVec:
+        """``full_grad + 0.0``: the variance-corrected one-row gradient off
+        the row's support (the substitution rule turns -0.0 into +0.0)."""
+        return self.full_grad + 0.0
+
 
 def _check_labels(kind: LossKind, dataset: Dataset) -> None:
     if kind is LossKind.LOGISTIC:
@@ -216,9 +222,10 @@ def _coef(kind: LossKind, t: float, b: float) -> float:
     return t - b
 
 
-def _row_coef(kind: LossKind, idx, vals, b: float, x: DenseVec) -> float:
-    """c of one row, its dot product summed in the order a batch sums it."""
-    t = float(np.add.reduceat(vals * x[idx], _FIRST)[0]) if idx.size else 0.0
+def _row_coef(kind: LossKind, vals, x_row, b: float) -> float:
+    """c of one row from its stored values and ``x`` on its support, the dot
+    product summed in the order a batch sums it."""
+    t = float(np.add.reduceat(vals * x_row, _FIRST)[0]) if vals.size else 0.0
     return _coef(kind, t, b)
 
 
@@ -263,7 +270,7 @@ def loss_grad(kind: LossKind, example: SparseExample, x: DenseVec) -> SparseVec:
     a = example.a
     if a.dim != x.shape[0]:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {x.shape[0]}")
-    c = _row_coef(kind, a.indices, a.values, example.b, x)
+    c = _row_coef(kind, a.values, x[a.indices], example.b)
     if c == 0.0:
         return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), a.dim)
     return SparseVec(a.indices, c * a.values, a.dim)
@@ -285,7 +292,7 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
     lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
     idx, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
     out = np.zeros(dataset.d)
-    out[idx] += _row_coef(kind, idx, vals, float(dataset.labels[i]), x) * vals
+    out[idx] += _row_coef(kind, vals, x[idx], float(dataset.labels[i])) * vals
     return out
 
 
@@ -305,6 +312,7 @@ def vr_gradient(
     batch,
     x_read: DenseVec,
     anchor: VRAnchor,
+    block: tuple[int, int] | None = None,
 ) -> DenseVec:
     """Variance-corrected mini-batch gradient
 
@@ -314,11 +322,41 @@ def vr_gradient(
     gradient are resolved by substitution, so the degenerate configurations
     (full batch; reading at the anchor) reproduce their deterministic
     counterparts exactly instead of up to rounding.
+
+    ``block = (lo, hi)`` returns only the coordinates [lo, hi) of a one-row
+    batch's gradient, in O(nnz(a_i) + hi - lo): ``x_read`` then holds the read
+    iterate on the row's support alone, in index order. The values equal the
+    same slice of the whole-vector result bit for bit.
     """
+    if block is not None:
+        if len(batch) != 1:
+            raise ContractViolation("a block gradient takes a one-row batch")
+        return _vr_row_block(kind, dataset, int(batch[0]), x_read, anchor, *block)
     g_read = minibatch_grad(kind, dataset, batch, x_read)
     g_anchor = minibatch_grad(kind, dataset, batch, anchor.x_tilde)
     raw = g_read - g_anchor + anchor.full_grad
     return np.where(g_anchor == anchor.full_grad, g_read, raw)
+
+
+def _vr_row_block(kind, dataset, i, x_row, anchor, lo, hi) -> DenseVec:
+    """``vr_gradient`` of row ``i`` on [lo, hi), ``x_row`` the read on its
+    support. A one-row ``minibatch_grad`` is ``0.0 + c * a_i`` on the support
+    and +0.0 elsewhere, so off the support the substitution rule yields
+    ``anchor.base`` and on it the rule runs on the support's values."""
+    if not 0 <= i < dataset.n:
+        raise ContractViolation("batch index out of range")
+    start, end = dataset.indptr[i], dataset.indptr[i + 1]
+    idx, vals = dataset.indices[start:end], dataset.data[start:end]
+    b = float(dataset.labels[i])
+    c_read = _row_coef(kind, vals, x_row, b)
+    c_anchor = _row_coef(kind, vals, anchor.x_tilde[idx], b)
+    p, q = idx.searchsorted((lo, hi))
+    cols, vals = idx[p:q], vals[p:q]
+    fg = anchor.full_grad[cols]
+    g_read, g_anchor = 0.0 + c_read * vals, 0.0 + c_anchor * vals
+    out = anchor.base[lo:hi].copy()
+    out[cols - lo] = np.where(g_anchor == fg, g_read, g_read - g_anchor + fg)
+    return out
 
 
 def prox_elastic(y: DenseVec, step: float, reg: Regularizer) -> DenseVec:
@@ -370,8 +408,8 @@ class Problem:
     def minibatch_grad(self, batch, x: DenseVec) -> DenseVec:
         return minibatch_grad(self.loss, self.dataset, batch, x)
 
-    def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor) -> DenseVec:
-        return vr_gradient(self.loss, self.dataset, batch, x_read, anchor)
+    def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor, block=None) -> DenseVec:
+        return vr_gradient(self.loss, self.dataset, batch, x_read, anchor, block)
 
     def make_anchor(self, x_tilde: DenseVec) -> VRAnchor:
         return VRAnchor(x_tilde.copy(), self.full_grad(x_tilde))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_problem
 from proxvr.async_engine import (
+    CommitRecord,
     DelaySchedule,
     MasterState,
     SimulateMode,
@@ -17,12 +18,29 @@ from proxvr.async_engine import (
     format_commit_log,
     read_consistent,
     read_inconsistent,
+    replay,
     sample_delay_schedule,
 )
 from proxvr.errors import ContractViolation
 from proxvr.linalg import BlockPartition
-from proxvr.problem import Regularizer, prox_elastic
-from proxvr.seq_solvers import SolverConfig, prox_svrcd_run, prox_svrg_run
+from proxvr.problem import (
+    Dataset,
+    LossKind,
+    Problem,
+    Regularizer,
+    VRAnchor,
+    prox_elastic,
+    vr_gradient,
+)
+from proxvr.seq_solvers import (
+    SolverConfig,
+    draw_batch,
+    draw_block,
+    make_streams,
+    prox_svrcd_run,
+    prox_svrg_run,
+    run_stages,
+)
 
 
 def _random_block_walk(rng, d=6, m=3, steps=12, tau_bound=12):
@@ -105,6 +123,43 @@ def test_read_inconsistent_rejects_out_of_window(rng):
         read_inconsistent(state, 2, [k - 3])
     with pytest.raises(ContractViolation):
         read_inconsistent(state, 2, [k])
+
+
+@pytest.mark.parametrize("tau_bound", [0, 1, 3, 6])
+def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
+    d, m, steps = 11, 4, 14
+    part = BlockPartition.equal(d, m)
+    state = MasterState(rng.standard_normal(d), tau_bound)
+    history = [state.x.copy()]
+    for k in range(steps):
+        j = int(rng.integers(0, m))
+        span = lo, hi = part.block_bounds(j)
+        new_block = state.x[lo:hi] + rng.standard_normal(hi - lo)
+        if k % 3 == 0:
+            state.commit(new_block, span)  # the span's values
+        else:
+            x_new = state.x.copy()
+            x_new[lo:hi] = new_block
+            # a whole vector, with and without the span it changed
+            state.commit(x_new, span if k % 3 == 1 else None)
+        history.append(state.x.copy())
+        assert len(state._log) == min(state.clock, tau_bound)
+        for lo, hi, before, after in state._log:
+            for arr in (before, after):
+                assert arr.shape == (hi - lo,)
+                assert arr.base is None or arr.base.size == hi - lo
+        for c in range(state.clock + 1):
+            if state.clock - c <= tau_bound:
+                assert state.iterate_at(c).tobytes() == history[c].tobytes()
+            else:
+                with pytest.raises(ContractViolation):
+                    state.iterate_at(c)
+        with pytest.raises(ContractViolation):
+            state.iterate_at(state.clock + 1)
+    total = np.zeros(d)
+    for x in history[1:]:
+        total += x
+    assert state.stage_sum.tobytes() == total.tobytes()
 
 
 def _whole_vector_read(state, tau_k, applied):
@@ -270,6 +325,142 @@ def test_schedule_rejects_exactly_applied_sets_outside_window(data, tau_bound, l
 
 
 # ------------------------------------------------------------- simulate mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 1000), st.integers(1, 2**40)),
+    B=st.sampled_from([1, 2, 3, 10]),
+    K=st.integers(0, 40),
+    m=st.one_of(st.integers(2, 9), st.integers(2, 2**31)),
+)
+def test_stage_draws_equal_per_update_draws(seed, n, B, K, m):
+    # replay draws a stage's blocks, and its one-row batches, in one call
+    # each; the K x B form holds too
+    batch_rng, block_rng = make_streams(seed)
+    rows = batch_rng.integers(0, n, size=(K, B))
+    blocks = block_rng.integers(0, m, size=K)
+    after = batch_rng.integers(0, n), block_rng.integers(0, m)
+    batch_rng, block_rng = make_streams(seed)
+    per_batch = [draw_batch(batch_rng, n, B) for _ in range(K)]
+    per_block = [draw_block(block_rng, m) for _ in range(K)]
+    assert rows.tolist() == [b.tolist() for b in per_batch]
+    assert blocks.tolist() == per_block
+    # and both streams are left in the same state
+    assert after == (batch_rng.integers(0, n), block_rng.integers(0, m))
+
+
+def _dense_one_row_replay(problem, config, x0, svrg, schedule):
+    """The B=1 update on whole vectors, one draw per update: whole-vector
+    read, ``vr_gradient``, prox on the block, whole-vector commit. The
+    reference for replay's support read and block gradient."""
+    m = 1 if svrg else config.m
+    part = BlockPartition.equal(problem.d, m)
+    batch_rng, block_rng = make_streams(config.seed)
+    delays, log = [], []
+    g = 0
+
+    def inner(s, x_tilde, iterates):
+        nonlocal g
+        anchor = problem.make_anchor(x_tilde)
+        state = MasterState(x_tilde, schedule.tau_bound)
+        for _ in range(config.K):
+            tau = min(int(schedule.taus[g]), state.clock)
+            offsets = [] if svrg else np.flatnonzero(schedule.applied[g, :tau]) + 1
+            x_read = read_inconsistent(state, tau, [state.clock - o for o in offsets])
+            batch = draw_batch(batch_rng, problem.n, 1, config.with_replacement)
+            j = draw_block(block_rng, m) if m > 1 else 0
+            u = vr_gradient(problem.loss, problem.dataset, batch, x_read, anchor)
+            lo, hi = part.block_bounds(j)
+            x_new = state.x.copy()
+            x_new[lo:hi] = prox_elastic(x_new[lo:hi] - config.eta * u[lo:hi], config.eta,
+                                        problem.reg)
+            state.commit(x_new)
+            delays.append(tau)
+            iterates.append(state.x.copy())
+            log.append(CommitRecord(s, state.clock, 0, -1 if svrg else j, tau))
+            g += 1
+        return state.x, state.stage_sum
+
+    trace = run_stages(problem, config, x0, inner, record_iterates=True)
+    return trace, delays, format_commit_log(log)
+
+
+def _gappy_problem(rng, kind, lambda1=0.0, n=30, d=14):
+    """Rows of 0-4 entries, every fifth row empty, so many rows miss the
+    sampled block."""
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        k = 0 if i % 5 == 2 else int(rng.integers(1, 5))
+        idx = np.sort(rng.choice(d, size=k, replace=False))
+        indices += idx.tolist()
+        data += (rng.standard_normal(k) + 2.0 * np.sign(rng.standard_normal(k))).tolist()
+        indptr.append(len(indices))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    return Problem(Dataset(indptr, indices, data, labels, d), kind,
+                   Regularizer(lambda1, 0.05))
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("lambda1", [0.0, 5e-2])
+def test_one_row_replay_matches_dense_step(kind, lambda1):
+    prob = _gappy_problem(np.random.default_rng(61), kind, lambda1)
+    neg_zeros = 0
+    for m in (1, 3, 7):
+        for tau in (0, 4):
+            for p in (0.0, 0.5, 1.0):
+                for svrg in (False, True) if m == 1 else (False,):
+                    for wr in (True, False):
+                        cfg = SolverConfig(eta=0.4, B=1, K=30, S=3, m=m, seed=m + 10 * tau,
+                                           with_replacement=wr)
+                        sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 5,
+                                                      inconsistent=True, include_prob=p)
+                        want, delays, log = _dense_one_row_replay(prob, cfg, np.zeros(prob.d),
+                                                                  svrg, sched)
+                        got = replay(prob, cfg, np.zeros(prob.d), svrg, sched,
+                                     record_iterates=True, debug=True)
+                        assert [o.hex() for o in got.trace.objectives] == [
+                            o.hex() for o in want.objectives]
+                        assert [x.tobytes() for x in got.trace.iterates] == [
+                            x.tobytes() for x in want.iterates]
+                        assert got.trace.x_final.tobytes() == want.x_final.tobytes()
+                        assert got.delays.tolist() == delays
+                        assert format_commit_log(got.commit_log) == log
+                        neg_zeros += sum(int(np.sum(np.signbit(x) & (x == 0.0)))
+                                         for x in want.iterates)
+    # lambda1 > 0: the prox emits -0.0, and the runs must carry it bit for bit
+    assert (neg_zeros > 0) == (lambda1 > 0)
+
+
+def test_block_gradient_matches_dense_slice(rng):
+    # planted -0.0 and zero entries in the anchor gradient: off the support
+    # the block gradient must give full_grad + 0.0, as the dense rule does
+    prob = _gappy_problem(rng, LossKind.LOGISTIC)
+    d = prob.d
+    for trial in range(200):
+        full_grad = rng.standard_normal(d)
+        full_grad[rng.random(d) < 0.3] = -0.0
+        full_grad[rng.random(d) < 0.2] = 0.0
+        anchor = VRAnchor(rng.standard_normal(d), full_grad)
+        x = anchor.x_tilde if trial % 4 == 0 else rng.standard_normal(d)
+        i = int(rng.integers(0, prob.n))
+        support = prob.dataset.indices[prob.dataset.indptr[i]:prob.dataset.indptr[i + 1]]
+        dense = prob.vr_grad([i], x, anchor)
+        for lo, hi in ((0, d), (0, 3), (4, 9), (d - 1, d)):
+            got = prob.vr_grad([i], x[support], anchor, (lo, hi))
+            assert got.tobytes() == dense[lo:hi].tobytes()
+    with pytest.raises(ContractViolation):
+        prob.vr_grad([0, 1], x, anchor, (0, d))
+    # a least-squares read with a_i^T x = b_i exactly: c = 0, c * a_i is -0.0
+    # where a_i < 0, and the dense path adds it to +0.0
+    ls = Problem(Dataset([0, 2], [1, 3], [-2.0, 4.0], [1.0], 5), LossKind.LEAST_SQUARES,
+                 Regularizer())
+    x = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    anchor = VRAnchor(x, np.zeros(5))
+    dense = ls.vr_grad([0], x, anchor)
+    assert not np.signbit(dense).any()
+    assert ls.vr_grad([0], x[[1, 3]], anchor, (0, 5)).tobytes() == dense.tobytes()
 
 
 def test_zero_delay_svrg_matches_sequential(rng):

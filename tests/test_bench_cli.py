@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from proxvr.theory import (
 )
 
 SYNTH = "synth:n=120,d=12,delta=1.0,seed=11"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _cfg(tmp_path, text):
@@ -394,6 +396,10 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=0"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_tol=-1"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_max_iter=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=nan"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=0"]),
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "schedule_seed=-1"]),
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "seed=-1"]),
         (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=simulate:uniform:-1"]),
@@ -414,6 +420,25 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "malformed.txt:1" in capsys.readouterr().err
     assert main(["synth", "n=5,d=3,delta=1,seed=-1", "-o", str(tmp_path / "s.txt")]) == 1
     assert "proxvr: error:" in capsys.readouterr().err
+
+
+def test_cli_theory_constants_checked_before_reference(tmp_path, capsys, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference optimum was computed before the theory verdict")
+
+    monkeypatch.setattr("proxvr.bench_cli.compute_reference_optimum", no_reference)
+    protocol = str(CONFIG_DIR / "synth_protocol_svrg.cfg")
+    # mu above the estimated L: ProblemConstants rejects it, before any reference
+    assert main(["run", protocol, "-o", str(tmp_path / "mu"), "--set", "mu=2"]) == 1
+    assert "mu <= L" in capsys.readouterr().err
+    # K = 0 is a documented no-op run: no rate, and no error from the theory
+    out = tmp_path / "k0"
+    code = main(["run", protocol, "-o", str(out), "--set", "K=0", "--set", "p_star=0",
+                 "--set", "stop_tol=inf", "--set", "max_stages=2"])
+    assert code == 0, capsys.readouterr().err
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "rho=n/a" in summary and "eta_admissible=n/a" in summary
+    assert "total_updates=0" in summary
 
 
 def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
