@@ -138,6 +138,8 @@ class MasterState:
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
         self._log = deque(maxlen=tau_bound)
+        self._x_view = self.x.view()  # what a current whole read returns
+        self._x_view.flags.writeable = False
 
     def commit(self, values: DenseVec, span: tuple[int, int] | None = None) -> None:
         """Apply one update. ``span = (lo, hi)`` promises that only [lo, hi)
@@ -155,13 +157,14 @@ class MasterState:
         self.stage_sum += self.x
 
     def iterate_at(self, clock_idx: int) -> DenseVec:
-        """A copy of the iterate as of clock ``clock_idx`` (0 = stage start)."""
+        """The iterate as of clock ``clock_idx`` (0 = stage start), as
+        ``read`` returns it."""
         return self.read(self.clock - clock_idx, ())
 
     def read(self, tau_k: int, applied, coords=None) -> DenseVec:
         """The iterate from ``tau_k`` commits ago plus exactly the updates in
         ``applied`` (absolute update indices inside the window
-        {clock - tau_k .. clock - 1}), as a new array.
+        {clock - tau_k .. clock - 1}).
 
         The old iterate is rebuilt from the undo log; then the updates are
         applied in order, each on the span its commit changed only. Where the
@@ -175,7 +178,15 @@ class MasterState:
         coordinates and returns their values in that order; None reads every
         coordinate. Each span's share of ``coords`` is found by
         ``searchsorted``, so reading a row's support costs
-        O(nnz + tau_k * nnz), not O(d).
+        O(nnz + tau_k * nnz), not O(d). Only the oldest log entry of each
+        span is written back, and none newer than a whole-vector entry, so
+        over block commits a whole-vector read costs one copy of ``x`` and at
+        most one write per coordinate.
+
+        The result is a new array unless one stored array already holds it:
+        ``x`` for ``tau_k = 0``, or the pre-image of a whole-vector commit.
+        That array comes back as a read-only view, without copying; a view
+        of ``x`` changes at the next commit.
         """
         if tau_k < 0:
             raise ContractViolation("tau_k must be >= 0")
@@ -185,16 +196,33 @@ class MasterState:
                 f"clock {start} not retained (clock={self.clock}, "
                 f"history={len(self._log) + 1})"
             )
-        applied = sorted(int(h) for h in applied)
-        for h in applied[:1] + applied[-1:]:
-            if h < start or h >= self.clock:
-                raise ContractViolation(
-                    f"applied update {h} outside window [{start}, {self.clock - 1}]"
-                )
-        xhat = self.x.copy() if coords is None else self.x[coords]
+        applied = sorted(map(int, applied))
+        if applied and (applied[0] < start or applied[-1] >= self.clock):
+            raise ContractViolation(
+                f"applied updates {applied} outside window [{start}, {self.clock - 1}]"
+            )
         if not tau_k:
-            return xhat
+            return self._x_view if coords is None else self.x[coords]
         window = list(self._log)[-tau_k:]  # oldest first
+        # a coordinate takes the pre-value of the oldest commit that changed
+        # it: write back the oldest entry of each span, newest first, and
+        # none newer than one that spans all of x
+        rebuild, spans = [], set()
+        for i, (lo, hi, before, _) in enumerate(window):
+            if (lo, hi) not in spans:
+                spans.add((lo, hi))
+                rebuild.append(i)
+                if hi - lo == self.x.size:
+                    break
+        if coords is None and hi - lo == self.x.size:  # the loop stopped there
+            rebuild.pop()
+            if not (rebuild or applied):
+                view = before.view()
+                view.flags.writeable = False
+                return view
+            xhat = before.copy()
+        else:
+            xhat = self.x.copy() if coords is None else self.x[coords]
         # (positions in xhat, offsets into the entry's arrays) of each span
         if coords is None:
             where = [(slice(lo, hi), slice(None)) for lo, hi, _, _ in window]
@@ -202,8 +230,9 @@ class MasterState:
             cuts = coords.searchsorted([entry[:2] for entry in window]).tolist()
             where = [(slice(p, q), coords[p:q] - entry[0])
                      for (p, q), entry in zip(cuts, window)]
-        for (_, _, before, _), (pos, off) in zip(reversed(window), reversed(where)):
-            xhat[pos] = before[off]
+        for i in reversed(rebuild):
+            pos, off = where[i]
+            xhat[pos] = window[i][2][off]
         for h in applied:
             _, _, before, after = window[h - start]
             pos, off = where[h - start]
@@ -356,9 +385,7 @@ def replay(
     ``schedule=None`` every read is current and this is the sequential
     ProxSVRG/ProxSVRCD solver.
 
-    A stage draws its blocks and, for one-row batches drawn with
-    replacement, its rows in one call each: the same numbers as one draw per
-    update. A one-row update reads the iterate on the row's support only and
+    A one-row update reads the iterate on the row's support only and
     computes the gradient on the committed block only, so it costs
     O(nnz + d/m + tau * nnz) plus the O(d) stage sum; a larger batch reads
     and differentiates the whole vector."""
@@ -369,12 +396,8 @@ def replay(
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
-    eta, K, B = config.eta, config.K, config.B
-    one_row = B == 1
-    # one draw per stage where it saves per-update overhead; for large
-    # batches a K x B index array would cost more memory than it saves
-    stage_rows = one_row and config.with_replacement
-    ptr, indices = problem.dataset.indptr.tolist(), problem.dataset.indices
+    eta, B = config.eta, config.B
+    indptr, indices = problem.dataset.indptr, problem.dataset.indices
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
@@ -382,26 +405,20 @@ def replay(
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
         state = MasterState(x_tilde, tau_bound)
-        if stage_rows:
-            rows = batch_rng.integers(0, problem.n, size=(K, 1))
-        blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
-        for k in range(K):
+        for k in range(config.K):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
             tau = 0 if schedule is None else min(int(schedule.taus[g]), k)
             applied = ()
             if applied_sets is not None:
                 # offset o is column o - 1 and names the commit at clock - o
-                applied = (k - 1 - np.flatnonzero(applied_sets[g, :tau])).tolist()
-            if stage_rows:
-                batch = rows[k]
-            else:
-                batch = draw_batch(batch_rng, problem.n, B, config.with_replacement)
-            j = blocks[k]
+                applied = [k - o for o in range(1, tau + 1) if applied_sets[g, o - 1]]
+            batch = draw_batch(batch_rng, problem.n, B, config.with_replacement)
+            j = draw_block(block_rng, m) if m > 1 else 0
             lo, hi = bounds[j]
-            if one_row:
+            if B == 1:
                 i = int(batch[0])
-                x_read = read_inconsistent(state, tau, applied, indices[ptr[i]:ptr[i + 1]])
+                x_read = read_inconsistent(state, tau, applied, indices[indptr[i]:indptr[i + 1]])
                 u = problem.vr_grad(batch, x_read, anchor, (lo, hi))
             else:
                 u = problem.vr_grad(batch, read_inconsistent(state, tau, applied), anchor)[lo:hi]

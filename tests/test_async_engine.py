@@ -127,13 +127,13 @@ def test_read_inconsistent_rejects_out_of_window(rng):
 
 @pytest.mark.parametrize("tau_bound", [0, 1, 3, 6])
 def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
-    d, m, steps = 11, 4, 14
-    part = BlockPartition.equal(d, m)
+    d, steps = 11, 14
     state = MasterState(rng.standard_normal(d), tau_bound)
     history = [state.x.copy()]
     for k in range(steps):
-        j = int(rng.integers(0, m))
-        span = lo, hi = part.block_bounds(j)
+        # random spans: nested, disjoint and partly overlapping log entries
+        lo = int(rng.integers(0, d))
+        span = lo, hi = lo, int(rng.integers(lo + 1, d + 1))
         new_block = state.x[lo:hi] + rng.standard_normal(hi - lo)
         if k % 3 == 0:
             state.commit(new_block, span)  # the span's values
@@ -156,6 +156,8 @@ def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
                     state.iterate_at(c)
         with pytest.raises(ContractViolation):
             state.iterate_at(state.clock + 1)
+        # a current whole read is a view of x that callers cannot write
+        assert not state.read(0, ()).flags.writeable
     total = np.zeros(d)
     for x in history[1:]:
         total += x
@@ -325,30 +327,6 @@ def test_schedule_rejects_exactly_applied_sets_outside_window(data, tau_bound, l
 
 
 # ------------------------------------------------------------- simulate mode
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.one_of(st.integers(1, 1000), st.integers(1, 2**40)),
-    B=st.sampled_from([1, 2, 3, 10]),
-    K=st.integers(0, 40),
-    m=st.one_of(st.integers(2, 9), st.integers(2, 2**31)),
-)
-def test_stage_draws_equal_per_update_draws(seed, n, B, K, m):
-    # replay draws a stage's blocks, and its one-row batches, in one call
-    # each; the K x B form holds too
-    batch_rng, block_rng = make_streams(seed)
-    rows = batch_rng.integers(0, n, size=(K, B))
-    blocks = block_rng.integers(0, m, size=K)
-    after = batch_rng.integers(0, n), block_rng.integers(0, m)
-    batch_rng, block_rng = make_streams(seed)
-    per_batch = [draw_batch(batch_rng, n, B) for _ in range(K)]
-    per_block = [draw_block(block_rng, m) for _ in range(K)]
-    assert rows.tolist() == [b.tolist() for b in per_batch]
-    assert blocks.tolist() == per_block
-    # and both streams are left in the same state
-    assert after == (batch_rng.integers(0, n), block_rng.integers(0, m))
 
 
 def _dense_one_row_replay(problem, config, x0, svrg, schedule):
