@@ -25,7 +25,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,10 @@ _DATASET_LAMBDAS = {
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Each key's type is its annotation; every range that
+    needs no data is checked on construction, however the config is made.
+    ``B <= n`` and ``m <= d`` are checked by ``build_problem``."""
+
     dataset: str
     algorithm: str
     eta: float
@@ -77,14 +81,36 @@ class ExperimentConfig:
     with_replacement: bool = True
     last_iterate: bool = False
 
+    def __post_init__(self):
+        """NaN fails every check; the solver keys and the regularizer weights
+        are checked by ``SolverConfig`` and ``Regularizer``."""
+        if self.algorithm not in SEQ_ALGOS + ASYNC_ALGOS:
+            raise ContractViolation(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm in ASYNC_ALGOS and self.mode == "seq":
+            raise ContractViolation("async algorithms need mode=simulate:... or threads:P")
+        if self.algorithm in SEQ_ALGOS and self.mode != "seq":
+            raise ContractViolation("sequential algorithms use mode=seq")
+        _mode_parts(self.mode)
+        _solver_config(self)
+        Regularizer(self.lambda1, self.lambda2)
+        LossKind.parse(self.loss)
+        if not (self.stop_tol > 0 and self.ref_tol > 0 and self.speedup_target > 0):
+            raise ContractViolation(f"stop_tol, ref_tol and speedup_target must be > 0, got "
+                                    f"{self.stop_tol}, {self.ref_tol}, {self.speedup_target}")
+        if not 0.0 <= self.include_prob <= 1.0:
+            raise ContractViolation(f"include_prob must lie in [0, 1], got {self.include_prob}")
+        if min(self.schedule_seed or 0, self.tau or 0) < 0 or not self.ref_max_iter >= 1:
+            raise ContractViolation("need schedule_seed >= 0, tau >= 0, ref_max_iter >= 1")
+        if self.ref_eta is not None and not (math.isfinite(self.ref_eta) and self.ref_eta > 0):
+            raise ContractViolation(f"ref_eta must be finite and > 0, got {self.ref_eta}")
+        if self.p_star is not None and not math.isfinite(self.p_star):
+            raise ContractViolation(f"p_star must be finite, got {self.p_star}")
 
-_BOOL_KEYS = {"normalize", "with_replacement", "last_iterate"}
-_INT_KEYS = {"K", "B", "m", "max_stages", "seed", "ref_max_iter", "tau", "schedule_seed"}
-_FLOAT_KEYS = {
-    "eta", "lambda1", "lambda2", "include_prob", "stop_tol", "ref_tol", "ref_eta",
-    "p_star", "mu", "L_const", "T_const", "speedup_target",
-}
-_ALIASES = {"S": "max_stages"}
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(raw)
+    return raw.lower() in ("1", "true", "yes", "on")
 
 
 def _int(raw: str) -> int:
@@ -119,21 +145,14 @@ def _number(key: str, raw: str, kind):
         raise ContractViolation(f"bad value for {key}: {raw!r}") from None
 
 
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ContractViolation(f"bad boolean for {key}: {raw!r}")
-    if key in _INT_KEYS:
-        return _number(key, raw, _int)
-    if key in _FLOAT_KEYS:
-        return _number(key, raw, _float)
-    if key == "eta_decay":
-        return _number(key, raw, _pair)
-    return raw
+# each key's parser, from the first arm of its annotation ("float | None" -> _float)
+_PARSERS = {
+    f.name: {"str": str, "bool": _bool, "int": _int, "float": _float, "tuple": _pair}[
+        f.type.split(" | ")[0]]
+    for f in fields(ExperimentConfig)
+}
+_REQUIRED = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+_ALIASES = {"S": "max_stages"}
 
 
 def parse_config_file(path) -> dict:
@@ -152,41 +171,23 @@ def parse_config_file(path) -> dict:
 
 
 def build_experiment(mapping: dict) -> ExperimentConfig:
-    fields_ = set(ExperimentConfig.__dataclass_fields__)
     kwargs = {}
     for key, raw in mapping.items():
         key = _ALIASES.get(key, key)
-        if key not in fields_:
+        if key not in _PARSERS:
             raise ContractViolation(f"unknown config key: {key!r}")
-        kwargs[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-    for required in ("dataset", "algorithm", "eta", "K"):
+        kwargs[key] = _number(key, raw, _PARSERS[key]) if isinstance(raw, str) else raw
+    for required in _REQUIRED:
         if required not in kwargs:
             raise ContractViolation(f"missing required config key: {required!r}")
-    cfg = ExperimentConfig(**kwargs)
-    if cfg.algorithm not in SEQ_ALGOS + ASYNC_ALGOS:
-        raise ContractViolation(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.algorithm in ASYNC_ALGOS and cfg.mode == "seq":
-        raise ContractViolation("async algorithms need mode=simulate:... or threads:P")
-    if cfg.algorithm in SEQ_ALGOS and cfg.mode != "seq":
-        raise ContractViolation("sequential algorithms use mode=seq")
-    _mode_parts(cfg.mode)
-    _solver_config(cfg)  # the solver's own range checks
-    if cfg.stop_tol <= 0:
-        raise ContractViolation("stop_tol must be > 0")
-    if not 0.0 <= cfg.include_prob <= 1.0:
-        raise ContractViolation(f"include_prob must lie in [0, 1], got {cfg.include_prob}")
-    if min(cfg.schedule_seed or 0, cfg.tau or 0) < 0 or cfg.ref_tol <= 0 or cfg.ref_max_iter < 1:
-        raise ContractViolation("need schedule_seed >= 0, tau >= 0, ref_tol > 0, ref_max_iter >= 1")
-    if cfg.ref_eta is not None and not (math.isfinite(cfg.ref_eta) and cfg.ref_eta > 0):
-        raise ContractViolation(f"ref_eta must be finite and > 0, got {cfg.ref_eta}")
     # Table-defaults for the standard benchmark files when lambdas were not given
     if "lambda1" not in kwargs and "lambda2" not in kwargs:
-        name = Path(cfg.dataset).name.lower()
-        for tag, (l1, l2) in _DATASET_LAMBDAS.items():
+        name = Path(kwargs["dataset"]).name.lower()
+        for tag, lambdas in _DATASET_LAMBDAS.items():
             if tag in name:
-                cfg = replace(cfg, lambda1=l1, lambda2=l2)
+                kwargs["lambda1"], kwargs["lambda2"] = lambdas
                 break
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def _parse_synth_spec(spec: str) -> dict:
@@ -225,7 +226,10 @@ def load_dataset(source: str, normalize: bool = True, expected_dim: int | None =
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
+    """The configured problem; ``B > n`` or ``m > d`` is a usage error here,
+    before any reference optimum is computed."""
     dataset = load_dataset(cfg.dataset, cfg.normalize)
+    _solver_config(cfg).validate(dataset.n, dataset.d)
     return Problem(dataset, LossKind.parse(cfg.loss), Regularizer(cfg.lambda1, cfg.lambda2))
 
 
@@ -389,13 +393,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     problem = build_problem(cfg)
     stats = data_io.dataset_stats(problem.dataset)
 
-    mode_parts = _mode_parts(cfg.mode)
-    if mode_parts[0] == "simulate":
-        tau_for_theory = float(mode_parts[2])
-    elif cfg.tau is not None:
-        tau_for_theory = float(cfg.tau)
-    else:
-        tau_for_theory = 0.0
+    kind, *args = _mode_parts(cfg.mode)
+    tau_for_theory = float(args[1] if kind == "simulate" else cfg.tau or 0)
     # before the reference: bad theory constants (mu > L) are a config error
     consts, admissible, rho = _theory_verdict(cfg, problem, tau_for_theory)
     ref = _reference(cfg, problem)

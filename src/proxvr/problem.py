@@ -48,8 +48,9 @@ class Regularizer:
     lambda2: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ContractViolation("regularizer weights must be >= 0")
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ContractViolation(f"regularizer weights must be finite and >= 0, got "
+                                    f"lambda1={self.lambda1}, lambda2={self.lambda2}")
 
     def value(self, x: DenseVec) -> float:
         return float(self.lambda1 * np.abs(x).sum() + 0.5 * self.lambda2 * np.dot(x, x))

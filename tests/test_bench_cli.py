@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import one_dim_problem
@@ -400,6 +400,17 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=nan"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=inf"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "B=1000"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=1000"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda1=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda2=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda1=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "p_star=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "p_star=-inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "speedup_target=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "speedup_target=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "loss=bogus"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "normalize=maybe"]),
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "schedule_seed=-1"]),
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "seed=-1"]),
         (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=simulate:uniform:-1"]),
@@ -454,10 +465,26 @@ def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
         assert "proxvr: error:" in err and "workers" in err, raw
 
 
+def test_cli_speedup_data_ranges_checked_before_reference(tmp_path, capsys, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference optimum was computed before the config was checked")
+
+    monkeypatch.setattr("proxvr.bench_cli.compute_reference_optimum", no_reference)
+    cfg = _cfg(tmp_path, "dataset = synth:n=50,d=5,delta=1.0,seed=1\nalgorithm = async_svrg\n"
+                         "mode = threads:1\neta = 0.1\nK = 5\nB = 60\n")
+    out = ["-o", str(tmp_path / "out")]
+    for extra in ([], ["--set", "B=1", "--set", "m=6"],
+                  ["--set", "B=1", "--set", "speedup_target=-1"]):
+        assert main(["speedup", str(cfg), "--workers", "1", *out, *extra]) == 1, extra
+        assert "proxvr: error:" in capsys.readouterr().err
+    assert main(["ref", str(cfg), *out]) == 1
+    assert "B <= n" in capsys.readouterr().err
+
+
 _FUZZ_KEYS = sorted(f.name for f in fields(ExperimentConfig)) + ["S", "no_such_key"]
 _FUZZ_VALUES = st.one_of(
     st.integers(-3, 6).map(str),
-    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e400", "0.5", "2e0", "", "abc", "1,2",
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e400", "0.5", "2e0", "50", "", "abc", "1,2",
                      "1,2,3"]),
 )
 _FUZZ_MODES = st.sampled_from(["seq", "simulate:uniform:-1", "simulate:constant:3", "threads:0",
@@ -468,7 +495,9 @@ _FUZZ_BASE = {
 }
 
 
-# n, d >= 6 keep B <= n and m <= d; K, S <= 6 and P <= 2 keep runs small
+# "50" exceeds n = 20 and d = 8, so B > n and m > d occur; K, S <= 50 and P <= 2 keep runs small
+@example(algorithm="prox_svrcd", pairs=[("B", "50")])
+@example(algorithm="async_svrcd", pairs=[("m", "50")])
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     algorithm=st.sampled_from(sorted(_FUZZ_BASE)),
@@ -484,13 +513,18 @@ def test_cli_run_config_fuzz_exit_codes(tmp_path, monkeypatch, algorithm, pairs)
     cfg = _cfg(tmp_path, "dataset = synth:n=20,d=8,delta=0.5,seed=3\n"
                          f"algorithm = {algorithm}\nmode = {_FUZZ_BASE[algorithm]}\n"
                          "eta = 0.1\nK = 4\nmax_stages = 2\np_star = 0\nstop_tol = inf\n")
-    execute, calls = bench_cli._execute, []
+    execute, reference, calls = bench_cli._execute, bench_cli._reference, []
 
     def recording_execute(*args):
-        calls.append(args)
+        calls.append("execute")
         return execute(*args)
 
+    def recording_reference(*args):
+        calls.append("reference")
+        return reference(*args)
+
     monkeypatch.setattr(bench_cli, "_execute", recording_execute)
+    monkeypatch.setattr(bench_cli, "_reference", recording_reference)
     argv = ["run", str(cfg), "-o", str(tmp_path / "out")]
     for key, value in pairs:
         argv += ["--set", f"{key}={value}"]
@@ -499,7 +533,7 @@ def test_cli_run_config_fuzz_exit_codes(tmp_path, monkeypatch, algorithm, pairs)
         code = main(argv)
     assert code in (0, 1, 2), pairs
     if code == 1:
-        assert not calls, f"usage error raised inside the solver run: {pairs}"
+        assert not calls, f"usage error raised after the {calls[-1]} step: {pairs}"
 
 
 def test_int_keys_accept_integral_float_literals():
@@ -509,6 +543,34 @@ def test_int_keys_accept_integral_float_literals():
     )
     assert cfg.K == 100 and cfg.ref_max_iter == 1_000_000
     assert isinstance(cfg.ref_max_iter, int)
+
+
+def test_every_config_key_parses_by_its_annotation(tmp_path):
+    # a config-file value per annotation (first arm of "float | None" etc.) and its parse
+    by_type = {"int": ("1e6", 1_000_000), "float": ("0.5", 0.5), "bool": ("off", False),
+               "tuple": ("0.5, 100", (0.5, 100.0))}
+    by_key = {"dataset": ("synth:n=9,d=3,delta=1", "synth:n=9,d=3,delta=1"),
+              "algorithm": ("prox_svrcd", "prox_svrcd"),
+              "loss": ("least-squares", "least-squares"), "mode": ("seq", "seq")}
+    base = f"dataset = {SYNTH}\nalgorithm = prox_svrg\neta = 0.1\nK = 5\n"
+
+    def parsed(key, raw, attr=None):
+        path = _cfg(tmp_path, f"{base}{key} = {raw}\n")
+        return getattr(build_experiment(parse_config_file(path)), attr or key)
+
+    for f in fields(ExperimentConfig):
+        raw, want = by_key.get(f.name) or by_type[f.type.split(" | ")[0]]
+        got = parsed(f.name, raw)
+        assert type(got) is type(want) and got == want, (f.name, f.type, got)
+    assert parsed("S", "7", "max_stages") == 7
+    assert parsed("stop_tol", "inf") == math.inf
+    assert parsed("tau", "3") == 3 and parsed("p_star", "-2") == -2.0
+    for spelling in ("1", "true", "yes", "on", "TRUE", "On"):
+        assert parsed("normalize", spelling) is True
+    for spelling in ("0", "false", "no", "off", "False", "NO"):
+        assert parsed("last_iterate", spelling) is False
+    with pytest.raises(ContractViolation, match="with_replacement"):
+        parsed("with_replacement", "maybe")
 
 
 def test_load_dataset_synth_spec_errors():
