@@ -19,7 +19,9 @@ with one block (logged as block -1), so each execution mode has one loop:
   solver, which a zero-delay simulation therefore reproduces bit-for-bit.
   A one-row update reads the iterate on the row's support only, computes
   the gradient on the committed block only and commits that block, so it
-  costs O(nnz + d/m + tau * nnz) besides the O(d) stage sum;
+  costs O(nnz + d/m + tau * nnz) besides the O(d) stage sum; a larger batch
+  reads the whole vector and makes one pass over its rows, O(nnz(batch) + d).
+  With replacement, a stage's rows and blocks are drawn at once;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
   its clock stamp inside block 0's lock, so one block gives an atomic
@@ -387,8 +389,14 @@ def replay(
 
     A one-row update reads the iterate on the row's support only and
     computes the gradient on the committed block only, so it costs
-    O(nnz + d/m + tau * nnz) plus the O(d) stage sum; a larger batch reads
-    and differentiates the whole vector."""
+    O(nnz + d/m + tau * nnz) plus the O(d) stage sum. A larger batch reads
+    the whole vector and makes one pass over its rows, the anchor terms
+    coming from the stage's cached coefficients: O(nnz(batch) + d).
+
+    With replacement, a stage's rows are drawn by one
+    ``integers(0, n, size=(K, B))`` and its blocks by one
+    ``integers(0, m, size=K)``; these give the values of K draws of one
+    update each. Without replacement the rows are drawn per update."""
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
     bounds = [part.block_bounds(j) for j in range(m)]
@@ -396,7 +404,7 @@ def replay(
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
-    eta, B = config.eta, config.B
+    eta, B, K, n = config.eta, config.B, config.K, problem.n
     indptr, indices = problem.dataset.indptr, problem.dataset.indices
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
@@ -405,7 +413,9 @@ def replay(
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
         state = MasterState(x_tilde, tau_bound)
-        for k in range(config.K):
+        rows = batch_rng.integers(0, n, size=(K, B)) if config.with_replacement else None
+        blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
+        for k, j in enumerate(blocks):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
             tau = 0 if schedule is None else min(int(schedule.taus[g]), k)
@@ -413,8 +423,7 @@ def replay(
             if applied_sets is not None:
                 # offset o is column o - 1 and names the commit at clock - o
                 applied = [k - o for o in range(1, tau + 1) if applied_sets[g, o - 1]]
-            batch = draw_batch(batch_rng, problem.n, B, config.with_replacement)
-            j = draw_block(block_rng, m) if m > 1 else 0
+            batch = rows[k] if rows is not None else draw_batch(batch_rng, n, B, False)
             lo, hi = bounds[j]
             if B == 1:
                 i = int(batch[0])

@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ContractViolation(f"ref_eta must be finite and > 0, got {self.ref_eta}")
         if self.p_star is not None and not math.isfinite(self.p_star):
             raise ContractViolation(f"p_star must be finite, got {self.p_star}")
+        for key in ("mu", "L_const", "T_const"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{key} must be finite and > 0, got {value}")
 
 
 def _bool(raw: str) -> bool:

@@ -173,10 +173,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class VRAnchor:
-    """Stage anchor: snapshot iterate and the exact full gradient there."""
+    """Stage anchor: snapshot iterate, the exact full gradient there, and
+    every row's gradient coefficient there, grad f_i(x_tilde) = coefs[i] a_i.
+    The stage's batches read their anchor terms from ``coefs`` instead of
+    recomputing them."""
 
     x_tilde: DenseVec
     full_grad: DenseVec
+    coefs: np.ndarray
 
     @cached_property
     def base(self) -> DenseVec:
@@ -241,14 +245,20 @@ def _dots(idx, vals, lens, x: DenseVec) -> np.ndarray:
     return t
 
 
-def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec) -> DenseVec:
-    """Sum of the gradients of ``rows`` = (indices, values, row lengths,
-    labels); every coordinate adds its terms in row order."""
-    idx, vals, lens, b = rows
+def _scatter(d: int, idx, vals, lens, c) -> DenseVec:
+    """sum_i c_i a_i over consecutive rows laid out as in ``_dots``; every
+    coordinate adds its terms in row order."""
     if not idx.size:
         return np.zeros(d)  # np.bincount of nothing is an integer array
-    c = _coefs(kind, _dots(idx, vals, lens, x), b)
     return np.bincount(idx, weights=np.repeat(c, lens) * vals, minlength=d)
+
+
+def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec):
+    """(c, sum of the gradients) of ``rows`` = (indices, values, row lengths,
+    labels): every row's coefficient at ``x`` and sum_i c_i a_i."""
+    idx, vals, lens, b = rows
+    c = _coefs(kind, _dots(idx, vals, lens, x), b)
+    return c, _scatter(d, idx, vals, lens, c)
 
 
 def _gather(dataset: Dataset, rows: np.ndarray):
@@ -277,15 +287,20 @@ def loss_grad(kind: LossKind, example: SparseExample, x: DenseVec) -> SparseVec:
     return SparseVec(a.indices, c * a.values, a.dim)
 
 
-def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> DenseVec:
-    """Arithmetic mean of member gradients over an index multiset."""
+def _batch_rows(dataset: Dataset, batch) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ContractViolation("mini-batch must be non-empty")
     if batch.min() < 0 or batch.max() >= dataset.n:
         raise ContractViolation("batch index out of range")
+    return batch
+
+
+def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> DenseVec:
+    """Arithmetic mean of member gradients over an index multiset."""
+    batch = _batch_rows(dataset, batch)
     if batch.size > 1:
-        out = _grad_sum(kind, dataset.d, _gather(dataset, batch), x)
+        _, out = _grad_sum(kind, dataset.d, _gather(dataset, batch), x)
         out /= batch.size
         return out
     # one row: the batch arithmetic on slices, without the gather
@@ -297,14 +312,20 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
     return out
 
 
+def _full_pass(kind: LossKind, dataset: Dataset, x: DenseVec):
+    """(every row's coefficient c_i, (1/n) sum_i c_i a_i) at ``x``, from one
+    pass over every row in row order."""
+    rows = (dataset.indices, dataset.data, dataset.row_nnz, dataset.labels)
+    c, out = _grad_sum(kind, dataset.d, rows, x)
+    out /= dataset.n
+    return c, out
+
+
 def full_grad(kind: LossKind, dataset: Dataset, x: DenseVec) -> DenseVec:
     """(1/n) sum_i grad f_i(x): one pass over every row in row order, the
     arithmetic ``minibatch_grad`` uses for a batch of every row, so the two
     agree bit for bit."""
-    rows = (dataset.indices, dataset.data, dataset.row_nnz, dataset.labels)
-    out = _grad_sum(kind, dataset.d, rows, x)
-    out /= dataset.n
-    return out
+    return _full_pass(kind, dataset, x)[1]
 
 
 def vr_gradient(
@@ -324,6 +345,12 @@ def vr_gradient(
     (full batch; reading at the anchor) reproduce their deterministic
     counterparts exactly instead of up to rounding.
 
+    The anchor term of row i is ``anchor.coefs[i] * a_i``, so only the read
+    needs dot products. A batch of several rows is gathered once: one
+    O(nnz(batch)) pass plus O(d). A one-row batch takes the block path below
+    on [0, d): O(nnz(a_i) + d). Both terms equal the two ``minibatch_grad``
+    results bit for bit.
+
     ``block = (lo, hi)`` returns only the coordinates [lo, hi) of a one-row
     batch's gradient, in O(nnz(a_i) + hi - lo): ``x_read`` then holds the read
     iterate on the row's support alone, in index order. The values equal the
@@ -333,8 +360,16 @@ def vr_gradient(
         if len(batch) != 1:
             raise ContractViolation("a block gradient takes a one-row batch")
         return _vr_row_block(kind, dataset, int(batch[0]), x_read, anchor, *block)
-    g_read = minibatch_grad(kind, dataset, batch, x_read)
-    g_anchor = minibatch_grad(kind, dataset, batch, anchor.x_tilde)
+    batch = _batch_rows(dataset, batch)
+    if batch.size == 1:
+        i = int(batch[0])
+        support = dataset.indices[dataset.indptr[i]:dataset.indptr[i + 1]]
+        return _vr_row_block(kind, dataset, i, x_read[support], anchor, 0, dataset.d)
+    rows = _gather(dataset, batch)
+    _, g_read = _grad_sum(kind, dataset.d, rows, x_read)
+    g_read /= batch.size
+    g_anchor = _scatter(dataset.d, *rows[:3], anchor.coefs[batch])
+    g_anchor /= batch.size
     raw = g_read - g_anchor + anchor.full_grad
     return np.where(g_anchor == anchor.full_grad, g_read, raw)
 
@@ -350,7 +385,7 @@ def _vr_row_block(kind, dataset, i, x_row, anchor, lo, hi) -> DenseVec:
     idx, vals = dataset.indices[start:end], dataset.data[start:end]
     b = float(dataset.labels[i])
     c_read = _row_coef(kind, vals, x_row, b)
-    c_anchor = _row_coef(kind, vals, anchor.x_tilde[idx], b)
+    c_anchor = anchor.coefs[i]
     p, q = idx.searchsorted((lo, hi))
     cols, vals = idx[p:q], vals[p:q]
     fg = anchor.full_grad[cols]
@@ -413,4 +448,6 @@ class Problem:
         return vr_gradient(self.loss, self.dataset, batch, x_read, anchor, block)
 
     def make_anchor(self, x_tilde: DenseVec) -> VRAnchor:
-        return VRAnchor(x_tilde.copy(), self.full_grad(x_tilde))
+        x_tilde = x_tilde.copy()
+        coefs, grad = _full_pass(self.loss, self.dataset, x_tilde)
+        return VRAnchor(x_tilde, grad, coefs)

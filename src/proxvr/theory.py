@@ -41,6 +41,8 @@ class ProblemConstants:
     eta: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.L, self.T))):
+            raise ContractViolation(f"need finite mu, L and T, got {self.mu}, {self.L}, {self.T}")
         if not (0 < self.mu <= self.L):
             raise ContractViolation("need 0 < mu <= L")
         if self.T <= 0:

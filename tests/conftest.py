@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxvr.linalg import SparseVec
-from proxvr.problem import Dataset, LossKind, Problem, Regularizer, SparseExample
+from proxvr.problem import Dataset, LossKind, Problem, Regularizer, SparseExample, minibatch_grad
 
 
 def prox_ternary_oracle(y, step, l1, l2):
@@ -42,6 +42,17 @@ def prox_ternary_oracle(y, step, l1, l2):
         else:
             lo_d = m1
     return float((lo_d + hi_d) / 2)
+
+
+def two_pass_vr(kind, ds, batch, x, anchor):
+    """The whole-vector VR gradient as two ``minibatch_grad`` calls, one at
+    the read and one at the anchor, under the substitution rule: the bitwise
+    reference for ``vr_gradient``, which computes no dot products at the
+    anchor."""
+    g_read = minibatch_grad(kind, ds, batch, x)
+    g_anchor = minibatch_grad(kind, ds, batch, anchor.x_tilde)
+    raw = g_read - g_anchor + anchor.full_grad
+    return np.where(g_anchor == anchor.full_grad, g_read, raw)
 
 
 def random_sparse_vec(rng, d, density=0.6):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem
+from conftest import make_problem, two_pass_vr
 from proxvr.async_engine import (
     CommitRecord,
     DelaySchedule,
@@ -28,9 +28,7 @@ from proxvr.problem import (
     LossKind,
     Problem,
     Regularizer,
-    VRAnchor,
     prox_elastic,
-    vr_gradient,
 )
 from proxvr.seq_solvers import (
     SolverConfig,
@@ -331,8 +329,9 @@ def test_schedule_rejects_exactly_applied_sets_outside_window(data, tau_bound, l
 
 def _dense_one_row_replay(problem, config, x0, svrg, schedule):
     """The B=1 update on whole vectors, one draw per update: whole-vector
-    read, ``vr_gradient``, prox on the block, whole-vector commit. The
-    reference for replay's support read and block gradient."""
+    read, the two-``minibatch_grad`` VR gradient, prox on the block,
+    whole-vector commit. The reference for replay's support read and block
+    gradient."""
     m = 1 if svrg else config.m
     part = BlockPartition.equal(problem.d, m)
     batch_rng, block_rng = make_streams(config.seed)
@@ -349,7 +348,7 @@ def _dense_one_row_replay(problem, config, x0, svrg, schedule):
             x_read = read_inconsistent(state, tau, [state.clock - o for o in offsets])
             batch = draw_batch(batch_rng, problem.n, 1, config.with_replacement)
             j = draw_block(block_rng, m) if m > 1 else 0
-            u = vr_gradient(problem.loss, problem.dataset, batch, x_read, anchor)
+            u = two_pass_vr(problem.loss, problem.dataset, batch, x_read, anchor)
             lo, hi = part.block_bounds(j)
             x_new = state.x.copy()
             x_new[lo:hi] = prox_elastic(x_new[lo:hi] - config.eta * u[lo:hi], config.eta,
@@ -420,11 +419,12 @@ def test_block_gradient_matches_dense_slice(rng):
         full_grad = rng.standard_normal(d)
         full_grad[rng.random(d) < 0.3] = -0.0
         full_grad[rng.random(d) < 0.2] = 0.0
-        anchor = VRAnchor(rng.standard_normal(d), full_grad)
+        anchor = replace(prob.make_anchor(rng.standard_normal(d)), full_grad=full_grad)
         x = anchor.x_tilde if trial % 4 == 0 else rng.standard_normal(d)
         i = int(rng.integers(0, prob.n))
         support = prob.dataset.indices[prob.dataset.indptr[i]:prob.dataset.indptr[i + 1]]
-        dense = prob.vr_grad([i], x, anchor)
+        dense = two_pass_vr(prob.loss, prob.dataset, [i], x, anchor)
+        assert prob.vr_grad([i], x, anchor).tobytes() == dense.tobytes()
         for lo, hi in ((0, d), (0, 3), (4, 9), (d - 1, d)):
             got = prob.vr_grad([i], x[support], anchor, (lo, hi))
             assert got.tobytes() == dense[lo:hi].tobytes()
@@ -435,10 +435,93 @@ def test_block_gradient_matches_dense_slice(rng):
     ls = Problem(Dataset([0, 2], [1, 3], [-2.0, 4.0], [1.0], 5), LossKind.LEAST_SQUARES,
                  Regularizer())
     x = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
-    anchor = VRAnchor(x, np.zeros(5))
-    dense = ls.vr_grad([0], x, anchor)
+    anchor = replace(ls.make_anchor(x), full_grad=np.zeros(5))
+    dense = two_pass_vr(ls.loss, ls.dataset, [0], x, anchor)
+    assert ls.vr_grad([0], x, anchor).tobytes() == dense.tobytes()
     assert not np.signbit(dense).any()
     assert ls.vr_grad([0], x[[1, 3]], anchor, (0, 5)).tobytes() == dense.tobytes()
+
+
+def test_batched_replay_update_gathers_once(monkeypatch, rng):
+    # a B > 1 update gathers its rows once and takes dot products at the read
+    # only; the anchor pass is one pass over the data and gathers nothing
+    from proxvr import problem as problem_mod
+
+    names = ("_gather", "_dots", "minibatch_grad")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(problem_mod, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(problem_mod, name, counted)
+    calls = {"vr_grad": [], "make_anchor": []}
+    for method in calls:
+        def delta(self, *args, _real=getattr(Problem, method), _calls=calls[method]):
+            before = dict(counts)
+            out = _real(self, *args)
+            _calls.append({k: counts[k] - before[k] for k in names})
+            return out
+        monkeypatch.setattr(Problem, method, delta)
+    prob = make_problem(rng, 30, 8)
+    x0 = np.zeros(prob.d)
+    sched = sample_delay_schedule("uniform", 3, 40, 2, inconsistent=True)
+    for B in (2, 7, 30):
+        cfg = SolverConfig(eta=0.05, B=B, K=10, S=2, m=3, seed=B)
+        prox_svrcd_run(prob, cfg, x0)
+        async_svrg_run(prob, cfg, x0, SimulateMode(sched))
+        async_svrcd_run(prob, cfg, x0, SimulateMode(sched))
+    assert len(calls["vr_grad"]) == 3 * 3 * 20 and len(calls["make_anchor"]) == 3 * 3 * 2
+    assert all(c == {"_gather": 1, "_dots": 1, "minibatch_grad": 0} for c in calls["vr_grad"])
+    assert all(c == {"_gather": 0, "_dots": 1, "minibatch_grad": 0}
+               for c in calls["make_anchor"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2**40), B=st.sampled_from([1, 3, 200]),
+       m=st.integers(2, 64), K=st.integers(0, 12), stop=st.integers(1, 3))
+def test_stage_draws_equal_per_update_draws(seed, n, B, m, K, stop):
+    # replay draws a stage's rows and blocks at once; they must be the values
+    # of K draws of one update each and leave each generator where those
+    # leave it, so a run that stops early after ``stop`` stages consumed the
+    # same prefix of both streams
+    stage_rows, stage_blocks = make_streams(seed)
+    update_rows, update_blocks = make_streams(seed)
+    for _ in range(stop):
+        rows = stage_rows.integers(0, n, size=(K, B))
+        assert rows.shape == (K, B)
+        assert rows.tolist() == [draw_batch(update_rows, n, B).tolist() for _ in range(K)]
+        blocks = stage_blocks.integers(0, m, size=K).tolist()
+        assert blocks == [draw_block(update_blocks, m) for _ in range(K)]
+        assert stage_rows.bit_generator.state == update_rows.bit_generator.state
+        assert stage_blocks.bit_generator.state == update_blocks.bit_generator.state
+
+
+@pytest.mark.parametrize("B", [1, 3, 7])
+@pytest.mark.parametrize("with_replacement", [True, False])
+def test_replay_draws_are_per_update_draws(monkeypatch, rng, B, with_replacement):
+    # whatever replay draws at once, its batches and blocks are those of one
+    # draw_batch and one draw_block per update, in a run stopped early too
+    seen = []
+
+    def record(self, batch, *args, _real=Problem.vr_grad):
+        seen.append(np.asarray(batch).tolist())
+        return _real(self, batch, *args)
+
+    monkeypatch.setattr(Problem, "vr_grad", record)
+    prob = make_problem(rng, 30, 8)
+    x0 = np.zeros(prob.d)
+    cfg = SolverConfig(eta=0.05, B=B, K=10, S=6, m=3, seed=11,
+                       with_replacement=with_replacement)
+    objectives = replay(prob, cfg, x0, False, None).trace.objectives
+    stages = next(s for s, o in enumerate(objectives, 1) if o <= objectives[2])
+    seen.clear()
+    rep = replay(prob, cfg, x0, False, None, stop_below=objectives[2], debug=True)
+    assert len(rep.trace.records) == stages < cfg.S
+    batch_rng, block_rng = make_streams(cfg.seed)
+    updates = stages * cfg.K
+    assert seen == [draw_batch(batch_rng, prob.n, B, with_replacement).tolist()
+                    for _ in range(updates)]
+    assert [r.block for r in rep.commit_log] == [draw_block(block_rng, 3) for _ in range(updates)]
 
 
 def test_zero_delay_svrg_matches_sequential(rng):

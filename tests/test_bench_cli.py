@@ -411,6 +411,13 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "speedup_target=0"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "loss=bogus"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "normalize=maybe"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "mu=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "mu=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "mu=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "L_const=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "L_const=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "T_const=inf"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "T_const=-1"]),
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "schedule_seed=-1"]),
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "seed=-1"]),
         (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=simulate:uniform:-1"]),

@@ -1,11 +1,18 @@
 import itertools
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from conftest import make_problem, prox_ternary_oracle, random_dataset, random_sparse_vec
+from conftest import (
+    make_problem,
+    prox_ternary_oracle,
+    random_dataset,
+    random_sparse_vec,
+    two_pass_vr,
+)
 from proxvr.errors import ContractViolation
 from proxvr.linalg import SparseVec
 from proxvr.problem import (
@@ -377,6 +384,65 @@ def test_kernels_bitwise_identities(rng, kind):
     big = _with_empty_rows(rng, 300, 8)
     x = rng.standard_normal(8)
     assert minibatch_grad(kind, big, range(big.n), x).tobytes() == full_grad(kind, big, x).tobytes()
+
+
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.LEAST_SQUARES])
+def test_vr_batch_kernel_matches_two_pass_oracle(rng, kind):
+    n, d = 40, 9
+    ds = _with_empty_rows(rng, n, d)
+    empty = [0, n // 2, n - 1]
+    prob = Problem(ds, kind, Regularizer(0.01, 0.1))
+    substituted = 0
+    for _ in range(6):
+        xt = rng.standard_normal(d)
+        anchor = prob.make_anchor(xt)
+        assert anchor.full_grad.tobytes() == full_grad(kind, ds, xt).tobytes()
+        planted = anchor.full_grad.copy()
+        planted[rng.random(d) < 0.3] = -0.0
+        planted[rng.random(d) < 0.2] = 0.0
+        batches = [
+            rng.integers(0, n, size=2),           # B = 2
+            [3, 3],                               # B = 2, one row twice
+            rng.integers(0, n, size=7),           # B = 7
+            [3, 3, 0, 11, 3, n - 1, 8],           # B = 7, duplicates and empty rows
+            empty + [empty[1]],                   # empty rows only
+            list(range(n)),                       # B = n
+            rng.integers(0, n, size=n),           # B = n, with duplicates
+            [5],                                  # one row, whole vector
+        ]
+        for a in (anchor, replace(anchor, full_grad=planted)):
+            for x in (rng.standard_normal(d), xt):  # a read, and a read at x_tilde
+                for batch in batches:
+                    want = two_pass_vr(kind, ds, batch, x, a)
+                    got = vr_gradient(kind, ds, batch, x, a)
+                    assert got.tobytes() == want.tobytes(), (batch, x is xt)
+                    substituted += int(np.sum(minibatch_grad(kind, ds, batch, xt) == a.full_grad))
+    assert substituted > 0
+    # a least-squares row read where a_i^T x = b_i exactly: c = 0, and
+    # c * a_i is -0.0 where a_i < 0
+    ls = Dataset([0, 2, 2], [1, 3], [-2.0, 4.0], [1.0, -1.0], 5)
+    x = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    prob = Problem(ls, LossKind.LEAST_SQUARES, Regularizer())
+    for xt in (x, np.ones(5)):
+        a = prob.make_anchor(xt)
+        for planted in (a.full_grad, np.array([-0.0, -0.0, 0.0, -0.0, 1.0])):
+            a = replace(a, full_grad=planted)
+            for batch in ([0, 0], [0, 1], [1, 1]):
+                want = two_pass_vr(LossKind.LEAST_SQUARES, ls, batch, x, a)
+                got = vr_gradient(LossKind.LEAST_SQUARES, ls, batch, x, a)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_anchor_keeps_every_row_coefficient(rng):
+    ds = _with_empty_rows(rng, 30, 7)
+    for kind in (LossKind.LOGISTIC, LossKind.LEAST_SQUARES):
+        xt = rng.standard_normal(7)
+        anchor = Problem(ds, kind, Regularizer()).make_anchor(xt)
+        assert anchor.coefs.shape == (ds.n,)
+        for i, ex in enumerate(ds.examples):
+            # grad f_i(x_tilde) = coefs[i] a_i, as the one-row gradient computes it
+            want = loss_grad(kind, ex, xt).to_dense()
+            assert (anchor.coefs[i] * ex.a.to_dense() + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_logistic_kernels_raise_no_warning_at_large_margins():

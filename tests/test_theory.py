@@ -177,6 +177,11 @@ def test_constants_validation():
         ProblemConstants(mu=0.1, L=1.0, T=1.0, Delta=1.5, tau=0)
     with pytest.raises(ContractViolation):
         ProblemConstants(mu=0.1, L=1.0, T=1.0, Delta=1.0, tau=-1)
+    # 0 < inf <= inf, and T = inf > 0: only a finiteness check rejects these
+    for bad in ({"mu": math.inf, "L": math.inf}, {"L": math.inf}, {"T": math.inf},
+                {"mu": math.nan}, {"T": math.nan}):
+        with pytest.raises(ContractViolation, match="finite"):
+            ProblemConstants(**{"mu": 0.1, "L": 1.0, "T": 1.0, "Delta": 1.0, "tau": 0, **bad})
 
 
 def test_svrg_rate_monotone_in_K():
