@@ -230,11 +230,14 @@ def load_dataset(source: str, normalize: bool = True, expected_dim: int | None =
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    """The configured problem; ``B > n`` or ``m > d`` is a usage error here,
-    before any reference optimum is computed."""
+    """The configured problem; ``B > n``, ``m > d`` or ``ref_eta > 1/L`` is a
+    usage error here, before any reference optimum is computed."""
     dataset = load_dataset(cfg.dataset, cfg.normalize)
     _solver_config(cfg).validate(dataset.n, dataset.d)
-    return Problem(dataset, LossKind.parse(cfg.loss), Regularizer(cfg.lambda1, cfg.lambda2))
+    problem = Problem(dataset, LossKind.parse(cfg.loss), Regularizer(cfg.lambda1, cfg.lambda2))
+    if cfg.ref_eta is not None:
+        _reference_step(problem, cfg.ref_eta)
+    return problem
 
 
 @dataclass
@@ -245,6 +248,21 @@ class ReferenceOptimum:
     iterations: int
 
 
+def _reference_step(problem: Problem, eta: float | None) -> float:
+    """The reference step size: 1/L by default, with L from
+    ``theory.estimate_lipschitz``; a given step must be finite and in
+    (0, 1/L], the only range where a small certificate proves anything."""
+    L, _ = theory.estimate_lipschitz(problem.dataset, problem.loss)
+    limit = 1.0 / L if L > 0 else math.inf
+    if eta is None:
+        return limit if L > 0 else 1.0
+    if not (math.isfinite(eta) and 0 < eta <= limit):
+        raise ContractViolation(
+            f"reference step ref_eta must be finite and in (0, 1/L] = (0, {limit!r}], got {eta}"
+        )
+    return eta
+
+
 def compute_reference_optimum(
     problem: Problem,
     ref_tol: float = 1e-12,
@@ -253,25 +271,38 @@ def compute_reference_optimum(
     max_iter: int = 1_000_000,
     x0: DenseVec | None = None,
 ) -> ReferenceOptimum:
-    """Deterministic proximal gradient descent until the prox-gradient
-    mapping G_eta(x) = (x - prox_{eta R}(x - eta grad F(x))) / eta has norm
-    below ``ref_tol``. Needs a unique minimizer (lambda2 > 0 suffices)."""
+    """FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
+    (O'Donoghue & Candes 2015), until the prox-gradient mapping
+    G_eta(y) = (y - x+) / eta, x+ = prox_{eta R}(y - eta grad F(y)), at the
+    extrapolated point y has norm at most ``ref_tol``; x+ is returned.
+
+    Momentum restarts (t = 1, y = x+) whenever <y - x+, x+ - x> > 0, i.e.
+    when the step from the previous iterate x runs against the mapping. The
+    step must lie in (0, 1/L] (default 1/L): FISTA needs it, and a larger one
+    shrinks the certificate without bringing y near the optimum. Needs a
+    unique minimizer (lambda2 > 0 suffices)."""
     if not ref_tol > 0:
         raise ContractViolation(f"ref_tol must be > 0, got {ref_tol}")
-    if eta is None:
-        L, _ = theory.estimate_lipschitz(problem.dataset, problem.loss)
-        eta = 1.0 / L if L > 0 else 1.0
+    if not max_iter >= 1:
+        raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
+    eta = _reference_step(problem, eta)
     x = np.zeros(problem.d) if x0 is None else x0.copy()
+    y, t = x, 1.0
     best = math.inf
-    cert = math.inf
     for it in range(1, max_iter + 1):
-        g = problem.full_grad(x)
-        x_next = prox_elastic(x - eta * g, eta, problem.reg)
-        cert = float(np.linalg.norm(x - x_next)) / eta
-        x = x_next
+        x_next = prox_elastic(y - eta * problem.full_grad(y), eta, problem.reg)
+        step = y - x_next
+        cert = float(np.linalg.norm(step)) / eta
         best = min(best, cert)
         if cert <= ref_tol:
-            return ReferenceOptimum(x, problem.objective(x), cert, it)
+            return ReferenceOptimum(x_next, problem.objective(x_next), cert, it)
+        if float(step @ (x_next - x)) > 0:
+            y, t = x_next, 1.0
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            t = t_next
+        x = x_next
     raise ConvergenceFailure(
         f"reference optimum did not reach {ref_tol:g} in {max_iter} iterations "
         f"(best certificate {best:g})",
@@ -457,6 +488,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "seconds": wall,
         "p_star": ref.p_star,
         "ref_certificate": ref.certificate,
+        "ref_iterations": ref.iterations,
         "delta": stats.delta,
         "mu": consts.mu if consts else math.nan,
         "L": consts.L if consts else math.nan,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_dim_problem
+from conftest import make_problem, one_dim_problem
 from proxvr import bench_cli
 from proxvr.bench_cli import (
     ExperimentConfig,
@@ -24,7 +24,14 @@ from proxvr.bench_cli import (
 )
 from proxvr.errors import ContractViolation, ConvergenceFailure
 from proxvr.linalg import SparseVec
-from proxvr.problem import Dataset, LossKind, Problem, Regularizer, SparseExample
+from proxvr.problem import (
+    Dataset,
+    LossKind,
+    Problem,
+    Regularizer,
+    SparseExample,
+    prox_elastic,
+)
 from proxvr.theory import (
     ProblemConstants,
     data_sparsity_delta,
@@ -103,6 +110,106 @@ def test_reference_optimum_budget_failure():
     assert err.value.best_certificate is not None
 
 
+def _dense(dataset):
+    A = np.zeros((dataset.n, dataset.d))
+    for i, ex in enumerate(dataset.examples):
+        A[i, ex.a.indices] = ex.a.values
+    return A
+
+
+def _mapping_norm(problem, x, eta):
+    """||G_eta(x)|| = ||x - prox_{eta R}(x - eta grad F(x))|| / eta."""
+    x_next = prox_elastic(x - eta * problem.full_grad(x), eta, problem.reg)
+    return float(np.linalg.norm(x - x_next)) / eta
+
+
+def _pgd_oracle(problem, eta, tol):
+    """Plain proximal gradient descent from 0 until ||G_eta|| <= tol."""
+    x = np.zeros(problem.d)
+    for _ in range(100_000):
+        x_next = prox_elastic(x - eta * problem.full_grad(x), eta, problem.reg)
+        if np.linalg.norm(x - x_next) / eta <= tol:
+            return x_next
+        x = x_next
+    raise AssertionError("the PGD oracle did not converge")
+
+
+def _eta(problem):
+    return 1.0 / estimate_lipschitz(problem.dataset, problem.loss)[0]
+
+
+def test_reference_optimum_matches_ridge_closed_form(rng):
+    # lambda1 = 0: the optimum solves (A^T A / n + lambda2 I) x = A^T b / n
+    for n, d, lam2 in ((40, 8, 1e-2), (25, 30, 1e-3), (60, 12, 0.5)):
+        prob = make_problem(rng, n, d, kind=LossKind.LEAST_SQUARES, lambda1=0.0, lambda2=lam2)
+        A, b = _dense(prob.dataset), prob.dataset.labels
+        oracle = np.linalg.solve(A.T @ A / n + lam2 * np.eye(d), A.T @ b / n)
+        ref = compute_reference_optimum(prob, 1e-12)
+        assert ref.certificate <= 1e-12
+        assert np.max(np.abs(ref.x_star - oracle)) <= 1e-10
+        assert ref.p_star == pytest.approx(prob.objective(oracle), rel=1e-14, abs=1e-15)
+
+
+def test_reference_optimum_matches_pgd_oracle_with_l1(rng):
+    for lam1, lam2 in ((0.02, 0.05), (0.1, 0.01)):
+        prob = make_problem(rng, 60, 15, lambda1=lam1, lambda2=lam2)
+        oracle = _pgd_oracle(prob, _eta(prob), 1e-12)
+        ref = compute_reference_optimum(prob, 1e-12)
+        assert np.max(np.abs(ref.x_star - oracle)) <= 1e-10
+        # the soft threshold zeroes the same coordinates exactly
+        assert np.array_equal(ref.x_star == 0.0, oracle == 0.0) and (oracle == 0.0).any()
+        assert ref.p_star == pytest.approx(prob.objective(oracle), rel=1e-14)
+
+
+# rounding in recomputing G at x_star: a few ulps of x_star and of eta*grad, over eta
+_MAPPING_SLACK = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind,lam1,lam2,n,d", [
+    (LossKind.LOGISTIC, 0.0, 1e-2, 50, 10),
+    (LossKind.LOGISTIC, 1e-2, 1e-2, 50, 10),
+    (LossKind.LOGISTIC, 5e-2, 1e-3, 80, 40),
+    (LossKind.LEAST_SQUARES, 0.0, 1e-3, 30, 20),
+    (LossKind.LEAST_SQUARES, 1e-2, 1e-1, 30, 20),
+    (LossKind.LEAST_SQUARES, 1e-3, 1e-4, 100, 5),
+    (LossKind.LOGISTIC, 1e-3, 1e-4, 100, 50),
+])
+def test_reference_certificate_is_mapping_at_certified_point(rng, monkeypatch, kind, lam1, lam2,
+                                                             n, d):
+    prob = make_problem(rng, n, d, kind=kind, lambda1=lam1, lambda2=lam2)
+    eta, seen = _eta(prob), []
+    full_grad = Problem.full_grad
+
+    def recording(self, x):
+        seen.append(x.copy())
+        return full_grad(self, x)
+
+    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        seen.clear()
+        monkeypatch.setattr(Problem, "full_grad", recording)
+        ref = compute_reference_optimum(prob, tol)
+        monkeypatch.undo()
+        # one gradient per iteration; the last was taken at the certified point
+        # y, x_star is y's prox step T(y) and the certificate is ||G(y)||
+        y, x = seen[-1], ref.x_star
+        assert len(seen) == ref.iterations
+        assert np.array_equal(x, prox_elastic(y - eta * prob.full_grad(y), eta, prob.reg)), tol
+        assert ref.certificate == float(np.linalg.norm(y - x)) / eta <= tol, tol
+        assert ref.p_star == prob.objective(x)
+        # T is nonexpansive for eta <= 1/L: ||G(x_star)|| = ||T(y) - T(x_star)|| / eta <= ||G(y)||
+        slack = _MAPPING_SLACK * (np.linalg.norm(x) + eta * np.linalg.norm(prob.full_grad(x))) / eta
+        assert _mapping_norm(prob, x, eta) <= ref.certificate + slack, tol
+
+
+def test_reference_certifies_ill_conditioned_case():
+    # kappa = L / mu = 0.25 / 1e-4 = 2,500 (rows normalized): restarted FISTA
+    # certifies 1e-12 in about 1,150 iterations; plain PGD did not in 20,000
+    prob = Problem(load_dataset("synth:n=2000,d=400,delta=0.05,seed=1"), LossKind.LOGISTIC,
+                   Regularizer(0.0, 1e-4))
+    ref = compute_reference_optimum(prob, 1e-12, max_iter=2000)
+    assert ref.certificate <= 1e-12
+
+
 # ---------------------------------------------------------- config parsing
 
 
@@ -163,6 +270,9 @@ def test_run_experiment_csv_and_summary(tmp_path):
     summary = run_experiment(_base_cfg(), tmp_path / "out")
     assert summary["status"] == "OK"
     assert summary["final_suboptimality"] <= 1e-10
+    assert summary["ref_certificate"] <= 1e-12 and summary["ref_iterations"] >= 1
+    assert f"ref_iterations={summary['ref_iterations']}" in (
+        (tmp_path / "out" / "summary.txt").read_text().splitlines())
     with open(tmp_path / "out" / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0].keys()) == [
@@ -400,6 +510,8 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=nan"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=inf"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=0"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=1e300"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=5"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "B=1000"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=1000"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda1=inf"]),
@@ -456,7 +568,7 @@ def test_cli_theory_constants_checked_before_reference(tmp_path, capsys, monkeyp
     assert code == 0, capsys.readouterr().err
     summary = (out / "summary.txt").read_text().splitlines()
     assert "rho=n/a" in summary and "eta_admissible=n/a" in summary
-    assert "total_updates=0" in summary
+    assert "total_updates=0" in summary and "ref_iterations=0" in summary
 
 
 def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):

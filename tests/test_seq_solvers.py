@@ -23,6 +23,7 @@ from proxvr.seq_solvers import (
     prox_svrcd_run,
     prox_svrg_run,
 )
+from proxvr.theory import estimate_lipschitz
 
 
 def _traces_equal(a, b):
@@ -98,6 +99,12 @@ def test_invalid_configs_rejected(rng):
     for tol in (-1.0, 0.0, nan):
         with pytest.raises(ContractViolation):
             compute_reference_optimum(prob, tol, max_iter=1)
+    # a step above 1/L fakes a small certificate; FISTA needs eta <= 1/L
+    limit = 1.0 / estimate_lipschitz(prob.dataset, prob.loss)[0]
+    for bad in (dict(eta=nan), dict(eta=inf), dict(eta=1e300), dict(eta=2 * limit),
+                dict(eta=0.0), dict(max_iter=0), dict(max_iter=-5)):
+        with pytest.raises(ContractViolation):
+            compute_reference_optimum(prob, 1e-12, **bad)
 
 
 # ---------------------------------------------------------------- ProxSCD
