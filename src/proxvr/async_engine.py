@@ -20,8 +20,10 @@ with one block (logged as block -1), so each execution mode has one loop:
   A one-row update reads the iterate on the row's support only, computes
   the gradient on the committed block only and commits that block, so it
   costs O(nnz + d/m + tau * nnz) besides the O(d) stage sum; a larger batch
-  reads the whole vector and makes one pass over its rows, O(nnz(batch) + d).
-  With replacement, a stage's rows and blocks are drawn at once;
+  reads the whole vector and takes its rows and anchor term from the stage's
+  batch plan, gathered a chunk of updates at a time, so what is left per
+  update is one pass over its rows at the read, O(nnz(batch) + d). A
+  stage's rows and blocks are drawn at once, under either sampling law;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
   its clock stamp inside block 0's lock, so one block gives an atomic
@@ -38,8 +40,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .linalg import BlockPartition, DenseVec
-from .problem import Problem, prox_elastic
-from .seq_solvers import RunTrace, SolverConfig, draw_batch, draw_block, make_streams, run_stages
+from .problem import Problem, prox_elastic, stage_batches
+from .seq_solvers import (RunTrace, SolverConfig, draw_batch, draw_batches, draw_block,
+                          make_streams, run_stages)
 
 
 @dataclass
@@ -390,13 +393,15 @@ def replay(
     A one-row update reads the iterate on the row's support only and
     computes the gradient on the committed block only, so it costs
     O(nnz + d/m + tau * nnz) plus the O(d) stage sum. A larger batch reads
-    the whole vector and makes one pass over its rows, the anchor terms
-    coming from the stage's cached coefficients: O(nnz(batch) + d).
+    the whole vector and passes ``vr_grad`` its entry of the stage's batch
+    plan (``problem.stage_batches``): its rows, gathered with those of a
+    chunk of consecutive updates, and its anchor term, from the stage's
+    cached coefficients. The update computes the dot products at the read,
+    one scatter and the substitution rule: O(nnz(batch) + d).
 
-    With replacement, a stage's rows are drawn by one
-    ``integers(0, n, size=(K, B))`` and its blocks by one
-    ``integers(0, m, size=K)``; these give the values of K draws of one
-    update each. Without replacement the rows are drawn per update."""
+    A stage's rows come from one ``draw_batches`` call and its blocks from
+    one ``integers(0, m, size=K)``; under either sampling law these give the
+    values of K draws of one update each."""
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
     bounds = [part.block_bounds(j) for j in range(m)]
@@ -413,9 +418,10 @@ def replay(
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
         state = MasterState(x_tilde, tau_bound)
-        rows = batch_rng.integers(0, n, size=(K, B)) if config.with_replacement else None
         blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
-        for k, j in enumerate(blocks):
+        rows = draw_batches(batch_rng, n, B, K, config.with_replacement)
+        batches = stage_batches(problem.dataset, anchor, rows)
+        for k, (j, (batch, planned)) in enumerate(zip(blocks, batches)):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
             tau = 0 if schedule is None else min(int(schedule.taus[g]), k)
@@ -423,14 +429,14 @@ def replay(
             if applied_sets is not None:
                 # offset o is column o - 1 and names the commit at clock - o
                 applied = [k - o for o in range(1, tau + 1) if applied_sets[g, o - 1]]
-            batch = rows[k] if rows is not None else draw_batch(batch_rng, n, B, False)
             lo, hi = bounds[j]
-            if B == 1:
+            if planned is None:  # one row: support read, block gradient
                 i = int(batch[0])
                 x_read = read_inconsistent(state, tau, applied, indices[indptr[i]:indptr[i + 1]])
                 u = problem.vr_grad(batch, x_read, anchor, (lo, hi))
             else:
-                u = problem.vr_grad(batch, read_inconsistent(state, tau, applied), anchor)[lo:hi]
+                x_read = read_inconsistent(state, tau, applied)
+                u = problem.vr_grad(batch, x_read, anchor, None, planned)[lo:hi]
             state.commit(prox_elastic(state.x[lo:hi] - eta * u, eta, problem.reg), (lo, hi))
             delays.append(tau)
             if iterates is not None:

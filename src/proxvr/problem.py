@@ -159,16 +159,26 @@ class Dataset:
         )
 
     def row_norms_sq(self) -> np.ndarray:
-        """Squared L2 norm of every row, each summed by ``np.dot`` over the
-        row's stored values. ``np.dot`` and a ufunc reduction round
-        differently, and row normalization and the Lipschitz estimate keep
-        the bits of the per-row ``np.dot`` sum."""
-        ptr = self.indptr.tolist()
-        data = self.data
-        return np.array(
-            [np.dot(data[lo:hi], data[lo:hi]) for lo, hi in zip(ptr[:-1], ptr[1:])],
-            dtype=np.float64,
-        )
+        """Squared L2 norm of every row, computed on the first call and kept
+        as a read-only array."""
+        return self._row_norms
+
+    @cached_property
+    def _row_norms(self) -> np.ndarray:
+        return _read_only(_row_norms_sq(self), np.float64, "row norms")
+
+
+def _row_norms_sq(dataset: Dataset) -> np.ndarray:
+    """Every row's squared norm, each summed by ``np.dot`` over the row's
+    stored values. ``np.dot`` and a ufunc reduction round differently, and
+    row normalization and the Lipschitz estimate keep the bits of the
+    per-row ``np.dot`` sum."""
+    ptr = dataset.indptr.tolist()
+    data = dataset.data
+    return np.array(
+        [np.dot(data[lo:hi], data[lo:hi]) for lo, hi in zip(ptr[:-1], ptr[1:])],
+        dtype=np.float64,
+    )
 
 
 @dataclass(frozen=True)
@@ -234,15 +244,29 @@ def _row_coef(kind: LossKind, vals, x_row, b: float) -> float:
     return _coef(kind, t, b)
 
 
-def _dots(idx, vals, lens, x: DenseVec) -> np.ndarray:
-    """a_i^T x for consecutive rows, row i holding the next ``lens[i]``
-    entries of ``idx``/``vals``. ``np.add.reduceat`` returns the start element
-    for an empty segment and rejects a start at the end, so empty rows are
-    left out of it."""
-    t = np.zeros(lens.size)
+def _segments(lens) -> tuple:
+    """(starts, full) for consecutive rows of ``lens`` entries: the
+    ``np.add.reduceat`` offsets of the non-empty rows, and the mask of those
+    rows, None when no row is empty. ``np.add.reduceat`` returns the start
+    element for an empty segment and rejects a start at the end, so empty
+    rows are left out of it."""
+    starts = lens.cumsum() - lens
+    if np.count_nonzero(lens) == lens.size:
+        return starts, None
     full = lens > 0
-    t[full] = np.add.reduceat(vals * x[idx], (np.cumsum(lens) - lens)[full])
-    return t
+    return starts[full], full
+
+
+def _dots(idx, vals, x: DenseVec, segments) -> np.ndarray:
+    """a_i^T x for consecutive rows of ``idx``/``vals``, laid out as
+    ``segments`` (from ``_segments``) says."""
+    starts, full = segments
+    t = np.add.reduceat(vals * x[idx], starts)
+    if full is None:
+        return t
+    out = np.zeros(full.size)
+    out[full] = t
+    return out
 
 
 def _scatter(d: int, idx, vals, lens, c) -> DenseVec:
@@ -250,14 +274,14 @@ def _scatter(d: int, idx, vals, lens, c) -> DenseVec:
     coordinate adds its terms in row order."""
     if not idx.size:
         return np.zeros(d)  # np.bincount of nothing is an integer array
-    return np.bincount(idx, weights=np.repeat(c, lens) * vals, minlength=d)
+    return np.bincount(idx, weights=c.repeat(lens) * vals, minlength=d)
 
 
 def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec):
     """(c, sum of the gradients) of ``rows`` = (indices, values, row lengths,
     labels): every row's coefficient at ``x`` and sum_i c_i a_i."""
     idx, vals, lens, b = rows
-    c = _coefs(kind, _dots(idx, vals, lens, x), b)
+    c = _coefs(kind, _dots(idx, vals, x, _segments(lens)), b)
     return c, _scatter(d, idx, vals, lens, c)
 
 
@@ -265,9 +289,74 @@ def _gather(dataset: Dataset, rows: np.ndarray):
     """The listed rows, in order, as (indices, values, row lengths, labels)."""
     starts = dataset.indptr[rows]
     lens = dataset.row_nnz[rows]
-    ends = np.cumsum(lens)
-    pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+    ends = lens.cumsum()
+    pos = np.arange(ends[-1]) + (starts - (ends - lens)).repeat(lens)
     return dataset.indices[pos], dataset.data[pos], lens, dataset.labels[rows]
+
+
+# One chunk of a stage's batch plan holds at most this many gathered entries
+# and this many anchor-term values (batches times d), and at least one batch.
+_PLAN_ENTRIES = 8192
+_PLAN_VALUES = 1 << 15
+
+
+def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
+    """Every batch of ``rows``, a (c, B) array, as the ``planned`` argument
+    of ``vr_gradient``: (indices, values, row lengths, labels, segments,
+    anchor term, same), ``same`` marking where the anchor term equals the
+    anchor full gradient.
+
+    The c batches are gathered at once. Their anchor terms
+    (1/B) sum_i coefs[i] a_i come from one ``np.bincount`` keyed by (batch,
+    coordinate), which adds each key's terms in batch order, as a bincount
+    per batch does. A chunk of one batch, what ``vr_gradient`` plans when
+    called without a plan, needs no keys and no split."""
+    c, B = rows.shape
+    d = dataset.d
+    flat = rows.ravel()
+    idx, vals, lens, labels = _gather(dataset, flat)
+    weights = anchor.coefs[flat].repeat(lens) * vals
+    if c == 1:
+        keys = idx
+    else:
+        per = lens.reshape(c, B).sum(axis=1)
+        ends = per.cumsum()
+        keys = idx + np.arange(0, c * d, d).repeat(per)
+    if idx.size:
+        terms = np.bincount(keys, weights=weights, minlength=c * d)
+    else:
+        terms = np.zeros(c * d)  # np.bincount of nothing is an integer array
+    terms /= B
+    if c == 1:
+        return [(idx, vals, lens, labels, _segments(lens), terms, terms == anchor.full_grad)]
+    terms = terms.reshape(c, d)
+    same = terms == anchor.full_grad
+    cuts = [0, *ends.tolist()]
+    lens, labels = lens.reshape(c, B), labels.reshape(c, B)
+    return [
+        (idx[lo:hi], vals[lo:hi], lens[u], labels[u], _segments(lens[u]), terms[u], same[u])
+        for u, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
+
+
+def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
+    """Yield a stage's mini-batches, the rows of ``rows`` (K, B), in order,
+    each with its ``planned`` argument of ``vr_gradient``.
+
+    One-row batches take the block path (``planned`` None). Larger ones are
+    planned a chunk at a time (see ``_plan_chunk``), a chunk holding at most
+    ``_PLAN_ENTRIES`` gathered entries and ``_PLAN_VALUES`` anchor-term
+    values, and at least one batch."""
+    K, B = rows.shape
+    if B == 1:
+        yield from ((batch, None) for batch in rows)
+        return
+    rows = _batch_rows(dataset, rows) if K else rows
+    width = B * max(int(dataset.row_nnz.max()), 1)
+    chunk = max(1, min(_PLAN_ENTRIES // width, _PLAN_VALUES // dataset.d))
+    for k in range(0, K, chunk):
+        part = rows[k:k + chunk]
+        yield from zip(part, _plan_chunk(dataset, anchor, part))
 
 
 def loss_value(kind: LossKind, example: SparseExample, x: DenseVec) -> float:
@@ -335,6 +424,7 @@ def vr_gradient(
     x_read: DenseVec,
     anchor: VRAnchor,
     block: tuple[int, int] | None = None,
+    planned: tuple | None = None,
 ) -> DenseVec:
     """Variance-corrected mini-batch gradient
 
@@ -346,10 +436,13 @@ def vr_gradient(
     counterparts exactly instead of up to rounding.
 
     The anchor term of row i is ``anchor.coefs[i] * a_i``, so only the read
-    needs dot products. A batch of several rows is gathered once: one
-    O(nnz(batch)) pass plus O(d). A one-row batch takes the block path below
-    on [0, d): O(nnz(a_i) + d). Both terms equal the two ``minibatch_grad``
-    results bit for bit.
+    needs dot products. A batch of several rows is gathered with its anchor
+    term by ``_plan_chunk``, as a chunk of one batch unless ``planned``, the
+    batch's entry of a stage plan (``stage_batches``), already holds them;
+    what is left is the read's dot products and coefficients, one scatter
+    and the substitution rule, O(nnz(batch) + d). A one-row batch takes the
+    block path below on [0, d): O(nnz(a_i) + d). Both terms equal the two
+    ``minibatch_grad`` results (at the read and at the anchor) bit for bit.
 
     ``block = (lo, hi)`` returns only the coordinates [lo, hi) of a one-row
     batch's gradient, in O(nnz(a_i) + hi - lo): ``x_read`` then holds the read
@@ -360,18 +453,19 @@ def vr_gradient(
         if len(batch) != 1:
             raise ContractViolation("a block gradient takes a one-row batch")
         return _vr_row_block(kind, dataset, int(batch[0]), x_read, anchor, *block)
-    batch = _batch_rows(dataset, batch)
-    if batch.size == 1:
-        i = int(batch[0])
-        support = dataset.indices[dataset.indptr[i]:dataset.indptr[i + 1]]
-        return _vr_row_block(kind, dataset, i, x_read[support], anchor, 0, dataset.d)
-    rows = _gather(dataset, batch)
-    _, g_read = _grad_sum(kind, dataset.d, rows, x_read)
-    g_read /= batch.size
-    g_anchor = _scatter(dataset.d, *rows[:3], anchor.coefs[batch])
-    g_anchor /= batch.size
+    if planned is None:
+        batch = _batch_rows(dataset, batch)
+        if batch.size == 1:
+            i = int(batch[0])
+            support = dataset.indices[dataset.indptr[i]:dataset.indptr[i + 1]]
+            return _vr_row_block(kind, dataset, i, x_read[support], anchor, 0, dataset.d)
+        planned = _plan_chunk(dataset, anchor, batch.reshape(1, -1))[0]
+    idx, vals, lens, b, segments, g_anchor, same = planned
+    c = _coefs(kind, _dots(idx, vals, x_read, segments), b)
+    g_read = _scatter(dataset.d, idx, vals, lens, c)
+    g_read /= lens.size
     raw = g_read - g_anchor + anchor.full_grad
-    return np.where(g_anchor == anchor.full_grad, g_read, raw)
+    return np.where(same, g_read, raw)
 
 
 def _vr_row_block(kind, dataset, i, x_row, anchor, lo, hi) -> DenseVec:
@@ -412,7 +506,7 @@ def prox_elastic(y: DenseVec, step: float, reg: Regularizer) -> DenseVec:
 
 def objective_value(kind: LossKind, dataset: Dataset, reg: Regularizer, x: DenseVec) -> float:
     """P(x) = mean loss + regularizer."""
-    t = _dots(dataset.indices, dataset.data, dataset.row_nnz, x)
+    t = _dots(dataset.indices, dataset.data, x, _segments(dataset.row_nnz))
     return float(np.sum(_losses(kind, t, dataset.labels)) / dataset.n + reg.value(x))
 
 
@@ -444,8 +538,9 @@ class Problem:
     def minibatch_grad(self, batch, x: DenseVec) -> DenseVec:
         return minibatch_grad(self.loss, self.dataset, batch, x)
 
-    def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor, block=None) -> DenseVec:
-        return vr_gradient(self.loss, self.dataset, batch, x_read, anchor, block)
+    def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor, block=None,
+                planned=None) -> DenseVec:
+        return vr_gradient(self.loss, self.dataset, batch, x_read, anchor, block, planned)
 
     def make_anchor(self, x_tilde: DenseVec) -> VRAnchor:
         x_tilde = x_tilde.copy()

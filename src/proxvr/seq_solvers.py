@@ -38,6 +38,15 @@ def draw_batch(rng, n: int, B: int, with_replacement: bool = True) -> np.ndarray
     return np.sort(rng.choice(n, size=B, replace=False))
 
 
+def draw_batches(rng, n: int, B: int, count: int, with_replacement: bool = True) -> np.ndarray:
+    """``count`` mini-batches as a (count, B) array: the values of ``count``
+    ``draw_batch`` calls, which leave ``rng`` where these leave it."""
+    if with_replacement:
+        return rng.integers(0, n, size=(count, B))
+    return np.array([draw_batch(rng, n, B, False) for _ in range(count)],
+                    dtype=np.int64).reshape(count, B)
+
+
 def draw_block(rng, m: int) -> int:
     return int(rng.integers(0, m))
 

@@ -327,11 +327,11 @@ def test_schedule_rejects_exactly_applied_sets_outside_window(data, tau_bound, l
 # ------------------------------------------------------------- simulate mode
 
 
-def _dense_one_row_replay(problem, config, x0, svrg, schedule):
-    """The B=1 update on whole vectors, one draw per update: whole-vector
-    read, the two-``minibatch_grad`` VR gradient, prox on the block,
-    whole-vector commit. The reference for replay's support read and block
-    gradient."""
+def _dense_replay(problem, config, x0, svrg, schedule, stop_below=None):
+    """The update on whole vectors, one draw per update: whole-vector read,
+    the two-``minibatch_grad`` VR gradient, prox on the block, whole-vector
+    commit. The reference for replay's support read and block gradient
+    (B = 1) and for its stage batch plan (B > 1)."""
     m = 1 if svrg else config.m
     part = BlockPartition.equal(problem.d, m)
     batch_rng, block_rng = make_streams(config.seed)
@@ -346,7 +346,7 @@ def _dense_one_row_replay(problem, config, x0, svrg, schedule):
             tau = min(int(schedule.taus[g]), state.clock)
             offsets = [] if svrg else np.flatnonzero(schedule.applied[g, :tau]) + 1
             x_read = read_inconsistent(state, tau, [state.clock - o for o in offsets])
-            batch = draw_batch(batch_rng, problem.n, 1, config.with_replacement)
+            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
             j = draw_block(block_rng, m) if m > 1 else 0
             u = two_pass_vr(problem.loss, problem.dataset, batch, x_read, anchor)
             lo, hi = part.block_bounds(j)
@@ -360,7 +360,7 @@ def _dense_one_row_replay(problem, config, x0, svrg, schedule):
             g += 1
         return state.x, state.stage_sum
 
-    trace = run_stages(problem, config, x0, inner, record_iterates=True)
+    trace = run_stages(problem, config, x0, inner, stop_below=stop_below, record_iterates=True)
     return trace, delays, format_commit_log(log)
 
 
@@ -393,8 +393,8 @@ def test_one_row_replay_matches_dense_step(kind, lambda1):
                                            with_replacement=wr)
                         sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 5,
                                                       inconsistent=True, include_prob=p)
-                        want, delays, log = _dense_one_row_replay(prob, cfg, np.zeros(prob.d),
-                                                                  svrg, sched)
+                        want, delays, log = _dense_replay(prob, cfg, np.zeros(prob.d), svrg,
+                                                          sched)
                         got = replay(prob, cfg, np.zeros(prob.d), svrg, sched,
                                      record_iterates=True, debug=True)
                         assert [o.hex() for o in got.trace.objectives] == [
@@ -443,8 +443,10 @@ def test_block_gradient_matches_dense_slice(rng):
 
 
 def test_batched_replay_update_gathers_once(monkeypatch, rng):
-    # a B > 1 update gathers its rows once and takes dot products at the read
-    # only; the anchor pass is one pass over the data and gathers nothing
+    # a call-count guard, not a bound: B > 1 updates read their batches from
+    # the stage plan, which gathers each chunk once; an update gathers
+    # nothing and takes dot products at the read only, and the anchor pass
+    # is one pass over the data that gathers nothing
     from proxvr import problem as problem_mod
 
     names = ("_gather", "_dots", "minibatch_grad")
@@ -454,6 +456,13 @@ def test_batched_replay_update_gathers_once(monkeypatch, rng):
             counts[_name] += 1
             return _real(*args)
         monkeypatch.setattr(problem_mod, name, counted)
+    chunks = []
+
+    def plan_chunk(dataset, anchor, rows, _real=problem_mod._plan_chunk):
+        chunks.append(len(rows))
+        return _real(dataset, anchor, rows)
+
+    monkeypatch.setattr(problem_mod, "_plan_chunk", plan_chunk)
     calls = {"vr_grad": [], "make_anchor": []}
     for method in calls:
         def delta(self, *args, _real=getattr(Problem, method), _calls=calls[method]):
@@ -463,6 +472,8 @@ def test_batched_replay_update_gathers_once(monkeypatch, rng):
             return out
         monkeypatch.setattr(Problem, method, delta)
     prob = make_problem(rng, 30, 8)
+    # 64 entries per chunk: chunks of one batch (B = 7, 30) and of several (B = 2)
+    monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", 64)
     x0 = np.zeros(prob.d)
     sched = sample_delay_schedule("uniform", 3, 40, 2, inconsistent=True)
     for B in (2, 7, 30):
@@ -471,9 +482,108 @@ def test_batched_replay_update_gathers_once(monkeypatch, rng):
         async_svrg_run(prob, cfg, x0, SimulateMode(sched))
         async_svrcd_run(prob, cfg, x0, SimulateMode(sched))
     assert len(calls["vr_grad"]) == 3 * 3 * 20 and len(calls["make_anchor"]) == 3 * 3 * 2
-    assert all(c == {"_gather": 1, "_dots": 1, "minibatch_grad": 0} for c in calls["vr_grad"])
+    assert sum(chunks) == len(calls["vr_grad"]) and min(chunks) == 1 < max(chunks)
+    assert counts["_gather"] == len(chunks)
+    assert all(c == {"_gather": 0, "_dots": 1, "minibatch_grad": 0} for c in calls["vr_grad"])
     assert all(c == {"_gather": 0, "_dots": 1, "minibatch_grad": 0}
                for c in calls["make_anchor"])
+
+
+def _sparse_rows_problem(rng, kind, n=30, d=14):
+    """Four rows in five empty, so whole batches and chunks gather nothing."""
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        k = int(rng.integers(1, 5)) if i % 5 == 0 else 0
+        indices += np.sort(rng.choice(d, size=k, replace=False)).tolist()
+        data += (rng.standard_normal(k) + 2.0).tolist()
+        indptr.append(len(indices))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    return Problem(Dataset(indptr, indices, data, labels, d), kind, Regularizer(0.05, 0.05))
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_batched_replay_matches_dense_step(monkeypatch, kind):
+    # B > 1 updates read the stage plan: batches gathered a chunk at a time,
+    # anchor terms from one keyed bincount per chunk. Every run
+    # must equal the per-update whole-vector path byte for byte, for K below
+    # the chunk, equal to it and not a multiple of it, and when it stops
+    # early; rows with no entries, whole batches of them, and chunks of them
+    from proxvr import problem as problem_mod
+
+    rng = np.random.default_rng(62)
+    B, chunk = 3, 4
+    chunks, empty = [], {"batches": 0, "chunks": 0}
+
+    def plan_chunk(dataset, anchor, rows, _real=problem_mod._plan_chunk):
+        chunks.append(len(rows))
+        per_batch = dataset.row_nnz[rows].sum(axis=1)
+        empty["batches"] += int(np.count_nonzero(per_batch == 0))
+        empty["chunks"] += int(not per_batch.any())
+        return _real(dataset, anchor, rows)
+
+    monkeypatch.setattr(problem_mod, "_plan_chunk", plan_chunk)
+    for prob in (_gappy_problem(rng, kind, 0.05), _sparse_rows_problem(rng, kind)):
+        # chunks of exactly ``chunk`` batches at this problem's widest row
+        width = B * int(prob.dataset.row_nnz.max())
+        monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", chunk * width)
+        for K in (3, 4, 10):
+            for m, svrg in ((1, True), (1, False), (3, False)):
+                for tau in (0, 3):
+                    for wr in (True, False):
+                        cfg = SolverConfig(eta=0.3, B=B, K=K, S=4, m=m, seed=K + 10 * tau,
+                                           with_replacement=wr)
+                        sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 7,
+                                                      inconsistent=True)
+                        want, delays, log = _dense_replay(prob, cfg, np.zeros(prob.d), svrg,
+                                                          sched)
+                        stops = [None, want.objectives[1]] if K == 10 else [None]
+                        for stop in stops:
+                            if stop is not None:
+                                want, delays, log = _dense_replay(
+                                    prob, cfg, np.zeros(prob.d), svrg, sched, stop)
+                                assert len(want.records) < cfg.S
+                            chunks.clear()
+                            got = replay(prob, cfg, np.zeros(prob.d), svrg, sched, stop,
+                                         record_iterates=True, debug=True)
+                            assert [o.hex() for o in got.trace.objectives] == [
+                                o.hex() for o in want.objectives]
+                            assert [x.tobytes() for x in got.trace.iterates] == [
+                                x.tobytes() for x in want.iterates]
+                            assert got.trace.x_final.tobytes() == want.x_final.tobytes()
+                            assert got.delays.tolist() == delays
+                            assert format_commit_log(got.commit_log) == log
+                            stage = [min(chunk, K - k) for k in range(0, K, chunk)]
+                            assert chunks == stage * len(want.records)
+    assert empty["chunks"] > 0 and empty["batches"] > empty["chunks"]
+
+
+def test_stage_plan_memory_budget(monkeypatch):
+    # every chunk of the plan stays inside the entry and anchor-term budgets,
+    # whatever K * B * nnz or d is, and holds at least one batch
+    from proxvr import problem as problem_mod
+
+    chunks = []
+
+    def plan_chunk(dataset, anchor, rows, _real=problem_mod._plan_chunk):
+        chunks.append((len(rows), int(dataset.row_nnz[rows].sum()), len(rows) * dataset.d))
+        return _real(dataset, anchor, rows)
+
+    monkeypatch.setattr(problem_mod, "_plan_chunk", plan_chunk)
+    rng = np.random.default_rng(63)
+    # K * B * nnz far above the entry budget; then d above the value budget
+    for n, d, nnz, B, K, largest in ((200, 1000, 100, 10, 200, 8), (40, 200_000, 3, 5, 30, 1)):
+        cols = np.sort([rng.choice(d, size=nnz, replace=False) for _ in range(n)], axis=1)
+        ds = Dataset(np.arange(0, n * nnz + 1, nnz), cols.ravel(), rng.random(n * nnz) + 1.0,
+                     np.ones(n), d)
+        anchor = Problem(ds, LossKind.LEAST_SQUARES, Regularizer()).make_anchor(np.zeros(d))
+        chunks.clear()
+        rows = np.random.default_rng(K).integers(0, n, size=(K, B))
+        batches = list(problem_mod.stage_batches(ds, anchor, rows))
+        assert len(batches) == K and sum(c for c, _, _ in chunks) == K
+        assert all(c == 1 or (e <= problem_mod._PLAN_ENTRIES and v <= problem_mod._PLAN_VALUES)
+                   for c, e, v in chunks)
+        assert max(c for c, _, _ in chunks) == largest
+        assert K * B * nnz > 8 * problem_mod._PLAN_ENTRIES or d > problem_mod._PLAN_VALUES
 
 
 @settings(max_examples=80, deadline=None)

@@ -455,6 +455,31 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                  "--set", "K=5"]) == 2
 
 
+def test_cli_run_computes_row_norms_once_per_dataset(tmp_path, monkeypatch):
+    # normalization, dataset statistics, the theory verdict, the ref_eta
+    # check and the reference step all read the row norms; the per-row loop
+    # runs once per dataset, and the cached array is read-only
+    from proxvr import problem as problem_mod
+
+    seen = []
+
+    def row_norms_sq(dataset, _real=problem_mod._row_norms_sq):
+        seen.append(dataset)
+        return _real(dataset)
+
+    monkeypatch.setattr(problem_mod, "_row_norms_sq", row_norms_sq)
+    cfg = _cfg(
+        tmp_path,
+        f"dataset = {SYNTH}\nalgorithm = prox_svrg\neta = 0.2\nK = 20\nB = 1\n"
+        "lambda2 = 0.1\nmax_stages = 2\nstop_tol = inf\nseed = 5\n",
+    )
+    assert main(["run", str(cfg), "-o", str(tmp_path / "out"), "--set", "ref_eta=1.0"]) == 0
+    assert len(seen) >= 2 and len({id(ds) for ds in seen}) == len(seen)
+    for ds in seen:
+        assert ds.row_norms_sq() is ds.row_norms_sq()
+        assert not ds.row_norms_sq().flags.writeable
+
+
 def test_cli_ref_outputs(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,
