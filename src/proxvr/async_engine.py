@@ -17,17 +17,21 @@ with one block (logged as block -1), so each execution mode has one loop:
   keeps an undo log of its last tau commits; fully deterministic. With no
   schedule every read is current: that is the sequential ProxSVRG/ProxSVRCD
   solver, which a zero-delay simulation therefore reproduces bit-for-bit.
-  A one-row update reads the iterate on the row's support only, computes
-  the gradient on the committed block only and commits that block, so it
-  costs O(nnz + d/m + tau * nnz) besides the O(d) stage sum; a larger batch
-  reads the whole vector and takes its rows and anchor term from the stage's
-  batch plan, gathered a chunk of updates at a time, so what is left per
-  update is one pass over its rows at the read, O(nnz(batch) + d). A
-  stage's rows and blocks are drawn at once, under either sampling law;
+  A one-row update reads the iterate on the row's support, computes the
+  gradient on the row's entries in the committed block and proxes and
+  commits that block, with no per-update search: a row-block index built
+  once per run locates the row's entries in each block, and the anchor's
+  terms on every stored entry are computed once per stage. It costs
+  O(nnz + d/m + tau * nnz) besides the O(d) stage sum. A larger batch
+  reads the whole vector and takes its rows and anchor term from the
+  stage's batch plan, gathered a chunk of updates at a time, so what is
+  left per update is one pass over its rows at the read, O(nnz(batch) + d).
+  A stage's rows and blocks are drawn at once, under either sampling law;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
   its clock stamp inside block 0's lock, so one block gives an atomic
-  snapshot. Delays are measured from commit-clock stamps.
+  snapshot. Delays are measured from commit-clock stamps. Each worker
+  draws its rows and blocks a chunk at a time.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .linalg import BlockPartition, DenseVec
-from .problem import Problem, prox_elastic, stage_batches
-from .seq_solvers import (RunTrace, SolverConfig, draw_batch, draw_batches, draw_block,
-                          make_streams, run_stages)
+from .problem import Problem, RowBlocks, entry_terms, prox_elastic, stage_batches
+from .seq_solvers import RunTrace, SolverConfig, draw_batches, make_streams, run_stages
 
 
 @dataclass
@@ -131,18 +134,22 @@ class MasterState:
     the global clock, the sum of the stage's iterates, and an undo log of the
     last ``tau_bound`` commits for delayed reads.
 
-    A log entry ``(lo, hi, before, after)`` holds the span [lo, hi) a commit
-    changed and that span's values before and after it. Writing back the
-    ``before`` values of the newer commits rebuilds any retained iterate
-    exactly, so a commit costs O(span) and no whole iterate is stored.
-    Committed span values are kept by reference and must not be modified
-    afterwards."""
+    A log entry ``(lo, hi, before, after, block)`` holds the span [lo, hi) a
+    commit changed, that span's values before and after it, and the span's
+    block in ``index`` (a ``RowBlocks``), None when it is not one of them.
+    Writing back the ``before`` values of the newer commits rebuilds any
+    retained iterate exactly, so a commit costs O(span) and no whole iterate
+    is stored. Committed span values are kept by reference and must not be
+    modified afterwards."""
 
-    def __init__(self, x0: DenseVec, tau_bound: int):
+    def __init__(self, x0: DenseVec, tau_bound: int, index: RowBlocks | None = None):
         self.x = np.array(x0, dtype=np.float64, copy=True)
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
         self._log = deque(maxlen=tau_bound)
+        self._index = index
+        self._block_of = {} if index is None else index.block_of
+        self._last = {}  # block -> the values its latest commit stored
         self._x_view = self.x.view()  # what a current whole read returns
         self._x_view.flags.writeable = False
 
@@ -156,17 +163,22 @@ class MasterState:
         if values.shape[0] != hi - lo:
             values = values[lo:hi].copy()
         if self._log.maxlen:
-            self._log.append((lo, hi, self.x[lo:hi].copy(), values))
+            # blocks are disjoint, so a block's values before a commit are
+            # those its latest commit stored, unless another span came since
+            block = self._block_of.get((lo, hi))
+            before = self._last.get(block)
+            if before is None:
+                before = self.x[lo:hi].copy()
+            self._log.append((lo, hi, before, values, block))
+            if block is None:
+                self._last.clear()
+            else:
+                self._last[block] = values
         self.x[lo:hi] = values
         self.clock += 1
         self.stage_sum += self.x
 
-    def iterate_at(self, clock_idx: int) -> DenseVec:
-        """The iterate as of clock ``clock_idx`` (0 = stage start), as
-        ``read`` returns it."""
-        return self.read(self.clock - clock_idx, ())
-
-    def read(self, tau_k: int, applied, coords=None) -> DenseVec:
+    def read(self, tau_k: int, applied, coords=None, row=None) -> DenseVec:
         """The iterate from ``tau_k`` commits ago plus exactly the updates in
         ``applied`` (absolute update indices inside the window
         {clock - tau_k .. clock - 1}).
@@ -183,10 +195,12 @@ class MasterState:
         coordinates and returns their values in that order; None reads every
         coordinate. Each span's share of ``coords`` is found by
         ``searchsorted``, so reading a row's support costs
-        O(nnz + tau_k * nnz), not O(d). Only the oldest log entry of each
-        span is written back, and none newer than a whole-vector entry, so
-        over block commits a whole-vector read costs one copy of ``x`` and at
-        most one write per coordinate.
+        O(nnz + tau_k * nnz), not O(d). ``row`` reads row ``row``'s support,
+        the coordinates the state's ``RowBlocks`` index holds for it, the
+        same values without the searches (see ``_read_row``). Only the
+        oldest log entry of each span is written back, and none newer than a
+        whole-vector entry, so over block commits a whole-vector read costs
+        one copy of ``x`` and at most one write per coordinate.
 
         The result is a new array unless one stored array already holds it:
         ``x`` for ``tau_k = 0``, or the pre-image of a whole-vector commit.
@@ -206,6 +220,8 @@ class MasterState:
             raise ContractViolation(
                 f"applied updates {applied} outside window [{start}, {self.clock - 1}]"
             )
+        if row is not None:
+            return self._read_row(tau_k, applied, start, row)
         if not tau_k:
             return self._x_view if coords is None else self.x[coords]
         window = list(self._log)[-tau_k:]  # oldest first
@@ -213,7 +229,7 @@ class MasterState:
         # it: write back the oldest entry of each span, newest first, and
         # none newer than one that spans all of x
         rebuild, spans = [], set()
-        for i, (lo, hi, before, _) in enumerate(window):
+        for i, (lo, hi, before, _, _) in enumerate(window):
             if (lo, hi) not in spans:
                 spans.add((lo, hi))
                 rebuild.append(i)
@@ -230,7 +246,7 @@ class MasterState:
             xhat = self.x.copy() if coords is None else self.x[coords]
         # (positions in xhat, offsets into the entry's arrays) of each span
         if coords is None:
-            where = [(slice(lo, hi), slice(None)) for lo, hi, _, _ in window]
+            where = [(slice(lo, hi), slice(None)) for lo, hi, _, _, _ in window]
         else:
             cuts = coords.searchsorted([entry[:2] for entry in window]).tolist()
             where = [(slice(p, q), coords[p:q] - entry[0])
@@ -239,13 +255,57 @@ class MasterState:
             pos, off = where[i]
             xhat[pos] = window[i][2][off]
         for h in applied:
-            _, _, before, after = window[h - start]
             pos, off = where[h - start]
-            before, after, view = before[off], after[off], xhat[pos]
-            landed = view == before
-            view += after - before
-            np.copyto(view, after, where=landed)
+            _substitute(xhat[pos], window[h - start], off)
         return xhat
+
+    def _read_row(self, tau_k: int, applied: list, start: int, row: int) -> DenseVec:
+        """``read`` on row ``row``'s support, ``applied`` checked and sorted.
+
+        A block commit's share of the row is the row's entries in that
+        block, which the index lists, and blocks are disjoint, so each block
+        is read on its own, from its commits in the window, oldest first.
+        While they are all applied the read equals the current values (each
+        substitution lands everywhere); the first one that is not applied
+        writes back its before values, and only the applied commits after it
+        are substituted. Wherever no before value is NaN (a NaN never equals
+        itself), this gives the bits of writing back the oldest entry and
+        substituting every applied one. A block holding none of the row's
+        entries costs nothing. A window with another span in it takes the
+        search in ``read``."""
+        index = self._index
+        cut = index.cuts[row].tolist()
+        first = cut[0]
+        support = index.indices[first:cut[-1]]
+        xhat = self.x[support]
+        if not tau_k:
+            return xhat
+        window = list(self._log)[-tau_k:]  # oldest first
+        if any(entry[4] is None for entry in window):
+            return self.read(tau_k, applied, support)
+        offsets, behind = index.offsets, set()
+        for h, entry in enumerate(window, start):
+            j = entry[4]
+            p, q = cut[j], cut[j + 1]
+            if p == q:
+                continue
+            if h not in applied:
+                if j not in behind:
+                    behind.add(j)
+                    xhat[p - first:q - first] = entry[2][offsets[p:q]]
+            elif j in behind:
+                _substitute(xhat[p - first:q - first], entry, offsets[p:q])
+        return xhat
+
+
+def _substitute(view, entry, off) -> None:
+    """Apply logged commit ``entry`` to ``view``, a read's values at offsets
+    ``off`` of its span: the after value where ``view`` still equals the
+    before value, else the difference added."""
+    before, after = entry[2][off], entry[3][off]
+    landed = view == before
+    view += after - before
+    np.copyto(view, after, where=landed)
 
 
 def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
@@ -254,11 +314,12 @@ def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
     return state.read(tau_k, ())
 
 
-def read_inconsistent(state: MasterState, tau_k: int, applied, coords=None) -> DenseVec:
+def read_inconsistent(state: MasterState, tau_k: int, applied, coords=None,
+                      row=None) -> DenseVec:
     """Block-mixed view: the iterate from ``tau_k`` commits ago plus exactly
-    the updates in ``applied``, on ``coords`` (sorted) or on every
-    coordinate; see ``MasterState.read``."""
-    return state.read(tau_k, applied, coords)
+    the updates in ``applied``, on ``coords`` (sorted), on row ``row``'s
+    support or on every coordinate; see ``MasterState.read``."""
+    return state.read(tau_k, applied, coords, row)
 
 
 @dataclass(frozen=True)
@@ -323,11 +384,6 @@ class AsyncReport:
         return self.declared_tau is not None and self.delay_mean > self.declared_tau
 
 
-def format_commit_log(log) -> str:
-    """Line-oriented `clock,worker_id,block_id_or_-1,delay` records."""
-    return "\n".join(f"{r.clock},{r.worker},{r.block},{r.delay}" for r in log)
-
-
 def async_svrg_run(
     problem: Problem,
     config: SolverConfig,
@@ -390,14 +446,20 @@ def replay(
     ``schedule=None`` every read is current and this is the sequential
     ProxSVRG/ProxSVRCD solver.
 
-    A one-row update reads the iterate on the row's support only and
-    computes the gradient on the committed block only, so it costs
-    O(nnz + d/m + tau * nnz) plus the O(d) stage sum. A larger batch reads
-    the whole vector and passes ``vr_grad`` its entry of the stage's batch
-    plan (``problem.stage_batches``): its rows, gathered with those of a
-    chunk of consecutive updates, and its anchor term, from the stage's
-    cached coefficients. The update computes the dot products at the read,
-    one scatter and the substitution rule: O(nnz(batch) + d).
+    A one-row update reads the iterate on the row's support, computes the
+    gradient on the row's entries in the committed block and proxes that
+    block: O(nnz + d/m + tau * nnz) with no search, plus the O(d) stage sum.
+    What is fixed for the run or the stage is computed there: the row-block
+    index (``RowBlocks``) once per run, and per stage the anchor's entry
+    terms (``entry_terms``) and ``eta * anchor.base``, the step off the
+    row's support. The update forms ``x - eta * base`` on the block,
+    patches in the row's entries, proxes that buffer in place and commits
+    it by reference. A larger batch reads the whole vector and passes
+    ``vr_grad`` its entry of the stage's batch plan
+    (``problem.stage_batches``): its rows, gathered with those of a chunk of
+    consecutive updates, and its anchor term, from the stage's cached
+    coefficients. The update computes the dot products at the read, one
+    scatter and the substitution rule: O(nnz(batch) + d).
 
     A stage's rows come from one ``draw_batches`` call and its blocks from
     one ``integers(0, m, size=K)``; under either sampling law these give the
@@ -409,42 +471,54 @@ def replay(
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
-    eta, B, K, n = config.eta, config.B, config.K, problem.n
-    indptr, indices = problem.dataset.indptr, problem.dataset.indices
+    eta, B, K, n, reg = config.eta, config.B, config.K, problem.n, problem.reg
+    index = RowBlocks.build(problem.dataset, part.bounds) if B == 1 else None
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
     def inner(s, x_tilde, iterates):
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
-        state = MasterState(x_tilde, tau_bound)
+        state = MasterState(x_tilde, tau_bound, index)
+        x = state.x
         blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
         rows = draw_batches(batch_rng, n, B, K, config.with_replacement)
         batches = stage_batches(problem.dataset, anchor, rows)
+        if B == 1:
+            terms = entry_terms(problem.dataset, anchor)
+            step_base = eta * anchor.base
+        taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
+        included = None if applied_sets is None else applied_sets[g:g + K]
         for k, (j, (batch, planned)) in enumerate(zip(blocks, batches)):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
-            tau = 0 if schedule is None else min(int(schedule.taus[g]), k)
+            tau = min(taus[k], k)
             applied = ()
-            if applied_sets is not None:
+            if included is not None and tau:
                 # offset o is column o - 1 and names the commit at clock - o
-                applied = [k - o for o in range(1, tau + 1) if applied_sets[g, o - 1]]
+                flags = included[k]
+                applied = [k - o for o in range(1, tau + 1) if flags[o - 1]]
             lo, hi = bounds[j]
-            if planned is None:  # one row: support read, block gradient
-                i = int(batch[0])
-                x_read = read_inconsistent(state, tau, applied, indices[indptr[i]:indptr[i + 1]])
-                u = problem.vr_grad(batch, x_read, anchor, (lo, hi))
+            if planned is None:  # one row: support read, the row's block entries
+                i = batch[0]
+                p, q = index.cuts[i, j:j + 2].tolist()
+                x_row = read_inconsistent(state, tau, applied, row=i)
+                u = problem.vr_grad(batch, x_row, anchor, (lo, hi), (p, q, terms))
+                y = x[lo:hi] - step_base[lo:hi]
+                y[index.offsets[p:q]] = x[index.indices[p:q]] - eta * u
+                new = prox_elastic(y, eta, reg, out=y)
             else:
                 x_read = read_inconsistent(state, tau, applied)
                 u = problem.vr_grad(batch, x_read, anchor, None, planned)[lo:hi]
-            state.commit(prox_elastic(state.x[lo:hi] - eta * u, eta, problem.reg), (lo, hi))
+                new = prox_elastic(x[lo:hi] - eta * u, eta, reg)
+            state.commit(new, (lo, hi))
             delays.append(tau)
             if iterates is not None:
-                iterates.append(state.x.copy())
+                iterates.append(x.copy())
             if log is not None:
                 log.append(CommitRecord(s, state.clock, 0, -1 if svrg else j, tau))
             g += 1
-        return state.x, state.stage_sum
+        return x, state.stage_sum
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
                        record_iterates=record_iterates)
@@ -455,10 +529,29 @@ def replay(
 # threads mode
 # --------------------------------------------------------------------------
 
+# rows a worker draws at once under i.i.d. sampling (at least one batch)
+_DRAW_ROWS = 4096
+
+
+def _worker_draws(streams, n: int, B: int, m: int, with_replacement: bool):
+    """A worker's (batch, block) pairs, the values of one ``draw_batch`` and
+    one ``draw_block`` per update, drawn ``_DRAW_ROWS`` rows at a time: a
+    ``Generator.integers`` call costs about 10 us whatever its size. Batches
+    without replacement are drawn one at a time, one call each anyway."""
+    batch_rng, block_rng = streams
+    count = max(1, _DRAW_ROWS // B) if with_replacement else 1
+    while True:
+        rows = draw_batches(batch_rng, n, B, count, with_replacement)
+        blocks = block_rng.integers(0, m, size=count).tolist() if m > 1 else [0] * count
+        yield from zip(rows, blocks)
+
+
 def _threads(problem, config, x0, svrg, mode, stop_below, debug):
     P = mode.workers
-    streams = [make_streams(child) for child in np.random.SeedSequence(config.seed).spawn(P)]
     m = 1 if svrg else config.m
+    # one stream pair per worker, drawn a chunk at a time across stages
+    draws = [_worker_draws(make_streams(child), problem.n, config.B, m, config.with_replacement)
+             for child in np.random.SeedSequence(config.seed).spawn(P)]
     part = BlockPartition.equal(problem.d, m)
     bounds = [part.block_bounds(j) for j in range(m)]
     eta = config.eta
@@ -478,7 +571,6 @@ def _threads(problem, config, x0, svrg, mode, stop_below, debug):
         since = [1] * m
 
         def run_worker(wid):
-            batch_rng, block_rng = streams[wid]
             while True:
                 x_hat = np.empty(problem.d)
                 for jj, (lo, hi) in enumerate(bounds):
@@ -490,8 +582,7 @@ def _threads(problem, config, x0, svrg, mode, stop_below, debug):
                                 shared["tickets"] -= 1
                                 pulled_at = shared["clock"]
                         x_hat[lo:hi] = x[lo:hi]
-                batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-                jk = draw_block(block_rng, m) if m > 1 else 0
+                batch, jk = next(draws[wid])
                 u = problem.vr_grad(batch, x_hat, anchor)
                 lo, hi = bounds[jk]
                 with block_locks[jk]:

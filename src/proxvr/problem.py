@@ -14,6 +14,7 @@ coordinate's terms in row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -199,6 +200,65 @@ class VRAnchor:
         return self.full_grad + 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class RowBlocks:
+    """Where each row's stored entries fall among contiguous coordinate
+    blocks with bounds ``bounds`` (0 = b_0 < ... < b_m = d): row i's entries
+    in block j are the stored entries ``cuts[i, j]:cuts[i, j + 1]``, and
+    ``offsets[e]`` is entry e's coordinate minus its block's lower bound.
+    ``block_of`` maps each block's span (lo, hi) to j."""
+
+    indices: np.ndarray
+    cuts: np.ndarray
+    offsets: np.ndarray
+    block_of: dict
+
+    @staticmethod
+    def build(dataset: Dataset, bounds) -> "RowBlocks":
+        """One ``searchsorted`` of every (row, bound) key into the stored
+        entries' keys row * d + column, which ascend in storage order."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds[0] != 0 or bounds[-1] != dataset.d or np.any(np.diff(bounds) <= 0):
+            raise ContractViolation("block bounds must rise from 0 to d")
+        rows = np.arange(dataset.n, dtype=np.int64) * dataset.d
+        keys = rows.repeat(dataset.row_nnz)
+        keys += dataset.indices
+        cuts = keys.searchsorted(rows[:, None] + bounds)
+        del keys
+        offsets = np.tile(bounds[:-1], dataset.n).repeat(np.diff(cuts, axis=1).ravel())
+        np.subtract(dataset.indices, offsets, out=offsets)
+        spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        return RowBlocks(dataset.indices, cuts, offsets, {span: j for j, span in enumerate(spans)})
+
+
+@dataclass(frozen=True)
+class EntryTerms:
+    """An anchor's one-row terms on stored entries: ``grad[e] = 0.0 +
+    coefs[i] * data[e]`` for entry e of row i, the one-row anchor gradient
+    at coordinate ``indices[e]``, and ``same``, where that bitwise-equals
+    the anchor full gradient there, so the substitution rule keeps the
+    read's gradient; None where it never does."""
+
+    grad: np.ndarray
+    same: np.ndarray | None
+
+    @staticmethod
+    def of(products, full) -> "EntryTerms":
+        """The terms from the entries' products ``coefs[i] * data[e]``, an
+        array that becomes ``grad``, and the full gradient there."""
+        products += 0.0
+        same = products == full
+        return EntryTerms(products, same if same.any() else None)
+
+
+def entry_terms(dataset: Dataset, anchor: VRAnchor) -> EntryTerms:
+    """Every stored entry's ``EntryTerms`` at ``anchor``, in O(nnz): the
+    anchor side of a stage's one-row updates."""
+    products = anchor.coefs.repeat(dataset.row_nnz)
+    products *= dataset.data
+    return EntryTerms.of(products, anchor.full_grad[dataset.indices])
+
+
 def _check_labels(kind: LossKind, dataset: Dataset) -> None:
     if kind is LossKind.LOGISTIC:
         bad = np.flatnonzero(np.abs(dataset.labels) != 1.0)
@@ -349,7 +409,7 @@ def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
     values, and at least one batch."""
     K, B = rows.shape
     if B == 1:
-        yield from ((batch, None) for batch in rows)
+        yield from ((batch, None) for batch in rows.tolist())
         return
     rows = _batch_rows(dataset, rows) if K else rows
     width = B * max(int(dataset.row_nnz.max()), 1)
@@ -444,21 +504,28 @@ def vr_gradient(
     block path below on [0, d): O(nnz(a_i) + d). Both terms equal the two
     ``minibatch_grad`` results (at the read and at the anchor) bit for bit.
 
-    ``block = (lo, hi)`` returns only the coordinates [lo, hi) of a one-row
-    batch's gradient, in O(nnz(a_i) + hi - lo): ``x_read`` then holds the read
-    iterate on the row's support alone, in index order. The values equal the
-    same slice of the whole-vector result bit for bit.
+    ``block = (lo, hi)`` takes a one-row batch and returns its gradient on
+    the row's stored entries inside [lo, hi) only, in index order, in
+    O(nnz(a_i)); every other coordinate of [lo, hi) is ``anchor.base``.
+    ``x_read`` then holds the read iterate on the row's support alone, in
+    index order, and ``planned`` may give ``(p, q, terms)``: the entries'
+    offsets [p, q) in the stored arrays (``RowBlocks``) and the stage's
+    ``EntryTerms``, which spares the search and the anchor products. The
+    values equal the same coordinates of the whole-vector result bit for
+    bit.
     """
     if block is not None:
         if len(batch) != 1:
             raise ContractViolation("a block gradient takes a one-row batch")
-        return _vr_row_block(kind, dataset, int(batch[0]), x_read, anchor, *block)
+        return _vr_row(kind, dataset, int(batch[0]), x_read, anchor, block, planned)
     if planned is None:
         batch = _batch_rows(dataset, batch)
         if batch.size == 1:
             i = int(batch[0])
             support = dataset.indices[dataset.indptr[i]:dataset.indptr[i + 1]]
-            return _vr_row_block(kind, dataset, i, x_read[support], anchor, 0, dataset.d)
+            out = anchor.base.copy()
+            out[support] = _vr_row(kind, dataset, i, x_read[support], anchor, (0, dataset.d))
+            return out
         planned = _plan_chunk(dataset, anchor, batch.reshape(1, -1))[0]
     idx, vals, lens, b, segments, g_anchor, same = planned
     c = _coefs(kind, _dots(idx, vals, x_read, segments), b)
@@ -468,39 +535,58 @@ def vr_gradient(
     return np.where(same, g_read, raw)
 
 
-def _vr_row_block(kind, dataset, i, x_row, anchor, lo, hi) -> DenseVec:
-    """``vr_gradient`` of row ``i`` on [lo, hi), ``x_row`` the read on its
-    support. A one-row ``minibatch_grad`` is ``0.0 + c * a_i`` on the support
-    and +0.0 elsewhere, so off the support the substitution rule yields
-    ``anchor.base`` and on it the rule runs on the support's values."""
+def _vr_row(kind, dataset, i, x_row, anchor, block, planned=None) -> np.ndarray:
+    """``vr_gradient`` of row ``i`` on its stored entries inside ``block``,
+    ``x_row`` the read on its support. A one-row ``minibatch_grad`` is
+    ``0.0 + c * a_i`` on the support and +0.0 elsewhere, so the substitution
+    rule runs on these entries' values and yields ``anchor.base`` on the
+    rest of the block."""
     if not 0 <= i < dataset.n:
         raise ContractViolation("batch index out of range")
     start, end = dataset.indptr[i], dataset.indptr[i + 1]
-    idx, vals = dataset.indices[start:end], dataset.data[start:end]
-    b = float(dataset.labels[i])
-    c_read = _row_coef(kind, vals, x_row, b)
-    c_anchor = anchor.coefs[i]
-    p, q = idx.searchsorted((lo, hi))
-    cols, vals = idx[p:q], vals[p:q]
-    fg = anchor.full_grad[cols]
-    g_read, g_anchor = 0.0 + c_read * vals, 0.0 + c_anchor * vals
-    out = anchor.base[lo:hi].copy()
-    out[cols - lo] = np.where(g_anchor == fg, g_read, g_read - g_anchor + fg)
+    if planned is None:
+        p, q = start + dataset.indices[start:end].searchsorted(block)
+        terms = EntryTerms.of(anchor.coefs[i] * dataset.data[p:q],
+                              anchor.full_grad[dataset.indices[p:q]])
+        origin = p  # the terms of entries p..q-1 only
+    else:
+        p, q, terms = planned
+        if not start <= p <= q <= end:
+            raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
+        origin = 0
+    c_read = _row_coef(kind, dataset.data[start:end], x_row, float(dataset.labels[i]))
+    g_read = c_read * dataset.data[p:q]
+    g_read += 0.0
+    out = g_read - terms.grad[p - origin:q - origin]
+    out += anchor.full_grad[dataset.indices[p:q]]
+    if terms.same is not None:
+        np.copyto(out, g_read, where=terms.same[p - origin:q - origin])
     return out
 
 
-def prox_elastic(y: DenseVec, step: float, reg: Regularizer) -> DenseVec:
+def prox_elastic(y: DenseVec, step: float, reg: Regularizer, out=None) -> DenseVec:
     """Closed-form elastic-net prox: soft-threshold by step*lambda1, then
-    divide by (1 + step*lambda2). Exact; zero regularizer is the identity."""
-    if step <= 0:
-        raise ContractViolation("prox step must be > 0")
+    divide by (1 + step*lambda2). Exact; zero regularizer is the identity.
+
+    ``copysign(max(|y| - t, 0), y + 0.0)`` equals ``sign(y) * max(|y| - t,
+    0)`` bit for bit: ``y + 0.0`` turns -0.0 into +0.0, the zero that
+    ``np.sign`` multiplies by. The result is written to ``out`` (float64,
+    shaped as ``y``; it may be ``y`` itself) or to a new array."""
+    if not (math.isfinite(step) and step > 0):
+        raise ContractViolation("prox step must be finite and > 0")
     y = np.asarray(y)
     if reg.lambda1 == 0.0 and reg.lambda2 == 0.0:
-        return y.copy()
-    t1 = step * reg.lambda1
-    out = np.sign(y) * np.maximum(np.abs(y) - t1, 0.0)
+        if out is None:
+            return y.copy()
+        out[...] = y
+        return out
+    sign = y + 0.0
+    out = np.abs(sign, out=out)
+    out -= step * reg.lambda1
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, sign, out=out)
     if reg.lambda2 != 0.0:
-        out = out / (1.0 + step * reg.lambda2)
+        out /= 1.0 + step * reg.lambda2
     return out
 
 

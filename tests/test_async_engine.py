@@ -15,7 +15,6 @@ from proxvr.async_engine import (
     ThreadsMode,
     async_svrcd_run,
     async_svrg_run,
-    format_commit_log,
     read_consistent,
     read_inconsistent,
     replay,
@@ -28,6 +27,8 @@ from proxvr.problem import (
     LossKind,
     Problem,
     Regularizer,
+    RowBlocks,
+    entry_terms,
     prox_elastic,
 )
 from proxvr.seq_solvers import (
@@ -39,6 +40,17 @@ from proxvr.seq_solvers import (
     prox_svrg_run,
     run_stages,
 )
+
+
+def format_commit_log(log) -> str:
+    """Line-oriented `clock,worker_id,block_id_or_-1,delay` records."""
+    return "\n".join(f"{r.clock},{r.worker},{r.block},{r.delay}" for r in log)
+
+
+def _iterate_at(state, clock_idx):
+    """The iterate as of clock ``clock_idx`` (0 = stage start), as
+    ``MasterState.read`` returns it."""
+    return state.read(state.clock - clock_idx, ())
 
 
 def _random_block_walk(rng, d=6, m=3, steps=12, tau_bound=12):
@@ -142,18 +154,19 @@ def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
             state.commit(x_new, span if k % 3 == 1 else None)
         history.append(state.x.copy())
         assert len(state._log) == min(state.clock, tau_bound)
-        for lo, hi, before, after in state._log:
+        for lo, hi, before, after, block in state._log:
+            assert block is None
             for arr in (before, after):
                 assert arr.shape == (hi - lo,)
                 assert arr.base is None or arr.base.size == hi - lo
         for c in range(state.clock + 1):
             if state.clock - c <= tau_bound:
-                assert state.iterate_at(c).tobytes() == history[c].tobytes()
+                assert _iterate_at(state, c).tobytes() == history[c].tobytes()
             else:
                 with pytest.raises(ContractViolation):
-                    state.iterate_at(c)
+                    _iterate_at(state, c)
         with pytest.raises(ContractViolation):
-            state.iterate_at(state.clock + 1)
+            _iterate_at(state, state.clock + 1)
         # a current whole read is a view of x that callers cannot write
         assert not state.read(0, ()).flags.writeable
     total = np.zeros(d)
@@ -166,9 +179,9 @@ def _whole_vector_read(state, tau_k, applied):
     """The substitution read over the whole vector, one O(d) pass per applied
     update: the reference for the block-only read."""
     lo = state.clock - tau_k
-    xhat = state.iterate_at(lo)
+    xhat = _iterate_at(state, lo)
     for h in sorted(int(h) for h in applied):
-        before, after = state.iterate_at(h), state.iterate_at(h + 1)
+        before, after = _iterate_at(state, h), _iterate_at(state, h + 1)
         xhat = np.where(xhat == before, after, xhat + (after - before))
     return xhat
 
@@ -410,26 +423,60 @@ def test_one_row_replay_matches_dense_step(kind, lambda1):
     assert (neg_zeros > 0) == (lambda1 > 0)
 
 
+def _block_from_entries(prob, i, entries, anchor, lo, hi):
+    """The dense block [lo, hi) that a one-row block gradient stands for: its
+    values on row i's stored entries inside the block, ``anchor.base`` on
+    the rest."""
+    support = prob.dataset.indices[prob.dataset.indptr[i]:prob.dataset.indptr[i + 1]]
+    cols = support[(support >= lo) & (support < hi)]
+    assert entries.shape == cols.shape
+    out = anchor.base[lo:hi].copy()
+    out[cols - lo] = entries
+    return out
+
+
 def test_block_gradient_matches_dense_slice(rng):
     # planted -0.0 and zero entries in the anchor gradient: off the support
-    # the block gradient must give full_grad + 0.0, as the dense rule does
+    # the block gradient stands for full_grad + 0.0, as the dense rule gives
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     d = prob.d
+    index = RowBlocks.build(prob.dataset, [0, 3, 4, 9, d - 1, d])
+    planted = 0
     for trial in range(200):
+        i = int(rng.integers(0, prob.n))
+        start, end = prob.dataset.indptr[i:i + 2].tolist()
+        support = prob.dataset.indices[start:end]
         full_grad = rng.standard_normal(d)
         full_grad[rng.random(d) < 0.3] = -0.0
         full_grad[rng.random(d) < 0.2] = 0.0
-        anchor = replace(prob.make_anchor(rng.standard_normal(d)), full_grad=full_grad)
+        anchor = prob.make_anchor(rng.standard_normal(d))
+        if trial % 3 == 1:
+            # anchor terms equal to the full gradient: the rule keeps the
+            # read's gradient there, which (g - a) + a need not equal
+            hit = rng.random(support.size) < 0.5
+            full_grad[support[hit]] = 0.0 + anchor.coefs[i] * prob.dataset.data[start:end][hit]
+        anchor = replace(anchor, full_grad=full_grad)
+        terms = entry_terms(prob.dataset, anchor)
+        planted += terms.same is not None
         x = anchor.x_tilde if trial % 4 == 0 else rng.standard_normal(d)
-        i = int(rng.integers(0, prob.n))
-        support = prob.dataset.indices[prob.dataset.indptr[i]:prob.dataset.indptr[i + 1]]
         dense = two_pass_vr(prob.loss, prob.dataset, [i], x, anchor)
         assert prob.vr_grad([i], x, anchor).tobytes() == dense.tobytes()
-        for lo, hi in ((0, d), (0, 3), (4, 9), (d - 1, d)):
-            got = prob.vr_grad([i], x[support], anchor, (lo, hi))
-            assert got.tobytes() == dense[lo:hi].tobytes()
+        for j, (lo, hi) in enumerate(((0, 3), (3, 4), (4, 9), (9, d - 1), (d - 1, d))):
+            for planned in (None, (*index.cuts[i, j:j + 2].tolist(), terms)):
+                got = prob.vr_grad([i], x[support], anchor, (lo, hi), planned)
+                block = _block_from_entries(prob, i, got, anchor, lo, hi)
+                assert block.tobytes() == dense[lo:hi].tobytes()
+        got = prob.vr_grad([i], x[support], anchor, (0, d))
+        assert _block_from_entries(prob, i, got, anchor, 0, d).tobytes() == dense.tobytes()
+    assert planted > 20
     with pytest.raises(ContractViolation):
         prob.vr_grad([0, 1], x, anchor, (0, d))
+    # planned entries outside the row are refused
+    wide = int(np.argmax(prob.dataset.row_nnz))
+    start, end = prob.dataset.indptr[wide:wide + 2].tolist()
+    with pytest.raises(ContractViolation):
+        prob.vr_grad([wide], x[prob.dataset.indices[start:end]], anchor, (0, d),
+                     (start, end + 1, terms))
     # a least-squares read with a_i^T x = b_i exactly: c = 0, c * a_i is -0.0
     # where a_i < 0, and the dense path adds it to +0.0
     ls = Problem(Dataset([0, 2], [1, 3], [-2.0, 4.0], [1.0], 5), LossKind.LEAST_SQUARES,
@@ -439,7 +486,133 @@ def test_block_gradient_matches_dense_slice(rng):
     dense = two_pass_vr(ls.loss, ls.dataset, [0], x, anchor)
     assert ls.vr_grad([0], x, anchor).tobytes() == dense.tobytes()
     assert not np.signbit(dense).any()
-    assert ls.vr_grad([0], x[[1, 3]], anchor, (0, 5)).tobytes() == dense.tobytes()
+    got = ls.vr_grad([0], x[[1, 3]], anchor, (0, 5))
+    assert _block_from_entries(ls, 0, got, anchor, 0, 5).tobytes() == dense.tobytes()
+    assert got.tobytes() == dense[[1, 3]].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("lambda1", [0.0, 5e-2])
+def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1):
+    # the path the benchmark takes: no recorded iterates and no commit log,
+    # so nothing copies the step's buffers out. d = 14 leaves a remainder
+    # block at m = 3 and 5; rows of 0-4 entries, every fifth one empty,
+    # leave many updates with no entry in the drawn block
+    prob = _gappy_problem(np.random.default_rng(64), kind, lambda1)
+    seen = {"empty row": 0, "empty share": 0}
+
+    def record(self, batch, x_read, anchor, block=None, planned=None, _real=Problem.vr_grad):
+        out = _real(self, batch, x_read, anchor, block, planned)
+        if block is not None:
+            seen["empty row" if x_read.size == 0 else "empty share"] += out.size == 0
+        return out
+
+    monkeypatch.setattr(Problem, "vr_grad", record)
+    for m, svrg in ((1, True), (3, False), (5, False)):
+        assert m == 1 or prob.d % m
+        for tau in (0, 4):
+            for p in (0.0, 0.5, 1.0):
+                for wr in (True, False):
+                    cfg = SolverConfig(eta=0.4, B=1, K=40, S=3, m=m, seed=m + 10 * tau,
+                                       with_replacement=wr)
+                    sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 9,
+                                                  inconsistent=True, include_prob=p)
+                    want, delays, _ = _dense_replay(prob, cfg, np.zeros(prob.d), svrg, sched)
+                    got = replay(prob, cfg, np.zeros(prob.d), svrg, sched)
+                    assert got.trace.iterates is None and got.commit_log is None
+                    assert [o.hex() for o in got.trace.objectives] == [
+                        o.hex() for o in want.objectives]
+                    assert got.trace.x_final.tobytes() == want.x_final.tobytes()
+                    assert got.delays.tolist() == delays
+    assert seen["empty row"] > 0 and seen["empty share"] > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 40),
+       m=st.integers(1, 8))
+def test_row_blocks_match_per_row_searchsorted(seed, n, d, m):
+    rng = np.random.default_rng(seed)
+    m = min(m, d)
+    bounds = np.concatenate([[0], np.sort(rng.choice(np.arange(1, d), m - 1, replace=False)),
+                             [d]]).astype(np.int64)
+    rows = [np.sort(rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False))
+            for _ in range(n)]
+    indptr = np.cumsum([0] + [r.size for r in rows])
+    indices = np.concatenate(rows + [np.empty(0, dtype=np.int64)])
+    ds = Dataset(indptr, indices, rng.random(indices.size) + 1.0, np.ones(n), d)
+    index = RowBlocks.build(ds, bounds)
+    assert index.cuts.shape == (n, m + 1) and index.offsets.shape == (indices.size,)
+    for i in range(n):
+        start, end = ds.indptr[i], ds.indptr[i + 1]
+        want = start + ds.indices[start:end].searchsorted(bounds)
+        assert index.cuts[i].tolist() == want.tolist()
+        for j in range(m):
+            p, q = index.cuts[i, j:j + 2]
+            assert index.offsets[p:q].tolist() == (ds.indices[p:q] - bounds[j]).tolist()
+    assert index.block_of == {(int(bounds[j]), int(bounds[j + 1])): j for j in range(m)}
+    for bad in ([0, d + 1], [1, d], [0, 0, d] if d > 1 else [0, 2 * d]):
+        with pytest.raises(ContractViolation):
+            RowBlocks.build(ds, bad)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("other_spans", [False, True])
+def test_row_read_matches_generic_read(rng, m, other_spans):
+    # MasterState with a row-block index: the row read must give the bytes
+    # of the generic support read, over block commits and, with
+    # ``other_spans``, over a window that also holds whole-vector and odd
+    # spans; the undo log, whose block entries reuse the values an earlier
+    # commit stored, must rebuild every retained iterate
+    prob = _gappy_problem(rng, LossKind.LOGISTIC)
+    ds, d, steps = prob.dataset, prob.d, 6
+    part = BlockPartition.equal(d, m)
+    index = RowBlocks.build(ds, part.bounds)
+    reg = Regularizer(0.3, 0.0)
+    neg_zeros = 0
+    for _ in range(2):
+        state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps, index)
+        history = [state.x.copy()]
+        for k in range(3 * steps):
+            if other_spans and k % 4 == 3:
+                lo = int(rng.integers(0, d - 1))
+                span = lo, int(rng.integers(lo + 1, d + 1))
+            else:
+                span = part.block_bounds(int(rng.integers(0, m)))
+            lo, hi = span
+            # lambda1 > 0: the prox emits -0.0 for thresholded negatives
+            state.commit(prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo),
+                                      1.0, reg), span)
+            history.append(state.x.copy())
+            neg_zeros += int(np.sum(np.signbit(state.x) & (state.x == 0.0)))
+            for tau in range(min(state.clock, steps) + 1):
+                assert _iterate_at(state, state.clock - tau).tobytes() == (
+                    history[state.clock - tau].tobytes())
+                for p in (0.0, 0.5, 1.0):
+                    applied = [h for h in range(state.clock - tau, state.clock)
+                               if rng.random() < p]
+                    for i in range(ds.n):
+                        support = ds.indices[ds.indptr[i]:ds.indptr[i + 1]]
+                        got = read_inconsistent(state, tau, applied, row=i)
+                        want = state.read(tau, applied, support)
+                        assert got.tobytes() == want.tobytes()
+    assert neg_zeros > 0
+
+
+@pytest.mark.parametrize("B, with_replacement", [(1, True), (3, True), (5000, True), (3, False)])
+@pytest.mark.parametrize("m", [1, 4])
+def test_worker_draws_are_per_update_draws(B, with_replacement, m):
+    # a threads-mode worker draws its rows and blocks a chunk at a time;
+    # they are the values of one draw_batch and one draw_block per update,
+    # across chunk bounds
+    from proxvr.async_engine import _DRAW_ROWS, _worker_draws
+
+    n, updates = 6000, 2 * _DRAW_ROWS // B + 5
+    draws = _worker_draws(make_streams(7), n, B, m, with_replacement)
+    batch_rng, block_rng = make_streams(7)
+    for _ in range(updates):
+        batch, block = next(draws)
+        assert batch.tolist() == draw_batch(batch_rng, n, B, with_replacement).tolist()
+        assert block == (draw_block(block_rng, m) if m > 1 else 0)
 
 
 def test_batched_replay_update_gathers_once(monkeypatch, rng):

@@ -214,6 +214,55 @@ def test_prox_rejects_nonpositive_step():
         prox_elastic(np.zeros(2), 0.0, Regularizer(0.1, 0.0))
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_prox_rejects_non_finite_step(step):
+    # nan used to give NaN silently and inf to give zeros
+    for reg in (Regularizer(0.1, 0.2), Regularizer(0.0, 0.0)):
+        with pytest.raises(ContractViolation, match="finite and > 0"):
+            prox_elastic(np.ones(3), step, reg)
+
+
+def _sign_form_prox(y, step, reg):
+    """The elastic-net prox in its sign form: the bitwise oracle for
+    ``prox_elastic``'s copysign form."""
+    y = np.asarray(y)
+    if reg.lambda1 == 0.0 and reg.lambda2 == 0.0:
+        return y.copy()
+    out = np.sign(y) * np.maximum(np.abs(y) - step * reg.lambda1, 0.0)
+    if reg.lambda2 != 0.0:
+        out = out / (1.0 + step * reg.lambda2)
+    return out
+
+
+@pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (0.0, 0.5), (0.7, 0.0), (0.7, 0.5), (2.5, 1e-3)])
+def test_prox_bytes_equal_sign_form(rng, l1, l2):
+    # +-0.0, +-inf, NaN and |y| = step * lambda1 exactly, among values of
+    # every scale; written to a new array, to an out buffer and in place
+    reg = Regularizer(l1, l2)
+    y = rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300, size=20_000)
+    for step in (1.0, 0.3, 1e-12):
+        t = step * l1
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, t, -t, 5e-324, -5e-324]
+        y[:len(special)] = special
+        want = _sign_form_prox(y, step, reg)
+        assert prox_elastic(y, step, reg).tobytes() == want.tobytes()
+        out = np.empty_like(y)
+        assert prox_elastic(y, step, reg, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        inplace = y.copy()
+        prox_elastic(inplace, step, reg, out=inplace)
+        assert inplace.tobytes() == want.tobytes()
+    # the sign of zero: -0.0 comes out +0.0, a thresholded negative -0.0
+    if l1 > 0:
+        got = prox_elastic(np.array([-0.0, -0.1, 0.1]), 1.0, reg)
+        assert np.signbit(got).tolist() == [False, True, False]
+    # integer input keeps its float64 output
+    ints = np.array([3, -1, 0, 2])
+    got = prox_elastic(ints, 1.0, reg)
+    assert got.dtype == _sign_form_prox(ints, 1.0, reg).dtype
+    assert got.tobytes() == _sign_form_prox(ints, 1.0, reg).tobytes()
+
+
 def test_prox_matches_ternary_oracle(rng):
     for _ in range(200):
         y = float(rng.uniform(-5, 5))
