@@ -314,12 +314,11 @@ def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
     return state.read(tau_k, ())
 
 
-def read_inconsistent(state: MasterState, tau_k: int, applied, coords=None,
-                      row=None) -> DenseVec:
+def read_inconsistent(state: MasterState, tau_k: int, applied, row=None) -> DenseVec:
     """Block-mixed view: the iterate from ``tau_k`` commits ago plus exactly
-    the updates in ``applied``, on ``coords`` (sorted), on row ``row``'s
-    support or on every coordinate; see ``MasterState.read``."""
-    return state.read(tau_k, applied, coords, row)
+    the updates in ``applied``, on row ``row``'s support or on every
+    coordinate; see ``MasterState.read``."""
+    return state.read(tau_k, applied, row=row)
 
 
 @dataclass(frozen=True)
