@@ -22,10 +22,13 @@ with one block (logged as block -1), so each execution mode has one loop:
   commits that block, with no per-update search: a row-block index built
   once per run locates the row's entries in each block, and the anchor's
   terms on every stored entry are computed once per stage. It costs
-  O(nnz + d/m + tau * nnz) besides the O(d) stage sum. A larger batch
-  reads the whole vector and takes its rows and anchor term from the
-  stage's batch plan, gathered a chunk of updates at a time, so what is
-  left per update is one pass over its rows at the read, O(nnz(batch) + d).
+  O(nnz + d/m + tau * nnz) besides the O(d) stage sum. Where the index's
+  n * (m + 1) cuts would outnumber the stored entries (m near d on sparse
+  rows), an update searches its row and the read window instead, and
+  memory stays O(nnz). A larger batch reads the whole vector and takes its
+  rows and anchor term from the stage's batch plan, gathered a chunk of
+  updates at a time, so what is left per update is one pass over its rows
+  at the read, O(nnz(batch) + d).
   A stage's rows and blocks are drawn at once, under either sampling law;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
@@ -149,7 +152,6 @@ class MasterState:
         self._log = deque(maxlen=tau_bound)
         self._index = index
         self._block_of = {} if index is None else index.block_of
-        self._last = {}  # block -> the values its latest commit stored
         self._x_view = self.x.view()  # what a current whole read returns
         self._x_view.flags.writeable = False
 
@@ -163,17 +165,8 @@ class MasterState:
         if values.shape[0] != hi - lo:
             values = values[lo:hi].copy()
         if self._log.maxlen:
-            # blocks are disjoint, so a block's values before a commit are
-            # those its latest commit stored, unless another span came since
             block = self._block_of.get((lo, hi))
-            before = self._last.get(block)
-            if before is None:
-                before = self.x[lo:hi].copy()
-            self._log.append((lo, hi, before, values, block))
-            if block is None:
-                self._last.clear()
-            else:
-                self._last[block] = values
+            self._log.append((lo, hi, self.x[lo:hi].copy(), values, block))
         self.x[lo:hi] = values
         self.clock += 1
         self.stage_sum += self.x
@@ -197,10 +190,11 @@ class MasterState:
         ``searchsorted``, so reading a row's support costs
         O(nnz + tau_k * nnz), not O(d). ``row`` reads row ``row``'s support,
         the coordinates the state's ``RowBlocks`` index holds for it, the
-        same values without the searches (see ``_read_row``). Only the
-        oldest log entry of each span is written back, and none newer than a
-        whole-vector entry, so over block commits a whole-vector read costs
-        one copy of ``x`` and at most one write per coordinate.
+        same values without the searches (see ``_read_row``); it needs a
+        state built with that index. Only the oldest log entry of each span
+        is written back, and none newer than a whole-vector entry, so over
+        block commits a whole-vector read costs one copy of ``x`` and at
+        most one write per coordinate.
 
         The result is a new array unless one stored array already holds it:
         ``x`` for ``tau_k = 0``, or the pre-image of a whole-vector commit.
@@ -221,6 +215,8 @@ class MasterState:
                 f"applied updates {applied} outside window [{start}, {self.clock - 1}]"
             )
         if row is not None:
+            if self._index is None:
+                raise ContractViolation("a row read needs a state built with a RowBlocks index")
             return self._read_row(tau_k, applied, start, row)
         if not tau_k:
             return self._x_view if coords is None else self.x[coords]
@@ -271,12 +267,13 @@ class MasterState:
         are substituted. Wherever no before value is NaN (a NaN never equals
         itself), this gives the bits of writing back the oldest entry and
         substituting every applied one. A block holding none of the row's
-        entries costs nothing. A window with another span in it takes the
-        search in ``read``."""
+        entries costs nothing. Only the cuts of the row's ends and of the
+        window's blocks are read, O(tau_k) of them whatever m is. A window
+        with another span in it takes the search in ``read``."""
         index = self._index
-        cut = index.cuts[row].tolist()
-        first = cut[0]
-        support = index.indices[first:cut[-1]]
+        cut = index.cuts[row]
+        first = int(cut[0])
+        support = index.indices[first:int(cut[-1])]
         xhat = self.x[support]
         if not tau_k:
             return xhat
@@ -286,7 +283,7 @@ class MasterState:
         offsets, behind = index.offsets, set()
         for h, entry in enumerate(window, start):
             j = entry[4]
-            p, q = cut[j], cut[j + 1]
+            p, q = cut[j:j + 2].tolist()
             if p == q:
                 continue
             if h not in applied:
@@ -314,11 +311,11 @@ def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
     return state.read(tau_k, ())
 
 
-def read_inconsistent(state: MasterState, tau_k: int, applied, row=None) -> DenseVec:
+def read_inconsistent(state: MasterState, tau_k: int, applied, coords=None, row=None) -> DenseVec:
     """Block-mixed view: the iterate from ``tau_k`` commits ago plus exactly
-    the updates in ``applied``, on row ``row``'s support or on every
-    coordinate; see ``MasterState.read``."""
-    return state.read(tau_k, applied, row=row)
+    the updates in ``applied``, on ``coords``, on row ``row``'s support or on
+    every coordinate; see ``MasterState.read``."""
+    return state.read(tau_k, applied, coords, row)
 
 
 @dataclass(frozen=True)
@@ -449,7 +446,10 @@ def replay(
     gradient on the row's entries in the committed block and proxes that
     block: O(nnz + d/m + tau * nnz) with no search, plus the O(d) stage sum.
     What is fixed for the run or the stage is computed there: the row-block
-    index (``RowBlocks``) once per run, and per stage the anchor's entry
+    index (``RowBlocks``) once per run, when its n * (m + 1) cuts do not
+    outnumber the stored entries (else the update searches its row at the
+    block bounds and the read searches the window's spans, O(tau * log nnz)
+    more), and per stage the anchor's entry
     terms (``entry_terms``) and ``eta * anchor.base``, the step off the
     row's support. The update forms ``x - eta * base`` on the block,
     patches in the row's entries, proxes that buffer in place and commits
@@ -471,7 +471,10 @@ def replay(
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
     eta, B, K, n, reg = config.eta, config.B, config.K, problem.n, problem.reg
-    index = RowBlocks.build(problem.dataset, part.bounds) if B == 1 else None
+    # the index, n * (m + 1) cuts, only where that stays O(nnz); else each
+    # one-row update searches its row's entries at the block bounds
+    ds = problem.dataset
+    index = RowBlocks.build(ds, part) if B == 1 and RowBlocks.fits(ds, m) else None
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
@@ -482,9 +485,9 @@ def replay(
         x = state.x
         blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
         rows = draw_batches(batch_rng, n, B, K, config.with_replacement)
-        batches = stage_batches(problem.dataset, anchor, rows)
+        batches = stage_batches(ds, anchor, rows)
         if B == 1:
-            terms = entry_terms(problem.dataset, anchor)
+            terms = entry_terms(ds, anchor)
             step_base = eta * anchor.base
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
         included = None if applied_sets is None else applied_sets[g:g + K]
@@ -500,11 +503,19 @@ def replay(
             lo, hi = bounds[j]
             if planned is None:  # one row: support read, the row's block entries
                 i = batch[0]
-                p, q = index.cuts[i, j:j + 2].tolist()
-                x_row = read_inconsistent(state, tau, applied, row=i)
+                if index is None:
+                    start, end = ds.indptr[i:i + 2].tolist()
+                    support = ds.indices[start:end]
+                    p, q = (start + support.searchsorted(bounds[j])).tolist()
+                    x_row = read_inconsistent(state, tau, applied, support)
+                    at = ds.indices[p:q] - lo
+                else:
+                    p, q = index.cuts[i, j:j + 2].tolist()
+                    x_row = read_inconsistent(state, tau, applied, row=i)
+                    at = index.offsets[p:q]
                 u = problem.vr_grad(batch, x_row, anchor, (lo, hi), (p, q, terms))
                 y = x[lo:hi] - step_base[lo:hi]
-                y[index.offsets[p:q]] = x[index.indices[p:q]] - eta * u
+                y[at] = x[ds.indices[p:q]] - eta * u
                 new = prox_elastic(y, eta, reg, out=y)
             else:
                 x_read = read_inconsistent(state, tau, applied)

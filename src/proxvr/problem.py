@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import DenseVec, SparseVec, sparse_dot
+from .linalg import BlockPartition, DenseVec, SparseVec, sparse_dot
 
 _FIRST = np.zeros(1, dtype=np.intp)  # reduceat offsets of a one-segment sum
 
@@ -202,11 +202,12 @@ class VRAnchor:
 
 @dataclass(frozen=True, eq=False)
 class RowBlocks:
-    """Where each row's stored entries fall among contiguous coordinate
-    blocks with bounds ``bounds`` (0 = b_0 < ... < b_m = d): row i's entries
-    in block j are the stored entries ``cuts[i, j]:cuts[i, j + 1]``, and
-    ``offsets[e]`` is entry e's coordinate minus its block's lower bound.
-    ``block_of`` maps each block's span (lo, hi) to j."""
+    """Where each row's stored entries fall among the blocks of a
+    ``BlockPartition``: row i's entries in block j are the stored entries
+    ``cuts[i, j]:cuts[i, j + 1]``, and ``offsets[e]`` is entry e's coordinate
+    minus its block's lower bound. ``block_of`` maps each block's span
+    (lo, hi) to j. ``cuts`` holds n * (m + 1) offsets, so ``fits`` tells
+    whether that stays within the stored entries' count."""
 
     indices: np.ndarray
     cuts: np.ndarray
@@ -214,12 +215,18 @@ class RowBlocks:
     block_of: dict
 
     @staticmethod
-    def build(dataset: Dataset, bounds) -> "RowBlocks":
+    def fits(dataset: Dataset, m: int) -> bool:
+        """Whether the index of ``m`` blocks takes O(nnz) memory: no more
+        cuts than stored entries."""
+        return dataset.n * (m + 1) <= dataset.indices.size
+
+    @staticmethod
+    def build(dataset: Dataset, part: BlockPartition) -> "RowBlocks":
         """One ``searchsorted`` of every (row, bound) key into the stored
         entries' keys row * d + column, which ascend in storage order."""
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if bounds[0] != 0 or bounds[-1] != dataset.d or np.any(np.diff(bounds) <= 0):
-            raise ContractViolation("block bounds must rise from 0 to d")
+        bounds = part.bounds
+        if bounds[-1] != dataset.d:
+            raise ContractViolation(f"the blocks cover [0, {bounds[-1]}), not [0, {dataset.d})")
         rows = np.arange(dataset.n, dtype=np.int64) * dataset.d
         keys = rows.repeat(dataset.row_nnz)
         keys += dataset.indices

@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -392,12 +393,20 @@ def _gappy_problem(rng, kind, lambda1=0.0, n=30, d=14):
                    Regularizer(lambda1, 0.05))
 
 
+def _use_index(monkeypatch, indexed):
+    """Make replay take the row-block index (or the per-update search) on
+    any problem, whatever its size."""
+    monkeypatch.setattr(RowBlocks, "fits", staticmethod(lambda dataset, m: indexed))
+
+
 @pytest.mark.parametrize("kind", list(LossKind))
 @pytest.mark.parametrize("lambda1", [0.0, 5e-2])
-def test_one_row_replay_matches_dense_step(kind, lambda1):
+def test_one_row_replay_matches_dense_step(monkeypatch, kind, lambda1):
+    # both the indexed step and the searching one
     prob = _gappy_problem(np.random.default_rng(61), kind, lambda1)
     neg_zeros = 0
-    for m in (1, 3, 7):
+    for indexed, m in product((True, False), (1, 3, 7)):
+        _use_index(monkeypatch, indexed)
         for tau in (0, 4):
             for p in (0.0, 0.5, 1.0):
                 for svrg in (False, True) if m == 1 else (False,):
@@ -440,7 +449,7 @@ def test_block_gradient_matches_dense_slice(rng):
     # the block gradient stands for full_grad + 0.0, as the dense rule gives
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     d = prob.d
-    index = RowBlocks.build(prob.dataset, [0, 3, 4, 9, d - 1, d])
+    index = RowBlocks.build(prob.dataset, BlockPartition([0, 3, 4, 9, d - 1, d]))
     planted = 0
     for trial in range(200):
         i = int(rng.integers(0, prob.n))
@@ -493,11 +502,14 @@ def test_block_gradient_matches_dense_slice(rng):
 
 @pytest.mark.parametrize("kind", list(LossKind))
 @pytest.mark.parametrize("lambda1", [0.0, 5e-2])
-def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1):
+@pytest.mark.parametrize("indexed", [True, False])
+def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1, indexed):
     # the path the benchmark takes: no recorded iterates and no commit log,
     # so nothing copies the step's buffers out. d = 14 leaves a remainder
     # block at m = 3 and 5; rows of 0-4 entries, every fifth one empty,
-    # leave many updates with no entry in the drawn block
+    # leave many updates with no entry in the drawn block. Both the indexed
+    # step and the searching one are checked
+    _use_index(monkeypatch, indexed)
     prob = _gappy_problem(np.random.default_rng(64), kind, lambda1)
     seen = {"empty row": 0, "empty share": 0}
 
@@ -527,6 +539,41 @@ def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1):
     assert seen["empty row"] > 0 and seen["empty share"] > 0
 
 
+def _full_rows_problem(rng, kind, n=12, d=9):
+    """Every row stores all d entries: the row-block index fits up to m = d - 1."""
+    data = rng.standard_normal(n * d) + 2.0 * np.sign(rng.standard_normal(n * d))
+    return Problem(Dataset(np.arange(n + 1) * d, np.tile(np.arange(d), n), data,
+                           rng.choice([-1.0, 1.0], size=n), d), kind, Regularizer(5e-2, 0.05))
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_one_row_replay_with_m_near_d(monkeypatch, kind):
+    # coordinate-wise blocks: the index's n * (m + 1) cuts are built only
+    # while they do not outnumber the stored entries, so full rows take it
+    # up to m = d - 1 and sparse rows already at m = 3; every run equals the
+    # dense step bit for bit
+    builds = []
+    monkeypatch.setattr(RowBlocks, "build", staticmethod(
+        lambda dataset, part, _real=RowBlocks.build: builds.append(part.m) or _real(dataset, part)))
+    rng = np.random.default_rng(66)
+    for prob, ms, indexed in ((_full_rows_problem(rng, kind), (8, 9), (True, False)),
+                              (_gappy_problem(rng, kind, 5e-2), (13, 14), (False, False))):
+        for m, want_index in zip(ms, indexed):
+            assert RowBlocks.fits(prob.dataset, m) == want_index
+            for tau, p in ((0, 0.0), (4, 0.5), (4, 1.0)):
+                builds.clear()
+                cfg = SolverConfig(eta=0.4, B=1, K=40, S=2, m=m, seed=m + tau)
+                sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 3,
+                                              inconsistent=True, include_prob=p)
+                want, delays, _ = _dense_replay(prob, cfg, np.zeros(prob.d), False, sched)
+                got = replay(prob, cfg, np.zeros(prob.d), False, sched)
+                assert builds == ([m] if want_index else [])
+                assert [o.hex() for o in got.trace.objectives] == [
+                    o.hex() for o in want.objectives]
+                assert got.trace.x_final.tobytes() == want.x_final.tobytes()
+                assert got.delays.tolist() == delays
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 40),
        m=st.integers(1, 8))
@@ -540,7 +587,7 @@ def test_row_blocks_match_per_row_searchsorted(seed, n, d, m):
     indptr = np.cumsum([0] + [r.size for r in rows])
     indices = np.concatenate(rows + [np.empty(0, dtype=np.int64)])
     ds = Dataset(indptr, indices, rng.random(indices.size) + 1.0, np.ones(n), d)
-    index = RowBlocks.build(ds, bounds)
+    index = RowBlocks.build(ds, BlockPartition(bounds))
     assert index.cuts.shape == (n, m + 1) and index.offsets.shape == (indices.size,)
     for i in range(n):
         start, end = ds.indptr[i], ds.indptr[i + 1]
@@ -550,9 +597,9 @@ def test_row_blocks_match_per_row_searchsorted(seed, n, d, m):
             p, q = index.cuts[i, j:j + 2]
             assert index.offsets[p:q].tolist() == (ds.indices[p:q] - bounds[j]).tolist()
     assert index.block_of == {(int(bounds[j]), int(bounds[j + 1])): j for j in range(m)}
-    for bad in ([0, d + 1], [1, d], [0, 0, d] if d > 1 else [0, 2 * d]):
+    for other_d in (d - 1, d + 1) if d > 1 else (d + 1,):
         with pytest.raises(ContractViolation):
-            RowBlocks.build(ds, bad)
+            RowBlocks.build(ds, BlockPartition([0, other_d]))
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -561,12 +608,12 @@ def test_row_read_matches_generic_read(rng, m, other_spans):
     # MasterState with a row-block index: the row read must give the bytes
     # of the generic support read, over block commits and, with
     # ``other_spans``, over a window that also holds whole-vector and odd
-    # spans; the undo log, whose block entries reuse the values an earlier
-    # commit stored, must rebuild every retained iterate
+    # spans; the undo log, whose entries record their block, must rebuild
+    # every retained iterate
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     ds, d, steps = prob.dataset, prob.d, 6
     part = BlockPartition.equal(d, m)
-    index = RowBlocks.build(ds, part.bounds)
+    index = RowBlocks.build(ds, part)
     reg = Regularizer(0.3, 0.0)
     neg_zeros = 0
     for _ in range(2):
@@ -596,6 +643,22 @@ def test_row_read_matches_generic_read(rng, m, other_spans):
                         want = state.read(tau, applied, support)
                         assert got.tobytes() == want.tobytes()
     assert neg_zeros > 0
+
+
+def test_row_read_needs_an_index(rng):
+    # a state built without a row-block index reads by coordinates; a row
+    # read is refused, as is a coordinate array passed as the row
+    prob = _gappy_problem(rng, LossKind.LOGISTIC)
+    support = prob.dataset.indices[prob.dataset.indptr[0]:prob.dataset.indptr[1]]
+    state = MasterState(rng.standard_normal(prob.d), 2)
+    state.commit(rng.standard_normal(3), (0, 3))
+    assert read_inconsistent(state, 1, (), support).tobytes() == (
+        state.read(1, (), support).tobytes())
+    for tau in (0, 1):
+        with pytest.raises(ContractViolation):
+            read_inconsistent(state, tau, (), row=0)
+        with pytest.raises(ContractViolation):
+            read_inconsistent(state, tau, (), row=support)
 
 
 @pytest.mark.parametrize("B, with_replacement", [(1, True), (3, True), (5000, True), (3, False)])
