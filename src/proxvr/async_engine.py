@@ -26,9 +26,11 @@ with one block (logged as block -1), so each execution mode has one loop:
   n * (m + 1) cuts would outnumber the stored entries (m near d on sparse
   rows), an update searches its row and the read window instead, and
   memory stays O(nnz). A larger batch reads the whole vector and takes its
-  rows and anchor term from the stage's batch plan, gathered a chunk of
-  updates at a time, so what is left per update is one pass over its rows
-  at the read, O(nnz(batch) + d).
+  rows and anchor term from the stage's batch plan, so what is left per
+  update is one pass at the read: over its distinct rows, gathered a chunk
+  of updates at a time, O(nnz(batch) + d); or, for a batch of at least n
+  rows, over every stored row weighted by its multiplicity, with no
+  gather, O(nnz + d).
   A stage's rows and blocks are drawn at once, under either sampling law;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
@@ -173,8 +175,8 @@ class MasterState:
 
     def read(self, tau_k: int, applied, coords=None, row=None) -> DenseVec:
         """The iterate from ``tau_k`` commits ago plus exactly the updates in
-        ``applied`` (absolute update indices inside the window
-        {clock - tau_k .. clock - 1}).
+        ``applied`` (distinct absolute update indices inside the window
+        {clock - tau_k .. clock - 1}; a repeated one is refused).
 
         The old iterate is rebuilt from the undo log; then the updates are
         applied in order, each on the span its commit changed only. Where the
@@ -214,6 +216,8 @@ class MasterState:
             raise ContractViolation(
                 f"applied updates {applied} outside window [{start}, {self.clock - 1}]"
             )
+        if len(applied) > 1 and len(set(applied)) < len(applied):
+            raise ContractViolation(f"applied updates {applied} repeat an update")
         if row is not None:
             if self._index is None:
                 raise ContractViolation("a row read needs a state built with a RowBlocks index")
@@ -455,10 +459,13 @@ def replay(
     patches in the row's entries, proxes that buffer in place and commits
     it by reference. A larger batch reads the whole vector and passes
     ``vr_grad`` its entry of the stage's batch plan
-    (``problem.stage_batches``): its rows, gathered with those of a chunk of
-    consecutive updates, and its anchor term, from the stage's cached
-    coefficients. The update computes the dot products at the read, one
-    scatter and the substitution rule: O(nnz(batch) + d).
+    (``problem.stage_batches``): its rows and multiplicities and its anchor
+    term, from the stage's cached coefficients. A batch of fewer than n
+    rows brings its distinct rows, gathered with those of a chunk of
+    consecutive updates; a wider one gathers nothing and weights every
+    stored row by its multiplicity. The update computes the dot products at
+    the read, one scatter and the substitution rule: O(nnz(batch) + d), or
+    O(nnz + d) for a wide batch.
 
     A stage's rows come from one ``draw_batches`` call and its blocks from
     one ``integers(0, m, size=K)``; under either sampling law these give the
@@ -520,7 +527,8 @@ def replay(
             else:
                 x_read = read_inconsistent(state, tau, applied)
                 u = problem.vr_grad(batch, x_read, anchor, None, planned)[lo:hi]
-                new = prox_elastic(x[lo:hi] - eta * u, eta, reg)
+                u *= eta
+                new = prox_elastic(np.subtract(x[lo:hi], u, out=u), eta, reg, out=u)
             state.commit(new, (lo, hi))
             delays.append(tau)
             if iterates is not None:

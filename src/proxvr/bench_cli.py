@@ -496,6 +496,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "tau_theory": tau_for_theory,
         "eta_admissible": "n/a" if admissible is None else str(bool(admissible)).lower(),
         "rho": "n/a" if rho is None else f"{rho:.17g}",
+        "worst_stage_ratio": _worst_stage_ratio(subopts),
     }
     if report is not None:
         summary["observed_mean_delay"] = report.delay_mean
@@ -503,6 +504,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         summary["mean_delay_exceeded"] = str(report.mean_delay_exceeded).lower()
     _write_summary(out / "summary.txt", summary)
     return summary
+
+
+def _worst_stage_ratio(subopts) -> float | str:
+    """The largest sub_s / sub_{s-1} over consecutive recorded stages whose
+    suboptimalities are both positive, the measured counterpart of rho;
+    "n/a" when no two such stages follow each other."""
+    ratios = [b / a for a, b in zip(subopts, subopts[1:]) if a > 0 and b > 0]
+    return max(ratios) if ratios else "n/a"
 
 
 def _write_summary(path, summary: dict) -> None:

@@ -168,6 +168,11 @@ class Dataset:
     def _row_norms(self) -> np.ndarray:
         return _read_only(_row_norms_sq(self), np.float64, "row norms")
 
+    @cached_property
+    def _all_rows(self) -> tuple:
+        """Every row, laid out as ``_gather`` lays out a batch's rows."""
+        return self.indices, self.data, self.row_nnz, self.labels, _segments(self.row_nnz)
+
 
 def _row_norms_sq(dataset: Dataset) -> np.ndarray:
     """Every row's squared norm, each summed by ``np.dot`` over the row's
@@ -344,12 +349,27 @@ def _scatter(d: int, idx, vals, lens, c) -> DenseVec:
     return np.bincount(idx, weights=c.repeat(lens) * vals, minlength=d)
 
 
-def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec):
-    """(c, sum of the gradients) of ``rows`` = (indices, values, row lengths,
-    labels): every row's coefficient at ``x`` and sum_i c_i a_i."""
-    idx, vals, lens, b = rows
-    c = _coefs(kind, _dots(idx, vals, x, _segments(lens)), b)
-    return c, _scatter(d, idx, vals, lens, c)
+def _weigh(c, weights) -> np.ndarray:
+    """m_i c_i for ``weights`` = (m, outside): the rows' multiplicities, as
+    floats, and the mask of those of multiplicity 0 (None when there are
+    none), where the product is +0.0, so a row outside the batch adds
+    nothing to a sum, even where its coefficient is not finite."""
+    mult, outside = weights
+    if outside is None:
+        return c * mult
+    w = np.where(outside, 0.0, c)
+    w *= mult
+    return w
+
+
+def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec, weights=None):
+    """(c, sum_i (m_i c_i) a_i) of ``rows`` = (indices, values, row lengths,
+    labels, segments): every row's coefficient at ``x`` and their sum
+    weighted as ``_weigh`` weights them (m_i = 1 where ``weights`` is None),
+    each coordinate adding its terms in row order."""
+    idx, vals, lens, b, segments = rows
+    c = _coefs(kind, _dots(idx, vals, x, segments), b)
+    return c, _scatter(d, idx, vals, lens, c if weights is None else _weigh(c, weights))
 
 
 def _gather(dataset: Dataset, rows: np.ndarray):
@@ -361,49 +381,112 @@ def _gather(dataset: Dataset, rows: np.ndarray):
     return dataset.indices[pos], dataset.data[pos], lens, dataset.labels[rows]
 
 
-# One chunk of a stage's batch plan holds at most this many gathered entries
-# and this many anchor-term values (batches times d), and at least one batch.
+def _fold(rows: np.ndarray):
+    """The batches of ``rows``, a (c, B) array, as a multiset each: (every
+    batch's distinct rows, ascending, one batch after another; their
+    multiplicities as floats and each batch's count of distinct rows, both
+    None when no batch repeats a row)."""
+    rows = np.sort(rows, axis=1)
+    new = rows[:, 1:] != rows[:, :-1]
+    if new.all():
+        return rows.ravel(), None, None
+    new = np.concatenate((np.ones((len(rows), 1), dtype=bool), new), axis=1)
+    first = np.flatnonzero(new)
+    mult = np.empty(first.size)
+    np.subtract(first[1:], first[:-1], out=mult[:-1])
+    mult[-1] = rows.size - first[-1]
+    return rows.ravel()[first], mult, np.count_nonzero(new, axis=1)
+
+
+def _is_wide(dataset: Dataset, B: int) -> bool:
+    """Whether a batch of ``B`` rows takes the all-rows form: one pass over
+    every stored entry, rows weighted by their multiplicities, instead of a
+    gather of its distinct rows. Measured per batch, the all-rows form wins
+    or ties from B = n up and loses below n / 2, dense or sparse; between
+    the two the winner depends on the shape (README)."""
+    return B >= dataset.n
+
+
+# One chunk of a stage's batch plan holds at most this many entries in its
+# anchor terms' keyed sum (the gathered entries, or every stored entry once
+# per batch in the all-rows form) and this many anchor-term values (batches
+# times d), and at least one batch.
 _PLAN_ENTRIES = 8192
 _PLAN_VALUES = 1 << 15
 
 
-def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
-    """Every batch of ``rows``, a (c, B) array, as the ``planned`` argument
-    of ``vr_gradient``: (indices, values, row lengths, labels, segments,
-    anchor term, same), ``same`` marking where the anchor term equals the
-    anchor full gradient.
-
-    The c batches are gathered at once. Their anchor terms
-    (1/B) sum_i coefs[i] a_i come from one ``np.bincount`` keyed by (batch,
-    coordinate), which adds each key's terms in batch order, as a bincount
-    per batch does. A chunk of one batch, what ``vr_gradient`` plans when
-    called without a plan, needs no keys and no split."""
-    c, B = rows.shape
-    d = dataset.d
-    flat = rows.ravel()
-    idx, vals, lens, labels = _gather(dataset, flat)
-    weights = anchor.coefs[flat].repeat(lens) * vals
-    if c == 1:
-        keys = idx
-    else:
-        per = lens.reshape(c, B).sum(axis=1)
-        ends = per.cumsum()
-        keys = idx + np.arange(0, c * d, d).repeat(per)
-    if idx.size:
+def _anchor_terms(anchor: VRAnchor, keys, weights, c: int, B: int) -> tuple:
+    """(terms, same) of c batches: (1/B) times the sums of ``weights`` at
+    ``keys`` = batch * d + coordinate, as a (c, d) array, and for each
+    batch where its term equals the anchor full gradient, None where it
+    never does. One ``np.bincount`` adds each key's terms in order, as a
+    bincount per batch does."""
+    d = anchor.full_grad.size
+    if keys.size:
         terms = np.bincount(keys, weights=weights, minlength=c * d)
     else:
         terms = np.zeros(c * d)  # np.bincount of nothing is an integer array
     terms /= B
-    if c == 1:
-        return [(idx, vals, lens, labels, _segments(lens), terms, terms == anchor.full_grad)]
     terms = terms.reshape(c, d)
     same = terms == anchor.full_grad
-    cuts = [0, *ends.tolist()]
-    lens, labels = lens.reshape(c, B), labels.reshape(c, B)
+    return terms, [u if hit else None for u, hit in zip(same, same.any(axis=1).tolist())]
+
+
+def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
+    """Every batch of ``rows``, a (c, B) array, as the ``planned`` argument
+    of ``vr_gradient`` in the gathered form: (its distinct rows as
+    ``_gather`` lays them out, their ``_weigh`` weights or None, B, anchor
+    term, same), ``same`` marking where the anchor term equals the anchor
+    full gradient (None where it never does). The c batches' distinct rows
+    are gathered at once, and their anchor terms (1/B) sum_i (m_i coefs[i])
+    a_i summed at once."""
+    c, B = rows.shape
+    flat, mult, counts = _fold(rows)
+    idx, vals, lens, labels = _gather(dataset, flat)
+    w = anchor.coefs[flat]
+    if mult is None:
+        row_cuts, per = range(0, c * B + 1, B), lens.reshape(c, B).sum(axis=1)
+    else:
+        w *= mult
+        row_cuts = [0, *counts.cumsum().tolist()]
+        per = np.add.reduceat(lens, row_cuts[:-1])
+    ends = [0, *per.cumsum().tolist()]
+    keys = idx if c == 1 else idx + np.arange(0, c * dataset.d, dataset.d).repeat(per)
+    terms, same = _anchor_terms(anchor, keys, w.repeat(lens) * vals, c, B)
+    # a batch without repeats takes no weights
     return [
-        (idx[lo:hi], vals[lo:hi], lens[u], labels[u], _segments(lens[u]), terms[u], same[u])
-        for u, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ((idx[e:f], vals[e:f], lens[r:s], labels[r:s], _segments(lens[r:s])),
+         None if s - r == B else (mult[r:s], None), B, terms[u], same[u])
+        for u, (r, s, e, f) in enumerate(zip(row_cuts, row_cuts[1:], ends, ends[1:]))
     ]
+
+
+def _multisets(n: int, rows: np.ndarray) -> np.ndarray:
+    """Each batch of ``rows``, a (c, B) array, as every row's multiplicity
+    in it: a (c, n) float array."""
+    c = len(rows)
+    counts = np.bincount((rows + np.arange(0, c * n, n)[:, None]).ravel(), minlength=c * n)
+    return counts.reshape(c, n).astype(np.float64)
+
+
+def _wide_plans(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray, chunk: int):
+    """Yield every batch of ``rows``, a (K, B) array, as the ``planned``
+    argument of ``vr_gradient`` in the all-rows form: (every row, its
+    ``_weigh`` weights, B, anchor term, same). Nothing is gathered: the
+    multiplicities of ``chunk`` batches at a time are counted at once, and
+    their anchor terms (1/B) sum_i (m_i coefs[i]) a_i summed at once over
+    the stored entries."""
+    K, B = rows.shape
+    idx, d = dataset.indices, dataset.d
+    keys = idx if chunk == 1 else (idx + np.arange(0, min(chunk, K) * d, d)[:, None]).ravel()
+    for k in range(0, K, chunk):
+        part = _multisets(dataset.n, rows[k:k + chunk])
+        c, outside = len(part), part == 0
+        w = _weigh(anchor.coefs, (part, outside)).repeat(dataset.row_nnz, axis=1)
+        w *= dataset.data
+        terms, same = _anchor_terms(anchor, keys[:c * idx.size], w.ravel(), c, B)
+        for u in range(c):
+            yield dataset._all_rows, (part[u], outside[u]), B, terms[u], same[u]
 
 
 def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
@@ -411,16 +494,22 @@ def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
     each with its ``planned`` argument of ``vr_gradient``.
 
     One-row batches take the block path (``planned`` None). Larger ones are
-    planned a chunk at a time (see ``_plan_chunk``), a chunk holding at most
-    ``_PLAN_ENTRIES`` gathered entries and ``_PLAN_VALUES`` anchor-term
-    values, and at least one batch."""
+    planned a chunk at a time, in the all-rows form (``_wide_plans``) if
+    they are wide (``_is_wide``), else in the gathered form
+    (``_plan_chunk``). A chunk's anchor terms sum at most ``_PLAN_ENTRIES``
+    entries and hold at most ``_PLAN_VALUES`` values, and a chunk holds at
+    least one batch."""
     K, B = rows.shape
     if B == 1:
         yield from ((batch, None) for batch in rows.tolist())
         return
     rows = _batch_rows(dataset, rows) if K else rows
-    width = B * max(int(dataset.row_nnz.max()), 1)
-    chunk = max(1, min(_PLAN_ENTRIES // width, _PLAN_VALUES // dataset.d))
+    wide = _is_wide(dataset, B)
+    width = dataset.indices.size if wide else B * int(dataset.row_nnz.max())
+    chunk = max(1, min(_PLAN_ENTRIES // max(width, 1), _PLAN_VALUES // dataset.d))
+    if wide:
+        yield from zip(rows, _wide_plans(dataset, anchor, rows, chunk))
+        return
     for k in range(0, K, chunk):
         part = rows[k:k + chunk]
         yield from zip(part, _plan_chunk(dataset, anchor, part))
@@ -453,10 +542,24 @@ def _batch_rows(dataset: Dataset, batch) -> np.ndarray:
 
 
 def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> DenseVec:
-    """Arithmetic mean of member gradients over an index multiset."""
+    """Mean of member gradients over an index multiset, in row order:
+    (1/B) sum over the distinct rows i, ascending, of (m_i c_i) a_i, with
+    m_i the row's multiplicity and grad f_i(x) = c_i a_i. The mean does not
+    depend on the order the rows were drawn in. A wide batch (``_is_wide``)
+    takes one pass over every stored entry with the rows weighted by m_i, a
+    row of weight 0 adding nothing; a narrower one gathers its distinct
+    rows. The two forms give the same bytes, and a batch of every row once
+    gives ``full_grad``'s."""
     batch = _batch_rows(dataset, batch)
     if batch.size > 1:
-        _, out = _grad_sum(kind, dataset.d, _gather(dataset, batch), x)
+        if _is_wide(dataset, batch.size):
+            (mult,) = _multisets(dataset.n, batch.reshape(1, -1))
+            return _full_pass(kind, dataset, x, (mult, mult == 0))[1]
+        flat, mult, _ = _fold(batch.reshape(1, -1))
+        weights = None if mult is None else (mult, None)
+        idx, vals, lens, labels = _gather(dataset, flat)
+        rows = (idx, vals, lens, labels, _segments(lens))
+        _, out = _grad_sum(kind, dataset.d, rows, x, weights)
         out /= batch.size
         return out
     # one row: the batch arithmetic on slices, without the gather
@@ -468,12 +571,13 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
     return out
 
 
-def _full_pass(kind: LossKind, dataset: Dataset, x: DenseVec):
-    """(every row's coefficient c_i, (1/n) sum_i c_i a_i) at ``x``, from one
-    pass over every row in row order."""
-    rows = (dataset.indices, dataset.data, dataset.row_nnz, dataset.labels)
-    c, out = _grad_sum(kind, dataset.d, rows, x)
-    out /= dataset.n
+def _full_pass(kind: LossKind, dataset: Dataset, x: DenseVec, weights=None):
+    """(every row's coefficient c_i, (1/B) sum_i (m_i c_i) a_i) at ``x``,
+    from one pass over every row in row order, ``weights`` (as ``_weigh``
+    takes them) holding every row's multiplicity m_i, and B their sum;
+    m_i = 1 and B = n where ``weights`` is None."""
+    c, out = _grad_sum(kind, dataset.d, dataset._all_rows, x, weights)
+    out /= dataset.n if weights is None else int(weights[0].sum())
     return c, out
 
 
@@ -495,20 +599,23 @@ def vr_gradient(
 ) -> DenseVec:
     """Variance-corrected mini-batch gradient
 
-        grad f_B(x_read) - grad f_B(x_tilde) + full_grad(x_tilde).
+        grad f_B(x_read) - grad f_B(x_tilde) + full_grad(x_tilde),
 
+    both batch terms the row-order multiset mean of ``minibatch_grad``.
     Coordinates where grad f_B(x_tilde) bitwise-equals the anchor full
     gradient are resolved by substitution, so the degenerate configurations
     (full batch; reading at the anchor) reproduce their deterministic
     counterparts exactly instead of up to rounding.
 
     The anchor term of row i is ``anchor.coefs[i] * a_i``, so only the read
-    needs dot products. A batch of several rows is gathered with its anchor
-    term by ``_plan_chunk``, as a chunk of one batch unless ``planned``, the
-    batch's entry of a stage plan (``stage_batches``), already holds them;
-    what is left is the read's dot products and coefficients, one scatter
-    and the substitution rule, O(nnz(batch) + d). A one-row batch takes the
-    block path below on [0, d): O(nnz(a_i) + d). Both terms equal the two
+    needs dot products. A batch of several rows comes with its anchor term
+    from ``_wide_plans`` in the all-rows form or ``_plan_chunk`` in the
+    gathered form, as a chunk of one batch unless ``planned``, the batch's
+    entry of a stage plan (``stage_batches``), already holds them; what is
+    left is the read's dot products and coefficients, one scatter and the
+    substitution rule: O(nnz + d) for a wide batch, with no gather, and
+    O(nnz(batch) + d) for another. A one-row batch takes the block path
+    below on [0, d): O(nnz(a_i) + d). Both terms equal the two
     ``minibatch_grad`` results (at the read and at the anchor) bit for bit.
 
     ``block = (lo, hi)`` takes a one-row batch and returns its gradient on
@@ -533,13 +640,18 @@ def vr_gradient(
             out = anchor.base.copy()
             out[support] = _vr_row(kind, dataset, i, x_read[support], anchor, (0, dataset.d))
             return out
-        planned = _plan_chunk(dataset, anchor, batch.reshape(1, -1))[0]
-    idx, vals, lens, b, segments, g_anchor, same = planned
-    c = _coefs(kind, _dots(idx, vals, x_read, segments), b)
-    g_read = _scatter(dataset.d, idx, vals, lens, c)
-    g_read /= lens.size
-    raw = g_read - g_anchor + anchor.full_grad
-    return np.where(same, g_read, raw)
+        if _is_wide(dataset, batch.size):
+            planned = next(_wide_plans(dataset, anchor, batch.reshape(1, -1), 1))
+        else:
+            planned = _plan_chunk(dataset, anchor, batch.reshape(1, -1))[0]
+    rows, weights, size, g_anchor, same = planned
+    _, g_read = _grad_sum(kind, dataset.d, rows, x_read, weights)
+    g_read /= size
+    out = g_read - g_anchor
+    out += anchor.full_grad
+    if same is not None:
+        np.copyto(out, g_read, where=same)
+    return out
 
 
 def _vr_row(kind, dataset, i, x_row, anchor, block, planned=None) -> np.ndarray:
@@ -599,7 +711,8 @@ def prox_elastic(y: DenseVec, step: float, reg: Regularizer, out=None) -> DenseV
 
 def objective_value(kind: LossKind, dataset: Dataset, reg: Regularizer, x: DenseVec) -> float:
     """P(x) = mean loss + regularizer."""
-    t = _dots(dataset.indices, dataset.data, x, _segments(dataset.row_nnz))
+    idx, vals, _, _, segments = dataset._all_rows
+    t = _dots(idx, vals, x, segments)
     return float(np.sum(_losses(kind, t, dataset.labels)) / dataset.n + reg.value(x))
 
 

@@ -31,8 +31,10 @@ def make_streams(seed):
 
 
 def draw_batch(rng, n: int, B: int, with_replacement: bool = True) -> np.ndarray:
-    """Sample a mini-batch of indices; without-replacement batches are sorted
-    so the FP mean does not depend on the draw order."""
+    """Sample a mini-batch of indices, i.i.d. or without replacement (then
+    sorted). A batch is a multiset: ``minibatch_grad`` sums its distinct
+    rows in row order, each weighted by its multiplicity, so under either
+    law the FP mean does not depend on the draw order."""
     if with_replacement:
         return rng.integers(0, n, size=B)
     return np.sort(rng.choice(n, size=B, replace=False))

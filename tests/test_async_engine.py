@@ -135,6 +135,24 @@ def test_read_inconsistent_rejects_out_of_window(rng):
         read_inconsistent(state, 2, [k])
 
 
+def test_read_rejects_a_repeated_applied_update():
+    # an update listed twice in J(k) would land twice: after the commits
+    # [1, 1, 1] and [2, 2, 2], J = {clock-2, clock-2} read [2, 2, 2], not the
+    # [1, 1, 1] that J = {clock-2} reads. Whole-vector, coordinate and row
+    # reads all refuse it
+    ds = Dataset([0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], [1.0, -1.0], 3)
+    index = RowBlocks.build(ds, BlockPartition.equal(3, 1))
+    state = MasterState(np.zeros(3), 2, index)
+    state.commit(np.ones(3), (0, 3))
+    state.commit(np.full(3, 2.0), (0, 3))
+    assert read_inconsistent(state, 2, [0]).tolist() == [1.0, 1.0, 1.0]
+    assert read_inconsistent(state, 2, [0], row=0).tolist() == [1.0, 1.0]
+    for applied in ([0, 0], [1, 0, 1], np.array([1, 1])):
+        for kwargs in ({}, {"coords": np.array([0, 2])}, {"row": 0}):
+            with pytest.raises(ContractViolation, match="repeat"):
+                read_inconsistent(state, 2, applied, **kwargs)
+
+
 @pytest.mark.parametrize("tau_bound", [0, 1, 3, 6])
 def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
     d, steps = 11, 14
@@ -680,9 +698,10 @@ def test_worker_draws_are_per_update_draws(B, with_replacement, m):
 
 def test_batched_replay_update_gathers_once(monkeypatch, rng):
     # a call-count guard, not a bound: B > 1 updates read their batches from
-    # the stage plan, which gathers each chunk once; an update gathers
-    # nothing and takes dot products at the read only, and the anchor pass
-    # is one pass over the data that gathers nothing
+    # the stage plan. A narrow batch's chunk is gathered once; a wide batch
+    # (B >= n) gathers nothing, its plan and its update each passing once
+    # over the stored rows. An update takes dot products at the read only,
+    # and the anchor pass is one pass over the data that gathers nothing
     from proxvr import problem as problem_mod
 
     names = ("_gather", "_dots", "minibatch_grad")
@@ -708,18 +727,24 @@ def test_batched_replay_update_gathers_once(monkeypatch, rng):
             return out
         monkeypatch.setattr(Problem, method, delta)
     prob = make_problem(rng, 30, 8)
-    # 64 entries per chunk: chunks of one batch (B = 7, 30) and of several (B = 2)
+    # 64 entries per chunk: chunks of one batch (B = 7) and of several (B = 2)
     monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", 64)
     x0 = np.zeros(prob.d)
     sched = sample_delay_schedule("uniform", 3, 40, 2, inconsistent=True)
-    for B in (2, 7, 30):
-        cfg = SolverConfig(eta=0.05, B=B, K=10, S=2, m=3, seed=B)
+    gathers = []
+    # B = n = 30 is wide, drawn with and without replacement
+    for B, with_replacement in ((2, True), (7, True), (30, True), (30, False)):
+        before = counts["_gather"]
+        cfg = SolverConfig(eta=0.05, B=B, K=10, S=2, m=3, seed=B,
+                           with_replacement=with_replacement)
         prox_svrcd_run(prob, cfg, x0)
         async_svrg_run(prob, cfg, x0, SimulateMode(sched))
         async_svrcd_run(prob, cfg, x0, SimulateMode(sched))
-    assert len(calls["vr_grad"]) == 3 * 3 * 20 and len(calls["make_anchor"]) == 3 * 3 * 2
-    assert sum(chunks) == len(calls["vr_grad"]) and min(chunks) == 1 < max(chunks)
-    assert counts["_gather"] == len(chunks)
+        gathers.append(counts["_gather"] - before)
+    assert len(calls["vr_grad"]) == 4 * 3 * 20 and len(calls["make_anchor"]) == 4 * 3 * 2
+    # only the narrow batches (B = 2, 7) are planned by chunks, which gather
+    assert sum(chunks) == 2 * 3 * 20 and min(chunks) == 1 < max(chunks)
+    assert gathers[0] + gathers[1] == len(chunks) and gathers[2] == gathers[3] == 0
     assert all(c == {"_gather": 0, "_dots": 1, "minibatch_grad": 0} for c in calls["vr_grad"])
     assert all(c == {"_gather": 0, "_dots": 1, "minibatch_grad": 0}
                for c in calls["make_anchor"])
@@ -791,6 +816,44 @@ def test_batched_replay_matches_dense_step(monkeypatch, kind):
                             stage = [min(chunk, K - k) for k in range(0, K, chunk)]
                             assert chunks == stage * len(want.records)
     assert empty["chunks"] > 0 and empty["batches"] > empty["chunks"]
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_wide_batched_replay_matches_dense_step(monkeypatch, kind):
+    # batches of B >= n rows take the all-rows form: multiplicities counted
+    # for the whole stage, anchor terms summed a chunk at a time over every
+    # stored entry. Every run must equal the per-update whole-vector path
+    # byte for byte, under both sampling laws, for chunks of one and of
+    # several batches, K not a multiple of the chunk, and an early stop
+    from proxvr import problem as problem_mod
+
+    rng = np.random.default_rng(64)
+    for prob in (_gappy_problem(rng, kind, 0.05), _sparse_rows_problem(rng, kind)):
+        nnz = prob.dataset.indices.size
+        for chunk in (1, 3):
+            monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", chunk * nnz)
+            for m, svrg in ((1, True), (3, False)):
+                for tau in (0, 3):
+                    for wr in (True, False):
+                        cfg = SolverConfig(eta=0.3, B=prob.n, K=7, S=3, m=m, seed=tau + chunk,
+                                           with_replacement=wr)
+                        sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 5,
+                                                      inconsistent=True)
+                        want, delays, log = _dense_replay(prob, cfg, np.zeros(prob.d), svrg,
+                                                          sched)
+                        for stop in (None, want.objectives[0]):
+                            if stop is not None:
+                                want, delays, log = _dense_replay(
+                                    prob, cfg, np.zeros(prob.d), svrg, sched, stop)
+                            got = replay(prob, cfg, np.zeros(prob.d), svrg, sched, stop,
+                                         record_iterates=True, debug=True)
+                            assert [o.hex() for o in got.trace.objectives] == [
+                                o.hex() for o in want.objectives]
+                            assert [x.tobytes() for x in got.trace.iterates] == [
+                                x.tobytes() for x in want.iterates]
+                            assert got.trace.x_final.tobytes() == want.x_final.tobytes()
+                            assert got.delays.tolist() == delays
+                            assert format_commit_log(got.commit_log) == log
 
 
 def test_stage_plan_memory_budget(monkeypatch):

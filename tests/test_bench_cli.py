@@ -294,6 +294,22 @@ def test_run_experiment_csv_and_summary(tmp_path):
     assert float(summary["rho"]) == pytest.approx(svrg_rate(consts), rel=1e-12)
 
 
+def test_summary_worst_stage_ratio_matches_trace(tmp_path):
+    # worst_stage_ratio, next to rho, is the largest sub_s / sub_{s-1} over
+    # consecutive stages of trace.csv whose suboptimalities are positive;
+    # n/a when fewer than two stages have one
+    summary = run_experiment(_base_cfg(), tmp_path / "out")
+    subs = [float(v) for v in _read_subopt_column(tmp_path / "out" / "trace.csv")]
+    ratios = [b / a for a, b in zip(subs, subs[1:]) if a > 0 and b > 0]
+    assert len(ratios) >= 2 and summary["worst_stage_ratio"] == max(ratios)
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    at = lines.index(f"rho={summary['rho']}")
+    assert lines[at + 1] == f"worst_stage_ratio={max(ratios):.17g}"
+    one = run_experiment(_base_cfg(max_stages=1, K=5), tmp_path / "one")
+    assert one["worst_stage_ratio"] == "n/a"
+    assert "worst_stage_ratio=n/a" in (tmp_path / "one" / "summary.txt").read_text().splitlines()
+
+
 def test_run_experiment_deterministic_subopt_column(tmp_path):
     a = run_experiment(_base_cfg(), tmp_path / "a")
     b = run_experiment(_base_cfg(), tmp_path / "b")

@@ -3,8 +3,12 @@ import math
 from dataclasses import replace
 from decimal import Decimal, getcontext
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_problem,
@@ -13,6 +17,7 @@ from conftest import (
     random_sparse_vec,
     two_pass_vr,
 )
+from proxvr import problem as problem_mod
 from proxvr.errors import ContractViolation
 from proxvr.linalg import SparseVec
 from proxvr.problem import (
@@ -27,8 +32,10 @@ from proxvr.problem import (
     minibatch_grad,
     objective_value,
     prox_elastic,
+    stage_batches,
     vr_gradient,
 )
+from proxvr.seq_solvers import SolverConfig, draw_batch, prox_svrg_run
 
 LN2 = 0.6931471805599453
 # ln(1 + e^-2), cross-checked below against 60-digit decimal arithmetic
@@ -556,3 +563,129 @@ def test_csr_constructor_rejects_bad_shapes():
         _csr([0, 1], [0], [1.0], labels=[1.0, -1.0])  # labels vs indptr
     with pytest.raises(ContractViolation):
         Dataset.build([_ex([(0, 1.0)], 2, 1.0), _ex([(0, 1.0)], 3, 1.0)])
+
+
+# ----------------------------------------------- the row-order multiset mean
+
+
+def _draw_order_mean(kind, ds, batch, x):
+    """The mini-batch mean as it was summed before the multiset rule, kept
+    as an oracle: the rows gathered in draw order, a repeated row adding
+    its term once per draw. Returns the mean and (1/B) sum |terms| per
+    coordinate."""
+    batch = np.asarray(batch, dtype=np.int64)
+    lens = ds.row_nnz[batch]
+    pos = np.concatenate([np.arange(ds.indptr[i], ds.indptr[i + 1]) for i in batch])
+    idx, vals = ds.indices[pos], ds.data[pos]
+    c = problem_mod._coefs(kind, problem_mod._dots(idx, vals, x, problem_mod._segments(lens)),
+                           ds.labels[batch])
+    out = problem_mod._scatter(ds.d, idx, vals, lens, c)
+    scale = problem_mod._scatter(ds.d, idx, np.abs(vals), lens, np.abs(c))
+    return out / batch.size, scale / batch.size
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_multiset_mean_matches_draw_order_sum(rng, kind):
+    # a sorted batch without repeats is summed as before, byte for byte;
+    # otherwise the row-order multiset mean moves each coordinate by at most
+    # 16 ulps of (1/B) sum |terms| (about 4 at worst measured at B <= 2n)
+    n, d = 40, 9
+    ds = _with_empty_rows(rng, n, d)
+    eps = np.finfo(np.float64).eps
+    moved = 0
+    for _ in range(150):
+        x = 2.0 * rng.standard_normal(d)
+        batch = rng.integers(0, n, size=int(rng.integers(2, 2 * n + 1)))
+        distinct = np.unique(batch)
+        for b in (distinct, np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                               replace=False))):
+            want, _ = _draw_order_mean(kind, ds, b, x)
+            assert minibatch_grad(kind, ds, b, x).tobytes() == want.tobytes()
+        got = minibatch_grad(kind, ds, batch, x)
+        want, scale = _draw_order_mean(kind, ds, batch, x)
+        assert np.all(np.abs(got - want) <= 16 * eps * scale)
+        moved += int(got.tobytes() != want.tobytes())
+    assert moved > 0
+
+
+def _forms(wide):
+    """Force every batch of several rows into the all-rows (``wide``) or the
+    gathered form."""
+    return mock.patch.object(problem_mod, "_is_wide", lambda dataset, B: wide)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 7),
+       B=st.integers(2, 30), with_replacement=st.booleans(),
+       kind=st.sampled_from(list(LossKind)), lambda1=st.sampled_from([0.0, 0.05]),
+       bad=st.sampled_from([None, math.inf, -math.inf, math.nan]))
+def test_all_rows_form_gives_the_gathered_bytes(seed, n, d, B, with_replacement, kind,
+                                                lambda1, bad):
+    # the two forms of a batch of several rows, one gather of its distinct
+    # rows and one weighted pass over every row, give the same bytes in
+    # minibatch_grad, in vr_gradient with and without a stage plan, and in a
+    # replay; rows with no entries, repeats, both sampling laws, and a read
+    # that is infinite or NaN on coordinates only rows outside the batch hold
+    assume(with_replacement or B <= n)
+    rng = np.random.default_rng(seed)
+    indptr, indices = [0], []
+    for _ in range(n):
+        k = int(rng.integers(0, min(d, 3) + 1))
+        indices += np.sort(rng.choice(d, size=k, replace=False)).tolist()
+        indptr.append(len(indices))
+    data = rng.standard_normal(len(indices)) + 2.0
+    ds = Dataset(indptr, indices, data, rng.choice([-1.0, 1.0], size=n), d)
+    reg = Regularizer(lambda1, 0.1)
+    prob = Problem(ds, kind, reg)
+    # lambda1 > 0: exact zeros of either sign in the anchor
+    anchor = prob.make_anchor(prox_elastic(rng.standard_normal(d), 1.0, reg))
+    batch = draw_batch(rng, n, B, with_replacement)
+    x = rng.standard_normal(d)
+    held = np.zeros(d, dtype=bool)
+    for i in set(batch.tolist()):
+        held[ds.indices[ds.indptr[i]:ds.indptr[i + 1]]] = True
+    if bad is not None:
+        x[~held] = bad
+    got = {}
+    for wide in (False, True):
+        # the all-rows pass meets the bad read on rows outside the batch,
+        # where inf - inf may warn; their weight of 0 masks the result
+        with _forms(wide), np.errstate(invalid="ignore"):
+            (_, planned), = stage_batches(ds, anchor, batch.reshape(1, -1))
+            got[wide] = (minibatch_grad(kind, ds, batch, x),
+                         vr_gradient(kind, ds, batch, x, anchor),
+                         vr_gradient(kind, ds, batch, x, anchor, None, planned))
+    for a, b in zip(got[False], got[True]):
+        assert a.tobytes() == b.tobytes()
+    assert got[True][1].tobytes() == got[True][2].tobytes()
+    assert np.isfinite(got[True][0]).all() and np.isfinite(got[True][1]).all()
+    if bad is None and n > 1:
+        cfg = SolverConfig(eta=0.2, B=min(B, n), K=3, S=2, seed=seed % 1000,
+                           with_replacement=with_replacement)
+        runs = []
+        for wide in (False, True):
+            with _forms(wide):
+                runs.append(prox_svrg_run(prob, cfg, np.zeros(d)))
+        assert [o.hex() for o in runs[0].objectives] == [o.hex() for o in runs[1].objectives]
+        assert runs[0].x_final.tobytes() == runs[1].x_final.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_all_rows_form_masks_rows_outside_the_batch(kind):
+    # rows 1 and 2 hold coordinate 2 alone, where the read is infinite or
+    # NaN, so their coefficients are not finite; outside the batch they add
+    # nothing, and the batch's gradient is that of its own rows
+    ds = Dataset([0, 2, 3, 4, 4], [0, 1, 2, 2], [1.0, -2.0, 3.0, 0.5], [1.0, -1.0, 1.0, 1.0], 3)
+    anchor = Problem(ds, kind, Regularizer()).make_anchor(np.array([0.1, -0.2, 0.3]))
+    for bad in (math.inf, -math.inf, math.nan):
+        x = np.array([0.5, 0.25, bad])
+        got = []
+        for wide in (False, True):
+            with _forms(wide), np.errstate(invalid="ignore"):
+                got.append((minibatch_grad(kind, ds, [0, 3, 0], x),
+                            vr_gradient(kind, ds, [0, 3, 0], x, anchor)))
+        assert got[0][0].tobytes() == got[1][0].tobytes()
+        assert got[0][1].tobytes() == got[1][1].tobytes()
+        assert np.isfinite(got[1][0]).all() and np.isfinite(got[1][1]).all()
+        want, _ = _draw_order_mean(kind, ds, [0, 0], x)
+        np.testing.assert_allclose(got[1][0], want * 2 / 3, rtol=1e-15)
