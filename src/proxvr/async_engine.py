@@ -528,7 +528,10 @@ def replay(
                 x_read = read_inconsistent(state, tau, applied)
                 u = problem.vr_grad(batch, x_read, anchor, None, planned)[lo:hi]
                 u *= eta
-                new = prox_elastic(np.subtract(x[lo:hi], u, out=u), eta, reg, out=u)
+                # a buffer of the block's size: u views the whole gradient,
+                # and the undo log keeps what is committed
+                new = np.subtract(x[lo:hi], u)
+                prox_elastic(new, eta, reg, out=new)
             state.commit(new, (lo, hi))
             delays.append(tau)
             if iterates is not None:

@@ -856,6 +856,27 @@ def test_wide_batched_replay_matches_dense_step(monkeypatch, kind):
                             assert format_commit_log(got.commit_log) == log
 
 
+
+@pytest.mark.parametrize("B", [1, 3, 30])
+def test_undo_log_keeps_block_sized_values(monkeypatch, rng, B):
+    # the undo log keeps every commit's values by reference: on blocks of
+    # m > 1, each must be an array of the block's size that owns its data,
+    # not a view that keeps a whole d-vector alive (B = 30 = n is wide)
+    kept = []
+
+    def commit(self, values, span=None, _real=MasterState.commit):
+        _real(self, values, span)
+        lo, hi, _, new, _ = self._log[-1]
+        kept.append((new.size == hi - lo < self.x.size, new.base is None))
+
+    monkeypatch.setattr(MasterState, "commit", commit)
+    prob = make_problem(rng, 30, 12)
+    cfg = SolverConfig(eta=0.05, B=B, K=10, S=2, m=3, seed=B)
+    sched = sample_delay_schedule("uniform", 3, cfg.S * cfg.K, 2, inconsistent=True)
+    async_svrcd_run(prob, cfg, np.zeros(prob.d), SimulateMode(sched))
+    assert kept and set(kept) == {(True, True)}
+
+
 def test_stage_plan_memory_budget(monkeypatch):
     # every chunk of the plan stays inside the entry and anchor-term budgets,
     # whatever K * B * nnz or d is, and holds at least one batch

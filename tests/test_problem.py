@@ -609,9 +609,17 @@ def test_multiset_mean_matches_draw_order_sum(rng, kind):
 
 
 def _forms(wide):
-    """Force every batch of several rows into the all-rows (``wide``) or the
-    gathered form."""
+    """Force a stage plan's batches of several rows into the all-rows
+    (``wide``) or the gathered form."""
     return mock.patch.object(problem_mod, "_is_wide", lambda dataset, B: wide)
+
+
+def _planned_read(kind, ds, planned, x):
+    """The read-side term (1/B) sum_i (m_i c_i) a_i of a stage plan's batch."""
+    rows, weights, size = planned[:3]
+    _, out = problem_mod._grad_sum(kind, ds.d, rows, x, weights)
+    out /= size
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,11 +629,12 @@ def _forms(wide):
        bad=st.sampled_from([None, math.inf, -math.inf, math.nan]))
 def test_all_rows_form_gives_the_gathered_bytes(seed, n, d, B, with_replacement, kind,
                                                 lambda1, bad):
-    # the two forms of a batch of several rows, one gather of its distinct
-    # rows and one weighted pass over every row, give the same bytes in
-    # minibatch_grad, in vr_gradient with and without a stage plan, and in a
-    # replay; rows with no entries, repeats, both sampling laws, and a read
-    # that is infinite or NaN on coordinates only rows outside the batch hold
+    # the two forms of a stage plan's batch of several rows, one gather of
+    # its distinct rows and one weighted pass over every row, give the bytes
+    # of minibatch_grad and of vr_gradient without a plan, at the read and
+    # in the whole VR gradient, and the same replay; rows with no entries,
+    # repeats, both sampling laws, and a read that is infinite or NaN on
+    # coordinates only rows outside the batch hold
     assume(with_replacement or B <= n)
     rng = np.random.default_rng(seed)
     indptr, indices = [0], []
@@ -646,19 +655,18 @@ def test_all_rows_form_gives_the_gathered_bytes(seed, n, d, B, with_replacement,
         held[ds.indices[ds.indptr[i]:ds.indptr[i + 1]]] = True
     if bad is not None:
         x[~held] = bad
-    got = {}
+    want = (minibatch_grad(kind, ds, batch, x), vr_gradient(kind, ds, batch, x, anchor))
+    assert np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
     for wide in (False, True):
         # the all-rows pass meets the bad read on rows outside the batch,
         # where inf - inf may warn; their weight of 0 masks the result
         with _forms(wide), np.errstate(invalid="ignore"):
             (_, planned), = stage_batches(ds, anchor, batch.reshape(1, -1))
-            got[wide] = (minibatch_grad(kind, ds, batch, x),
-                         vr_gradient(kind, ds, batch, x, anchor),
-                         vr_gradient(kind, ds, batch, x, anchor, None, planned))
-    for a, b in zip(got[False], got[True]):
-        assert a.tobytes() == b.tobytes()
-    assert got[True][1].tobytes() == got[True][2].tobytes()
-    assert np.isfinite(got[True][0]).all() and np.isfinite(got[True][1]).all()
+            assert (planned[0] is ds._all_rows) == wide
+            got = (_planned_read(kind, ds, planned, x),
+                   vr_gradient(kind, ds, batch, x, anchor, None, planned))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
     if bad is None and n > 1:
         cfg = SolverConfig(eta=0.2, B=min(B, n), K=3, S=2, seed=seed % 1000,
                            with_replacement=with_replacement)
@@ -679,13 +687,12 @@ def test_all_rows_form_masks_rows_outside_the_batch(kind):
     anchor = Problem(ds, kind, Regularizer()).make_anchor(np.array([0.1, -0.2, 0.3]))
     for bad in (math.inf, -math.inf, math.nan):
         x = np.array([0.5, 0.25, bad])
-        got = []
-        for wide in (False, True):
-            with _forms(wide), np.errstate(invalid="ignore"):
-                got.append((minibatch_grad(kind, ds, [0, 3, 0], x),
-                            vr_gradient(kind, ds, [0, 3, 0], x, anchor)))
-        assert got[0][0].tobytes() == got[1][0].tobytes()
-        assert got[0][1].tobytes() == got[1][1].tobytes()
-        assert np.isfinite(got[1][0]).all() and np.isfinite(got[1][1]).all()
+        with _forms(True), np.errstate(invalid="ignore"):
+            (_, planned), = stage_batches(ds, anchor, np.array([[0, 3, 0]]))
+            got = (_planned_read(kind, ds, planned, x),
+                   vr_gradient(kind, ds, [0, 3, 0], x, anchor, None, planned))
+        assert got[0].tobytes() == minibatch_grad(kind, ds, [0, 3, 0], x).tobytes()
+        assert got[1].tobytes() == vr_gradient(kind, ds, [0, 3, 0], x, anchor).tobytes()
+        assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
         want, _ = _draw_order_mean(kind, ds, [0, 0], x)
-        np.testing.assert_allclose(got[1][0], want * 2 / 3, rtol=1e-15)
+        np.testing.assert_allclose(got[0], want * 2 / 3, rtol=1e-15)
