@@ -17,21 +17,21 @@ with one block (logged as block -1), so each execution mode has one loop:
   keeps an undo log of its last tau commits; fully deterministic. With no
   schedule every read is current: that is the sequential ProxSVRG/ProxSVRCD
   solver, which a zero-delay simulation therefore reproduces bit-for-bit.
-  A one-row update reads the iterate on the row's support, computes the
-  gradient on the row's entries in the committed block and proxes and
-  commits that block, with no per-update search: a row-block index built
-  once per run locates the row's entries in each block, and the anchor's
-  terms on every stored entry are computed once per stage. It costs
-  O(nnz + d/m + tau * nnz) besides the O(d) stage sum. Where the index's
-  n * (m + 1) cuts would outnumber the stored entries (m near d on sparse
-  rows), an update searches its row and the read window instead, and
-  memory stays O(nnz). A larger batch reads the whole vector and takes its
-  rows and anchor term from the stage's batch plan, so what is left per
-  update is one pass at the read: over its distinct rows, gathered a chunk
-  of updates at a time, O(nnz(batch) + d); or, for a batch of at least n
-  rows, over every stored row weighted by its multiplicity, with no
-  gather, O(nnz + d).
-  A stage's rows and blocks are drawn at once, under either sampling law;
+  Every commit replaces one block of the run's partition, and every
+  delayed read, of the whole vector or of a row's support, follows one
+  rule per block (``MasterState.read``). A one-row update reads the
+  iterate on the row's support, computes the gradient on the row's entries
+  in the committed block and proxes and commits that block: a row-block
+  index built once per run (``RowBlocks``, O(nnz), tabulated or searched)
+  locates the row's entries in each block, and the anchor's terms on every
+  stored entry are computed once per stage. It costs O(nnz + d/m + tau *
+  nnz) besides the O(d) stage sum. A larger batch reads the whole vector
+  and takes its rows and anchor term from the stage's batch plan, so what
+  is left per update is one pass at the read: over its distinct rows,
+  gathered a chunk of updates at a time, O(nnz(batch) + d); or, for a
+  batch of at least n rows, over every stored row weighted by its
+  multiplicity, with no gather, O(nnz + d). A stage's rows and blocks are
+  drawn at once, under either sampling law;
 * threads: P workers against a block-locked master (one block for SVRG, m
   for SVRCD). Lock order is always block lock -> clock lock; a worker takes
   its clock stamp inside block 0's lock, so one block gives an atomic
@@ -135,178 +135,123 @@ def sample_delay_schedule(
 
 
 class MasterState:
-    """Simulation-mode master: the current iterate ``x``, updated in place,
-    the global clock, the sum of the stage's iterates, and an undo log of the
-    last ``tau_bound`` commits for delayed reads.
+    """Simulation-mode master over the blocks of one ``BlockPartition``
+    (``part``; None is one block, the whole vector): the current iterate
+    ``x``, updated in place, the global clock, the sum of the stage's
+    iterates, and an undo log of the last ``tau_bound`` commits for delayed
+    reads.
 
-    A log entry ``(lo, hi, before, after, block)`` holds the span [lo, hi) a
-    commit changed, that span's values before and after it, and the span's
-    block in ``index`` (a ``RowBlocks``), None when it is not one of them.
-    Writing back the ``before`` values of the newer commits rebuilds any
-    retained iterate exactly, so a commit costs O(span) and no whole iterate
-    is stored. Committed span values are kept by reference and must not be
-    modified afterwards."""
+    A commit replaces one block, and its log entry ``(block, before,
+    after)`` holds that block's values before and after it, so a commit
+    costs O(d/m) besides the O(d) stage sum and no whole iterate is stored.
+    Committed values are kept by reference and must not be modified
+    afterwards. ``rows``, a ``RowBlocks`` over the same partition, lets
+    ``read`` read one row's support."""
 
-    def __init__(self, x0: DenseVec, tau_bound: int, index: RowBlocks | None = None):
+    def __init__(self, x0: DenseVec, tau_bound: int, part: BlockPartition | None = None,
+                 rows: RowBlocks | None = None):
         self.x = np.array(x0, dtype=np.float64, copy=True)
+        bounds = [0, self.x.size] if part is None else part.bounds.tolist()
+        if bounds[-1] != self.x.size or (rows is not None
+                                         and not np.array_equal(rows.bounds, bounds)):
+            raise ContractViolation(f"the blocks (and rows) must partition [0, {self.x.size})")
+        self._bounds = bounds
+        self._rows = rows
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
         self._log = deque(maxlen=tau_bound)
-        self._index = index
-        self._block_of = {} if index is None else index.block_of
         self._x_view = self.x.view()  # what a current whole read returns
         self._x_view.flags.writeable = False
 
-    def commit(self, values: DenseVec, span: tuple[int, int] | None = None) -> None:
-        """Apply one update. ``span = (lo, hi)`` promises that only [lo, hi)
-        changes; ``values`` is either that span's new values or a whole new
-        iterate, equal to the current one outside the span. None means the
-        whole vector may have changed."""
-        lo, hi = (0, self.x.size) if span is None else span
+    def commit(self, values: DenseVec, block: int = 0) -> None:
+        """Apply one update to block ``block``: ``values`` is either the
+        block's new values or a whole new iterate, equal to the current one
+        outside the block. Any other length is refused before anything
+        changes."""
+        block = _index(block, "block", len(self._bounds) - 1)
+        lo, hi = self._bounds[block], self._bounds[block + 1]
         values = np.asarray(values, dtype=np.float64)
-        if values.shape[0] != hi - lo:
+        if values.shape != (hi - lo,):
+            if values.shape != self.x.shape:
+                raise ContractViolation(f"a commit to block {block} takes {hi - lo} or "
+                                        f"{self.x.size} values, got shape {values.shape}")
             values = values[lo:hi].copy()
         if self._log.maxlen:
-            block = self._block_of.get((lo, hi))
-            self._log.append((lo, hi, self.x[lo:hi].copy(), values, block))
+            self._log.append((block, self.x[lo:hi].copy(), values))
         self.x[lo:hi] = values
         self.clock += 1
         self.stage_sum += self.x
 
-    def read(self, tau_k: int, applied, coords=None, row=None) -> DenseVec:
+    def read(self, tau_k: int, applied, row: int | None = None) -> DenseVec:
         """The iterate from ``tau_k`` commits ago plus exactly the updates in
-        ``applied`` (distinct absolute update indices inside the window
-        {clock - tau_k .. clock - 1}; a repeated one is refused).
+        ``applied`` (distinct absolute update indices in the window {clock -
+        tau_k .. clock - 1}), on every coordinate or on row ``row``'s
+        support, in index order (a state built with ``rows``).
 
-        The old iterate is rebuilt from the undo log; then the updates are
-        applied in order, each on the span its commit changed only. Where the
-        running view still bitwise-equals the pre-update iterate the update
-        lands by substitution, which keeps the all-applied case exactly equal
-        to the current iterate. This equals the same substitution over the
-        whole vector except, possibly, in the sign of zero coordinates, which
-        no gradient can see.
+        Each block is read on its own, from its commits in the window,
+        oldest first: while they are all applied the read keeps the current
+        values; the first one that is not applied writes back its before
+        values, and only the applied commits after it are substituted (the
+        after value where the read still equals the before value, else the
+        difference added). Wherever no before value is NaN, this gives the
+        bits of substituting every applied update into the old iterate over
+        the whole vector, except possibly the sign of a zero, which no
+        gradient can see; with one block, every bit. A row read takes each
+        commit's share of the row from ``rows.span``, in O(nnz(row) * (1 +
+        tau_k)).
 
-        ``coords``, sorted coordinate indices, restricts the read to those
-        coordinates and returns their values in that order; None reads every
-        coordinate. Each span's share of ``coords`` is found by
-        ``searchsorted``, so reading a row's support costs
-        O(nnz + tau_k * nnz), not O(d). ``row`` reads row ``row``'s support,
-        the coordinates the state's ``RowBlocks`` index holds for it, the
-        same values without the searches (see ``_read_row``); it needs a
-        state built with that index. Only the oldest log entry of each span
-        is written back, and none newer than a whole-vector entry, so over
-        block commits a whole-vector read costs one copy of ``x`` and at
-        most one write per coordinate.
-
-        The result is a new array unless one stored array already holds it:
-        ``x`` for ``tau_k = 0``, or the pre-image of a whole-vector commit.
-        That array comes back as a read-only view, without copying; a view
-        of ``x`` changes at the next commit.
-        """
-        if tau_k < 0:
-            raise ContractViolation("tau_k must be >= 0")
+        A current whole read returns ``x`` as a read-only view, which
+        changes at the next commit; every other read is a new array."""
+        tau_k = _index(tau_k, "tau_k (commits retained)", len(self._log) + 1)
         start = self.clock - tau_k
-        if tau_k > len(self._log):
-            raise ContractViolation(
-                f"clock {start} not retained (clock={self.clock}, "
-                f"history={len(self._log) + 1})"
-            )
-        applied = sorted(map(int, applied))
+        applied = [h if type(h) is int else _index(h, "an applied update", self.clock)
+                   for h in applied]
+        applied.sort()
         if applied and (applied[0] < start or applied[-1] >= self.clock):
-            raise ContractViolation(
-                f"applied updates {applied} outside window [{start}, {self.clock - 1}]"
-            )
+            raise ContractViolation(f"applied updates {applied} outside window "
+                                    f"[{start}, {self.clock - 1}]")
         if len(applied) > 1 and len(set(applied)) < len(applied):
             raise ContractViolation(f"applied updates {applied} repeat an update")
-        if row is not None:
-            if self._index is None:
-                raise ContractViolation("a row read needs a state built with a RowBlocks index")
-            return self._read_row(tau_k, applied, start, row)
-        if not tau_k:
-            return self._x_view if coords is None else self.x[coords]
-        window = list(self._log)[-tau_k:]  # oldest first
-        # a coordinate takes the pre-value of the oldest commit that changed
-        # it: write back the oldest entry of each span, newest first, and
-        # none newer than one that spans all of x
-        rebuild, spans = [], set()
-        for i, (lo, hi, before, _, _) in enumerate(window):
-            if (lo, hi) not in spans:
-                spans.add((lo, hi))
-                rebuild.append(i)
-                if hi - lo == self.x.size:
-                    break
-        if coords is None and hi - lo == self.x.size:  # the loop stopped there
-            rebuild.pop()
-            if not (rebuild or applied):
-                view = before.view()
-                view.flags.writeable = False
-                return view
-            xhat = before.copy()
+        rows = self._rows
+        if row is None:
+            if not tau_k:
+                return self._x_view
+            xhat = self.x.copy()
         else:
-            xhat = self.x.copy() if coords is None else self.x[coords]
-        # (positions in xhat, offsets into the entry's arrays) of each span
-        if coords is None:
-            where = [(slice(lo, hi), slice(None)) for lo, hi, _, _, _ in window]
-        else:
-            cuts = coords.searchsorted([entry[:2] for entry in window]).tolist()
-            where = [(slice(p, q), coords[p:q] - entry[0])
-                     for (p, q), entry in zip(cuts, window)]
-        for i in reversed(rebuild):
-            pos, off = where[i]
-            xhat[pos] = window[i][2][off]
-        for h in applied:
-            pos, off = where[h - start]
-            _substitute(xhat[pos], window[h - start], off)
-        return xhat
-
-    def _read_row(self, tau_k: int, applied: list, start: int, row: int) -> DenseVec:
-        """``read`` on row ``row``'s support, ``applied`` checked and sorted.
-
-        A block commit's share of the row is the row's entries in that
-        block, which the index lists, and blocks are disjoint, so each block
-        is read on its own, from its commits in the window, oldest first.
-        While they are all applied the read equals the current values (each
-        substitution lands everywhere); the first one that is not applied
-        writes back its before values, and only the applied commits after it
-        are substituted. Wherever no before value is NaN (a NaN never equals
-        itself), this gives the bits of writing back the oldest entry and
-        substituting every applied one. A block holding none of the row's
-        entries costs nothing. Only the cuts of the row's ends and of the
-        window's blocks are read, O(tau_k) of them whatever m is. A window
-        with another span in it takes the search in ``read``."""
-        index = self._index
-        cut = index.cuts[row]
-        first = int(cut[0])
-        support = index.indices[first:int(cut[-1])]
-        xhat = self.x[support]
-        if not tau_k:
-            return xhat
-        window = list(self._log)[-tau_k:]  # oldest first
-        if any(entry[4] is None for entry in window):
-            return self.read(tau_k, applied, support)
-        offsets, behind = index.offsets, set()
-        for h, entry in enumerate(window, start):
-            j = entry[4]
-            p, q = cut[j:j + 2].tolist()
-            if p == q:
-                continue
+            if rows is None:
+                raise ContractViolation("a row read needs a state built with rows")
+            row = _index(row, "row", rows.indptr.size - 1)
+            first, end = rows.indptr[row:row + 2].tolist()
+            xhat = self.x[rows.indices[first:end]]
+            if not tau_k:
+                return xhat
+        behind = set()  # blocks whose first unapplied commit was written back
+        for h, (j, before, after) in enumerate(list(self._log)[-tau_k:], start):
+            if row is None:
+                view, off = xhat[self._bounds[j]:self._bounds[j + 1]], slice(None)
+            else:
+                p, q = rows.span(row, j)
+                if p == q:
+                    continue
+                view, off = xhat[p - first:q - first], rows.offsets[p:q]
             if h not in applied:
                 if j not in behind:
                     behind.add(j)
-                    xhat[p - first:q - first] = entry[2][offsets[p:q]]
+                    view[...] = before[off]
             elif j in behind:
-                _substitute(xhat[p - first:q - first], entry, offsets[p:q])
+                before, after = before[off], after[off]
+                landed = view == before
+                view += after - before
+                np.copyto(view, after, where=landed)
         return xhat
 
 
-def _substitute(view, entry, off) -> None:
-    """Apply logged commit ``entry`` to ``view``, a read's values at offsets
-    ``off`` of its span: the after value where ``view`` still equals the
-    before value, else the difference added."""
-    before, after = entry[2][off], entry[3][off]
-    landed = view == before
-    view += after - before
-    np.copyto(view, after, where=landed)
+def _index(value, name: str, stop: int) -> int:
+    """``value`` as an int in [0, ``stop``); a bool (not an ``np.integer``)
+    or any other non-integer is refused."""
+    if type(value) is not int and not isinstance(value, np.integer) or not 0 <= value < stop:
+        raise ContractViolation(f"{name} must be an integer in [0, {stop}), got {value!r}")
+    return int(value)
 
 
 def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
@@ -315,11 +260,11 @@ def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
     return state.read(tau_k, ())
 
 
-def read_inconsistent(state: MasterState, tau_k: int, applied, coords=None, row=None) -> DenseVec:
+def read_inconsistent(state: MasterState, tau_k: int, applied, row=None) -> DenseVec:
     """Block-mixed view: the iterate from ``tau_k`` commits ago plus exactly
-    the updates in ``applied``, on ``coords``, on row ``row``'s support or on
-    every coordinate; see ``MasterState.read``."""
-    return state.read(tau_k, applied, coords, row)
+    the updates in ``applied``, on every coordinate or on row ``row``'s
+    support; see ``MasterState.read``."""
+    return state.read(tau_k, applied, row)
 
 
 @dataclass(frozen=True)
@@ -441,31 +386,24 @@ def replay(
     record_iterates: bool = False,
     debug: bool = False,
 ) -> AsyncReport:
-    """One logical thread replays ``schedule`` against a MasterState: SVRG
-    (``svrg``) with one block, else SVRCD with ``config.m`` blocks; with
-    ``schedule=None`` every read is current and this is the sequential
-    ProxSVRG/ProxSVRCD solver.
+    """One logical thread replays ``schedule`` against a MasterState over
+    the run's partition: SVRG (``svrg``) with one block, else SVRCD with
+    ``config.m`` blocks; with ``schedule=None`` every read is current and
+    this is the sequential ProxSVRG/ProxSVRCD solver.
 
-    A one-row update reads the iterate on the row's support, computes the
-    gradient on the row's entries in the committed block and proxes that
-    block: O(nnz + d/m + tau * nnz) with no search, plus the O(d) stage sum.
-    What is fixed for the run or the stage is computed there: the row-block
-    index (``RowBlocks``) once per run, when its n * (m + 1) cuts do not
-    outnumber the stored entries (else the update searches its row at the
-    block bounds and the read searches the window's spans, O(tau * log nnz)
-    more), and per stage the anchor's entry
-    terms (``entry_terms``) and ``eta * anchor.base``, the step off the
-    row's support. The update forms ``x - eta * base`` on the block,
-    patches in the row's entries, proxes that buffer in place and commits
-    it by reference. A larger batch reads the whole vector and passes
-    ``vr_grad`` its entry of the stage's batch plan
-    (``problem.stage_batches``): its rows and multiplicities and its anchor
-    term, from the stage's cached coefficients. A batch of fewer than n
-    rows brings its distinct rows, gathered with those of a chunk of
-    consecutive updates; a wider one gathers nothing and weights every
-    stored row by its multiplicity. The update computes the dot products at
-    the read, one scatter and the substitution rule: O(nnz(batch) + d), or
-    O(nnz + d) for a wide batch.
+    A one-row update takes its row's share of each block from the run's
+    ``RowBlocks``: it reads the iterate on the row's support, computes the
+    gradient on the row's entries in the committed block, forms ``x - eta *
+    anchor.base`` on the block, patches in the row's entries, proxes that
+    buffer in place and commits it by reference; ``eta * anchor.base`` and
+    the anchor's entry terms (``entry_terms``) are computed once per stage.
+    A larger batch reads the whole vector and passes ``vr_grad`` its entry
+    of the stage's batch plan (``problem.stage_batches``): its rows and
+    multiplicities and its anchor term, gathered a chunk of updates at a
+    time or, for a batch of at least n rows, every stored row weighted by
+    its multiplicity. The update computes the dot products at the read, one
+    scatter and the substitution rule: O(nnz(batch) + d), or O(nnz + d) for
+    a wide batch.
 
     A stage's rows come from one ``draw_batches`` call and its blocks from
     one ``integers(0, m, size=K)``; under either sampling law these give the
@@ -478,17 +416,15 @@ def replay(
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
     eta, B, K, n, reg = config.eta, config.B, config.K, problem.n, problem.reg
-    # the index, n * (m + 1) cuts, only where that stays O(nnz); else each
-    # one-row update searches its row's entries at the block bounds
     ds = problem.dataset
-    index = RowBlocks.build(ds, part) if B == 1 and RowBlocks.fits(ds, m) else None
+    row_blocks = RowBlocks.build(ds, part) if B == 1 else None
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
     def inner(s, x_tilde, iterates):
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
-        state = MasterState(x_tilde, tau_bound, index)
+        state = MasterState(x_tilde, tau_bound, part, row_blocks)
         x = state.x
         blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
         rows = draw_batches(batch_rng, n, B, K, config.with_replacement)
@@ -510,19 +446,11 @@ def replay(
             lo, hi = bounds[j]
             if planned is None:  # one row: support read, the row's block entries
                 i = batch[0]
-                if index is None:
-                    start, end = ds.indptr[i:i + 2].tolist()
-                    support = ds.indices[start:end]
-                    p, q = (start + support.searchsorted(bounds[j])).tolist()
-                    x_row = read_inconsistent(state, tau, applied, support)
-                    at = ds.indices[p:q] - lo
-                else:
-                    p, q = index.cuts[i, j:j + 2].tolist()
-                    x_row = read_inconsistent(state, tau, applied, row=i)
-                    at = index.offsets[p:q]
+                p, q = row_blocks.span(i, j)
+                x_row = read_inconsistent(state, tau, applied, i)
                 u = problem.vr_grad(batch, x_row, anchor, (lo, hi), (p, q, terms))
                 y = x[lo:hi] - step_base[lo:hi]
-                y[at] = x[ds.indices[p:q]] - eta * u
+                y[row_blocks.offsets[p:q]] = x[ds.indices[p:q]] - eta * u
                 new = prox_elastic(y, eta, reg, out=y)
             else:
                 x_read = read_inconsistent(state, tau, applied)
@@ -532,7 +460,7 @@ def replay(
                 # and the undo log keeps what is committed
                 new = np.subtract(x[lo:hi], u)
                 prox_elastic(new, eta, reg, out=new)
-            state.commit(new, (lo, hi))
+            state.commit(new, j)
             delays.append(tau)
             if iterates is not None:
                 iterates.append(x.copy())

@@ -208,39 +208,48 @@ class VRAnchor:
 @dataclass(frozen=True, eq=False)
 class RowBlocks:
     """Where each row's stored entries fall among the blocks of a
-    ``BlockPartition``: row i's entries in block j are the stored entries
-    ``cuts[i, j]:cuts[i, j + 1]``, and ``offsets[e]`` is entry e's coordinate
-    minus its block's lower bound. ``block_of`` maps each block's span
-    (lo, hi) to j. ``cuts`` holds n * (m + 1) offsets, so ``fits`` tells
-    whether that stays within the stored entries' count."""
+    ``BlockPartition`` (``bounds``): ``span(i, j) = (p, q)`` says that row
+    i's entries in block j are the stored entries p..q-1, and ``offsets[e]``
+    is entry e's coordinate minus its block's lower bound.
 
+    The spans are tabulated in ``cuts`` (``cuts[i, j]:cuts[i, j + 1]``)
+    where its n * (m + 1) values do not outnumber the stored entries; else
+    (m near d on sparse rows) ``cuts`` is None and ``span`` searches row i
+    at block j's bounds, so memory stays O(nnz) either way."""
+
+    indptr: np.ndarray
     indices: np.ndarray
-    cuts: np.ndarray
+    bounds: np.ndarray
     offsets: np.ndarray
-    block_of: dict
-
-    @staticmethod
-    def fits(dataset: Dataset, m: int) -> bool:
-        """Whether the index of ``m`` blocks takes O(nnz) memory: no more
-        cuts than stored entries."""
-        return dataset.n * (m + 1) <= dataset.indices.size
+    cuts: np.ndarray | None
 
     @staticmethod
     def build(dataset: Dataset, part: BlockPartition) -> "RowBlocks":
-        """One ``searchsorted`` of every (row, bound) key into the stored
-        entries' keys row * d + column, which ascend in storage order."""
+        """The offsets by one ``searchsorted`` of the entries' columns into
+        the bounds; the table, where it fits, by one ``searchsorted`` of
+        every (row, bound) key into the stored entries' keys row * d +
+        column, which ascend in storage order."""
         bounds = part.bounds
         if bounds[-1] != dataset.d:
             raise ContractViolation(f"the blocks cover [0, {bounds[-1]}), not [0, {dataset.d})")
-        rows = np.arange(dataset.n, dtype=np.int64) * dataset.d
-        keys = rows.repeat(dataset.row_nnz)
-        keys += dataset.indices
-        cuts = keys.searchsorted(rows[:, None] + bounds)
-        del keys
-        offsets = np.tile(bounds[:-1], dataset.n).repeat(np.diff(cuts, axis=1).ravel())
-        np.subtract(dataset.indices, offsets, out=offsets)
-        spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        return RowBlocks(dataset.indices, cuts, offsets, {span: j for j, span in enumerate(spans)})
+        indices = dataset.indices
+        offsets = indices - bounds[bounds.searchsorted(indices, side="right") - 1]
+        cuts = None
+        if dataset.n * bounds.size <= indices.size:
+            rows = np.arange(dataset.n, dtype=np.int64) * dataset.d
+            keys = rows.repeat(dataset.row_nnz)
+            keys += indices
+            cuts = keys.searchsorted(rows[:, None] + bounds)
+        return RowBlocks(dataset.indptr, indices, bounds, offsets, cuts)
+
+    def span(self, i: int, j: int) -> tuple[int, int]:
+        """(p, q): row ``i``'s entries in block ``j`` are the stored entries
+        p..q-1."""
+        if self.cuts is not None:
+            return tuple(self.cuts[i, j:j + 2].tolist())
+        start, end = self.indptr[i:i + 2].tolist()
+        cuts = start + self.indices[start:end].searchsorted(self.bounds[j:j + 2])
+        return tuple(cuts.tolist())
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,13 @@ def _random_block_walk(rng, d=6, m=3, steps=12, tau_bound=12):
     """MasterState driven by random single-block updates; returns the state
     plus the full iterate history for oracle checks."""
     part = BlockPartition.equal(d, m)
-    state = MasterState(rng.standard_normal(d), tau_bound)
+    state = MasterState(rng.standard_normal(d), tau_bound, part)
     history = [state.x.copy()]
     blocks = []
     for _ in range(steps):
         j = int(rng.integers(0, m))
         lo, hi = part.block_bounds(j)
-        x_new = state.x.copy()
-        x_new[lo:hi] += rng.standard_normal(hi - lo)
-        state.commit(x_new)
+        state.commit(state.x[lo:hi] + rng.standard_normal(hi - lo), j)
         history.append(state.x.copy())
         blocks.append((j, lo, hi))
     return state, history, blocks
@@ -135,45 +133,92 @@ def test_read_inconsistent_rejects_out_of_window(rng):
         read_inconsistent(state, 2, [k])
 
 
+def _tiny_rows_state():
+    """A one-block state over 3 coordinates with the rows of a 2-row
+    dataset, after the commits [1, 1, 1] and [2, 2, 2]."""
+    ds = Dataset([0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], [1.0, -1.0], 3)
+    part = BlockPartition.equal(3, 1)
+    state = MasterState(np.zeros(3), 2, part, RowBlocks.build(ds, part))
+    state.commit(np.ones(3))
+    state.commit(np.full(3, 2.0))
+    return state
+
+
 def test_read_rejects_a_repeated_applied_update():
     # an update listed twice in J(k) would land twice: after the commits
     # [1, 1, 1] and [2, 2, 2], J = {clock-2, clock-2} read [2, 2, 2], not the
-    # [1, 1, 1] that J = {clock-2} reads. Whole-vector, coordinate and row
-    # reads all refuse it
-    ds = Dataset([0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], [1.0, -1.0], 3)
-    index = RowBlocks.build(ds, BlockPartition.equal(3, 1))
-    state = MasterState(np.zeros(3), 2, index)
-    state.commit(np.ones(3), (0, 3))
-    state.commit(np.full(3, 2.0), (0, 3))
+    # [1, 1, 1] that J = {clock-2} reads. Whole-vector and row reads both
+    # refuse it
+    state = _tiny_rows_state()
     assert read_inconsistent(state, 2, [0]).tolist() == [1.0, 1.0, 1.0]
-    assert read_inconsistent(state, 2, [0], row=0).tolist() == [1.0, 1.0]
+    assert read_inconsistent(state, 2, [0], 0).tolist() == [1.0, 1.0]
     for applied in ([0, 0], [1, 0, 1], np.array([1, 1])):
-        for kwargs in ({}, {"coords": np.array([0, 2])}, {"row": 0}):
+        for row in (None, 0):
             with pytest.raises(ContractViolation, match="repeat"):
-                read_inconsistent(state, 2, applied, **kwargs)
+                read_inconsistent(state, 2, applied, row)
+
+
+def test_read_refuses_non_integer_updates_and_rows():
+    # int() would read 0.7 as update 0 and True as update 1, row -1 as the
+    # last row and an index array as something else; all are refused, on
+    # whole and row reads, current and delayed
+    state = _tiny_rows_state()
+    assert read_inconsistent(state, 2, np.array([0, 1])).tolist() == [2.0, 2.0, 2.0]
+    for applied in ([0.7], [True], [np.True_], np.array([1.0]), [1, 0.0], ["1"]):
+        for row in (None, 1):
+            with pytest.raises(ContractViolation, match="integer"):
+                read_inconsistent(state, 2, applied, row)
+    for tau in (0, 2):
+        for row in (-1, 2, 0.0, True, np.array([0, 2]), np.array(0)):
+            with pytest.raises(ContractViolation):
+                read_inconsistent(state, tau, (), row)
+        want = [2.0] if tau == 0 else [0.0]  # row 1 is coordinate 1
+        assert read_inconsistent(state, tau, (), np.int64(1)).tolist() == want
+    for tau in (1.0, True):
+        with pytest.raises(ContractViolation, match="integer"):
+            read_inconsistent(state, tau, ())
+
+
+def test_commit_refuses_values_of_another_length():
+    # a block commit takes the block's values or a whole vector; two values
+    # for a block of three used to be broadcast across it, and logged as is
+    state = MasterState(np.zeros(6), 3, BlockPartition(np.array([0, 1, 4, 6])))
+    state.commit(np.array([7.0, 8.0, 9.0]), 1)
+    state.commit(np.arange(6.0), 2)
+    assert state.x.tolist() == [0.0, 7.0, 8.0, 9.0, 4.0, 5.0]
+    log, x, total = [id(e) for e in state._log], state.x.copy(), state.stage_sum.copy()
+    for values, block in ((np.array([7.0, 9.0]), 1), (np.ones(5), 2), (np.ones(7), 0),
+                          (np.ones((2, 3)), 1), (np.ones(6), 3), (np.ones(1), -1),
+                          (np.ones(1), (0, 1))):
+        with pytest.raises(ContractViolation):
+            state.commit(values, block)
+        assert state.clock == 2 and state.x.tobytes() == x.tobytes()
+        assert state.stage_sum.tobytes() == total.tobytes()
+        assert [id(e) for e in state._log] == log
+    with pytest.raises(ContractViolation):
+        MasterState(np.zeros(5), 1, BlockPartition(np.array([0, 1, 4, 6])))
 
 
 @pytest.mark.parametrize("tau_bound", [0, 1, 3, 6])
 def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
     d, steps = 11, 14
-    state = MasterState(rng.standard_normal(d), tau_bound)
+    part = BlockPartition(np.array([0, 1, 5, 6, 11]))  # uneven blocks
+    state = MasterState(rng.standard_normal(d), tau_bound, part)
     history = [state.x.copy()]
     for k in range(steps):
-        # random spans: nested, disjoint and partly overlapping log entries
-        lo = int(rng.integers(0, d))
-        span = lo, hi = lo, int(rng.integers(lo + 1, d + 1))
+        j = int(rng.integers(0, part.m))
+        lo, hi = part.block_bounds(j)
         new_block = state.x[lo:hi] + rng.standard_normal(hi - lo)
-        if k % 3 == 0:
-            state.commit(new_block, span)  # the span's values
+        if k % 2 == 0:
+            state.commit(new_block, j)  # the block's values
         else:
             x_new = state.x.copy()
             x_new[lo:hi] = new_block
-            # a whole vector, with and without the span it changed
-            state.commit(x_new, span if k % 3 == 1 else None)
+            state.commit(x_new, j)  # a whole vector
         history.append(state.x.copy())
         assert len(state._log) == min(state.clock, tau_bound)
-        for lo, hi, before, after, block in state._log:
-            assert block is None
+        for block, before, after in state._log:
+            lo, hi = part.block_bounds(block)
             for arr in (before, after):
                 assert arr.shape == (hi - lo,)
                 assert arr.base is None or arr.base.size == hi - lo
@@ -211,15 +256,15 @@ def test_block_only_read_matches_whole_vector_read(rng, m):
     reg = Regularizer(0.3, 0.0)
     neg_zeros = 0
     for _ in range(30):
-        state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps)
+        state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps, part)
         for _ in range(steps):
             j = int(rng.integers(0, m))
-            span = lo, hi = part.block_bounds(j)
+            lo, hi = part.block_bounds(j)
             x_new = state.x.copy()
             # lambda1 > 0: the prox emits -0.0 for thresholded negatives
             x_new[lo:hi] = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo),
                                         1.0, reg)
-            state.commit(x_new, None if m == 1 else span)
+            state.commit(x_new, j)
             neg_zeros += int(np.sum(np.signbit(x_new) & (x_new == 0.0)))
         k = state.clock
         for tau in range(steps + 1):
@@ -395,12 +440,12 @@ def _dense_replay(problem, config, x0, svrg, schedule, stop_below=None):
     return trace, delays, format_commit_log(log)
 
 
-def _gappy_problem(rng, kind, lambda1=0.0, n=30, d=14):
-    """Rows of 0-4 entries, every fifth row empty, so many rows miss the
-    sampled block."""
+def _gappy_problem(rng, kind, lambda1=0.0, n=30, d=14, widths=(1, 5)):
+    """Rows of ``widths[0]`` to ``widths[1] - 1`` entries (0-4 by default),
+    every fifth row empty, so many rows miss the sampled block."""
     indptr, indices, data = [0], [], []
     for i in range(n):
-        k = 0 if i % 5 == 2 else int(rng.integers(1, 5))
+        k = 0 if i % 5 == 2 else int(rng.integers(*widths))
         idx = np.sort(rng.choice(d, size=k, replace=False))
         indices += idx.tolist()
         data += (rng.standard_normal(k) + 2.0 * np.sign(rng.standard_normal(k))).tolist()
@@ -410,19 +455,14 @@ def _gappy_problem(rng, kind, lambda1=0.0, n=30, d=14):
                    Regularizer(lambda1, 0.05))
 
 
-def _use_index(monkeypatch, indexed):
-    """Make replay take the row-block index (or the per-update search) on
-    any problem, whatever its size."""
-    monkeypatch.setattr(RowBlocks, "fits", staticmethod(lambda dataset, m: indexed))
-
-
 @pytest.mark.parametrize("kind", list(LossKind))
 @pytest.mark.parametrize("lambda1", [0.0, 5e-2])
-def test_one_row_replay_matches_dense_step(monkeypatch, kind, lambda1):
-    # the indexed step; the benchmark-path test below also runs the
-    # searching one
-    _use_index(monkeypatch, True)
+def test_one_row_replay_matches_dense_step(kind, lambda1):
+    # rows of 0-4 entries: the row-block index is tabulated at m = 1 and
+    # searched at m = 3 and 7
     prob = _gappy_problem(np.random.default_rng(61), kind, lambda1)
+    assert [RowBlocks.build(prob.dataset, BlockPartition.equal(prob.d, m)).cuts is not None
+            for m in (1, 3, 7)] == [True, False, False]
     neg_zeros = 0
     for m in (1, 3, 7):
         for tau in (0, 4):
@@ -489,7 +529,7 @@ def test_block_gradient_matches_dense_slice(rng):
         dense = two_pass_vr(prob.loss, prob.dataset, [i], x, anchor)
         assert prob.vr_grad([i], x, anchor).tobytes() == dense.tobytes()
         for j, (lo, hi) in enumerate(((0, 3), (3, 4), (4, 9), (9, d - 1), (d - 1, d))):
-            for planned in (None, (*index.cuts[i, j:j + 2].tolist(), terms)):
+            for planned in (None, (*index.span(i, j), terms)):
                 got = prob.vr_grad([i], x[support], anchor, (lo, hi), planned)
                 block = _block_from_entries(prob, i, got, anchor, lo, hi)
                 assert block.tobytes() == dense[lo:hi].tobytes()
@@ -525,10 +565,11 @@ def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1, i
     # the path the benchmark takes: no recorded iterates and no commit log,
     # so nothing copies the step's buffers out. d = 14 leaves a remainder
     # block at m = 3 and 5; rows of 0-4 entries, every fifth one empty,
-    # leave many updates with no entry in the drawn block. Both the indexed
-    # step and the searching one are checked
-    _use_index(monkeypatch, indexed)
-    prob = _gappy_problem(np.random.default_rng(64), kind, lambda1)
+    # leave many updates with no entry in the drawn block. Rows of 3-14
+    # entries make the row-block index a table at every m, rows of 1-3
+    # entries a search
+    prob = _gappy_problem(np.random.default_rng(64), kind, lambda1,
+                          widths=(3, 15) if indexed else (1, 4))
     seen = {"empty row": 0, "empty share": 0}
 
     def record(self, batch, x_read, anchor, block=None, planned=None, _real=Problem.vr_grad):
@@ -540,6 +581,8 @@ def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1, i
     monkeypatch.setattr(Problem, "vr_grad", record)
     for m, svrg in ((1, True), (3, False), (5, False)):
         assert m == 1 or prob.d % m
+        part = BlockPartition.equal(prob.d, m)
+        assert (RowBlocks.build(prob.dataset, part).cuts is not None) == indexed
         for tau in (0, 4):
             for p in (0.0, 0.5, 1.0):
                 for wr in (True, False):
@@ -566,26 +609,26 @@ def _full_rows_problem(rng, kind, n=12, d=9):
 
 @pytest.mark.parametrize("kind", list(LossKind))
 def test_one_row_replay_with_m_near_d(monkeypatch, kind):
-    # coordinate-wise blocks: the index's n * (m + 1) cuts are built only
-    # while they do not outnumber the stored entries, so full rows take it
-    # up to m = d - 1 and sparse rows already at m = 3; every run equals the
-    # dense step bit for bit
-    builds = []
+    # coordinate-wise blocks: the index's n * (m + 1) spans are tabulated
+    # only while they do not outnumber the stored entries, so full rows take
+    # the table up to m = d - 1 and sparse rows the search already at m = 3;
+    # every run equals the dense step bit for bit
+    forms = []
     monkeypatch.setattr(RowBlocks, "build", staticmethod(
-        lambda dataset, part, _real=RowBlocks.build: builds.append(part.m) or _real(dataset, part)))
+        lambda dataset, part, _real=RowBlocks.build:
+        forms.append(_real(dataset, part)) or forms[-1]))
     rng = np.random.default_rng(66)
-    for prob, ms, indexed in ((_full_rows_problem(rng, kind), (8, 9), (True, False)),
-                              (_gappy_problem(rng, kind, 5e-2), (13, 14), (False, False))):
-        for m, want_index in zip(ms, indexed):
-            assert RowBlocks.fits(prob.dataset, m) == want_index
+    for prob, ms, tabulated in ((_full_rows_problem(rng, kind), (8, 9), (True, False)),
+                                (_gappy_problem(rng, kind, 5e-2), (13, 14), (False, False))):
+        for m, want_table in zip(ms, tabulated):
             for tau, p in ((0, 0.0), (4, 0.5), (4, 1.0)):
-                builds.clear()
+                forms.clear()
                 cfg = SolverConfig(eta=0.4, B=1, K=40, S=2, m=m, seed=m + tau)
                 sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 3,
                                               inconsistent=True, include_prob=p)
                 want, delays, _ = _dense_replay(prob, cfg, np.zeros(prob.d), False, sched)
                 got = replay(prob, cfg, np.zeros(prob.d), False, sched)
-                assert builds == ([m] if want_index else [])
+                assert [f.cuts is not None for f in forms] == [want_table]
                 assert [o.hex() for o in got.trace.objectives] == [
                     o.hex() for o in want.objectives]
                 assert got.trace.x_final.tobytes() == want.x_final.tobytes()
@@ -596,6 +639,10 @@ def test_one_row_replay_with_m_near_d(monkeypatch, kind):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 40),
        m=st.integers(1, 8))
 def test_row_blocks_match_per_row_searchsorted(seed, n, d, m):
+    # the table and the search give the spans of a per-row searchsorted, and
+    # the offsets are each entry's coordinate minus its block's bound; the
+    # table is built exactly where its n * (m + 1) spans do not outnumber
+    # the stored entries
     rng = np.random.default_rng(seed)
     m = min(m, d)
     bounds = np.concatenate([[0], np.sort(rng.choice(np.arange(1, d), m - 1, replace=False)),
@@ -606,47 +653,45 @@ def test_row_blocks_match_per_row_searchsorted(seed, n, d, m):
     indices = np.concatenate(rows + [np.empty(0, dtype=np.int64)])
     ds = Dataset(indptr, indices, rng.random(indices.size) + 1.0, np.ones(n), d)
     index = RowBlocks.build(ds, BlockPartition(bounds))
-    assert index.cuts.shape == (n, m + 1) and index.offsets.shape == (indices.size,)
-    for i in range(n):
-        start, end = ds.indptr[i], ds.indptr[i + 1]
-        want = start + ds.indices[start:end].searchsorted(bounds)
-        assert index.cuts[i].tolist() == want.tolist()
-        for j in range(m):
-            p, q = index.cuts[i, j:j + 2]
-            assert index.offsets[p:q].tolist() == (ds.indices[p:q] - bounds[j]).tolist()
-    assert index.block_of == {(int(bounds[j]), int(bounds[j + 1])): j for j in range(m)}
+    assert (index.cuts is not None) == (n * (m + 1) <= indices.size)
+    assert index.offsets.shape == (indices.size,)
+    for form in (index, replace(index, cuts=None)):
+        for i in range(n):
+            start, end = ds.indptr[i], ds.indptr[i + 1]
+            want = (start + ds.indices[start:end].searchsorted(bounds)).tolist()
+            for j in range(m):
+                p, q = form.span(i, j)
+                assert (p, q) == (want[j], want[j + 1])
+                assert form.offsets[p:q].tolist() == (ds.indices[p:q] - bounds[j]).tolist()
     for other_d in (d - 1, d + 1) if d > 1 else (d + 1,):
         with pytest.raises(ContractViolation):
             RowBlocks.build(ds, BlockPartition([0, other_d]))
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
-@pytest.mark.parametrize("other_spans", [False, True])
-def test_row_read_matches_generic_read(rng, m, other_spans):
-    # MasterState with a row-block index: the row read must give the bytes
-    # of the generic support read, over block commits and, with
-    # ``other_spans``, over a window that also holds whole-vector and odd
-    # spans; the undo log, whose entries record their block, must rebuild
-    # every retained iterate
+@pytest.mark.parametrize("whole_values", [False, True])
+def test_row_read_matches_generic_read(rng, m, whole_values):
+    # the row read must give the bytes of the whole read on the row's
+    # support, over block commits given as the block's values or, with
+    # ``whole_values``, as whole vectors; the undo log must rebuild every
+    # retained iterate
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     ds, d, steps = prob.dataset, prob.d, 6
     part = BlockPartition.equal(d, m)
-    index = RowBlocks.build(ds, part)
+    rows = RowBlocks.build(ds, part)
     reg = Regularizer(0.3, 0.0)
     neg_zeros = 0
     for _ in range(2):
-        state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps, index)
+        state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps, part, rows)
         history = [state.x.copy()]
         for k in range(3 * steps):
-            if other_spans and k % 4 == 3:
-                lo = int(rng.integers(0, d - 1))
-                span = lo, int(rng.integers(lo + 1, d + 1))
-            else:
-                span = part.block_bounds(int(rng.integers(0, m)))
-            lo, hi = span
+            j = int(rng.integers(0, m))
+            lo, hi = part.block_bounds(j)
             # lambda1 > 0: the prox emits -0.0 for thresholded negatives
-            state.commit(prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo),
-                                      1.0, reg), span)
+            new = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo), 1.0, reg)
+            if whole_values:
+                new = np.concatenate((state.x[:lo], new, state.x[hi:]))
+            state.commit(new, j)
             history.append(state.x.copy())
             neg_zeros += int(np.sum(np.signbit(state.x) & (state.x == 0.0)))
             for tau in range(min(state.clock, steps) + 1):
@@ -655,28 +700,91 @@ def test_row_read_matches_generic_read(rng, m, other_spans):
                 for p in (0.0, 0.5, 1.0):
                     applied = [h for h in range(state.clock - tau, state.clock)
                                if rng.random() < p]
+                    whole = state.read(tau, applied)
                     for i in range(ds.n):
                         support = ds.indices[ds.indptr[i]:ds.indptr[i + 1]]
-                        got = read_inconsistent(state, tau, applied, row=i)
-                        want = state.read(tau, applied, support)
-                        assert got.tobytes() == want.tobytes()
+                        got = read_inconsistent(state, tau, applied, i)
+                        assert got.tobytes() == whole[support].tobytes()
     assert neg_zeros > 0
 
 
 def test_row_read_needs_an_index(rng):
-    # a state built without a row-block index reads by coordinates; a row
-    # read is refused, as is a coordinate array passed as the row
+    # a state built without rows reads whole vectors only: a row read is
+    # refused, as is a coordinate array passed as the row
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     support = prob.dataset.indices[prob.dataset.indptr[0]:prob.dataset.indptr[1]]
-    state = MasterState(rng.standard_normal(prob.d), 2)
-    state.commit(rng.standard_normal(3), (0, 3))
-    assert read_inconsistent(state, 1, (), support).tobytes() == (
-        state.read(1, (), support).tobytes())
+    part = BlockPartition.equal(prob.d, 3)
+    state = MasterState(rng.standard_normal(prob.d), 2, part)
+    state.commit(rng.standard_normal(4), 0)
     for tau in (0, 1):
-        with pytest.raises(ContractViolation):
-            read_inconsistent(state, tau, (), row=0)
-        with pytest.raises(ContractViolation):
-            read_inconsistent(state, tau, (), row=support)
+        for row in (0, support):
+            with pytest.raises(ContractViolation):
+                read_inconsistent(state, tau, (), row)
+    # rows over another partition are refused
+    other = RowBlocks.build(prob.dataset, BlockPartition.equal(prob.d, 2))
+    with pytest.raises(ContractViolation):
+        MasterState(state.x, 2, part, other)
+
+
+def _substitution_oracle(history, clock, tau, applied):
+    """The read from the recorded whole iterates: the iterate at ``clock -
+    tau``, then each applied update substituted over the whole vector."""
+    xhat = history[clock - tau].copy()
+    for h in sorted(applied):
+        before, after = history[h], history[h + 1]
+        xhat = np.where(xhat == before, after, xhat + (after - before))
+    return xhat
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), m=st.integers(1, 12),
+       n=st.integers(1, 5), dense_rows=st.booleans(), tau_bound=st.integers(0, 6),
+       steps=st.integers(0, 14), lambda1=st.sampled_from([0.0, 0.3]))
+def test_read_rule_matches_whole_iterate_oracle(seed, d, m, n, dense_rows, tau_bound, steps,
+                                                lambda1):
+    # the read rule against the recorded history of whole iterates and the
+    # substitution rule on whole vectors: on uneven partitions, block
+    # commits carrying -0.0 (the prox with lambda1 > 0), every delay up to
+    # tau_bound and random applied sets. Whole reads equal the oracle on
+    # nonzeros, and byte for byte with one block; row reads equal the whole
+    # read on the row's support byte for byte, through the table or the
+    # search, whichever the dataset's shape gives
+    rng = np.random.default_rng(seed)
+    m = min(m, d)
+    bounds = np.concatenate([[0], np.sort(rng.choice(np.arange(1, d), m - 1, replace=False)),
+                             [d]]).astype(np.int64)
+    part = BlockPartition(bounds)
+    # rows of at least m + 1 entries tabulate; rows of at most m search
+    sizes = rng.integers(m + 1, d + 1, size=n) if dense_rows and m < d else (
+        rng.integers(0, m + 1, size=n))
+    cols = [np.sort(rng.choice(d, size=int(k), replace=False)) for k in sizes]
+    ds = Dataset(np.cumsum([0, *sizes]), np.concatenate(cols + [np.empty(0, dtype=np.int64)]),
+                 np.ones(int(sizes.sum())), np.ones(n), d)
+    rows = RowBlocks.build(ds, part)
+    assert (rows.cuts is not None) == (dense_rows and m < d)
+    reg = Regularizer(lambda1, 0.0)
+    state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), tau_bound, part, rows)
+    history = [state.x.copy()]
+    for _ in range(steps):
+        j = int(rng.integers(0, m))
+        lo, hi = part.block_bounds(j)
+        step = state.x[lo:hi] + 0.5 * rng.standard_normal(hi - lo)
+        state.commit(prox_elastic(step, 1.0, reg), j)
+        history.append(state.x.copy())
+    clock = state.clock
+    for tau in range(min(clock, tau_bound) + 1):
+        for p in (0.0, 0.5, 1.0):
+            applied = [h for h in range(clock - tau, clock) if rng.random() < p]
+            want = _substitution_oracle(history, clock, tau, applied)
+            got = state.read(tau, applied)
+            assert np.array_equal(got, want)
+            nonzero = want != 0.0
+            assert got[nonzero].tobytes() == want[nonzero].tobytes()
+            if m == 1:
+                assert got.tobytes() == want.tobytes()
+            for i in range(n):
+                support = ds.indices[ds.indptr[i]:ds.indptr[i + 1]]
+                assert state.read(tau, applied, i).tobytes() == got[support].tobytes()
 
 
 @pytest.mark.parametrize("B, with_replacement", [(1, True), (3, True), (5000, True), (3, False)])
@@ -864,9 +972,10 @@ def test_undo_log_keeps_block_sized_values(monkeypatch, rng, B):
     # not a view that keeps a whole d-vector alive (B = 30 = n is wide)
     kept = []
 
-    def commit(self, values, span=None, _real=MasterState.commit):
-        _real(self, values, span)
-        lo, hi, _, new, _ = self._log[-1]
+    def commit(self, values, block=0, _real=MasterState.commit):
+        _real(self, values, block)
+        j, _, new = self._log[-1]
+        lo, hi = BlockPartition.equal(self.x.size, 3).block_bounds(j)
         kept.append((new.size == hi - lo < self.x.size, new.base is None))
 
     monkeypatch.setattr(MasterState, "commit", commit)
