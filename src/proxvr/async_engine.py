@@ -152,8 +152,7 @@ class MasterState:
                  rows: RowBlocks | None = None):
         self.x = np.array(x0, dtype=np.float64, copy=True)
         bounds = [0, self.x.size] if part is None else part.bounds.tolist()
-        if bounds[-1] != self.x.size or (rows is not None
-                                         and not np.array_equal(rows.bounds, bounds)):
+        if bounds[-1] != self.x.size or not (rows is None or np.array_equal(rows.bounds, bounds)):
             raise ContractViolation(f"the blocks (and rows) must partition [0, {self.x.size})")
         self._bounds = bounds
         self._rows = rows
@@ -168,7 +167,8 @@ class MasterState:
         block's new values or a whole new iterate, equal to the current one
         outside the block. Any other length is refused before anything
         changes."""
-        block = _index(block, "block", len(self._bounds) - 1)
+        if type(block) is not int or not 0 <= block < len(self._bounds) - 1:
+            block = _index(block, "block", len(self._bounds) - 1)
         lo, hi = self._bounds[block], self._bounds[block + 1]
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (hi - lo,):
@@ -202,16 +202,16 @@ class MasterState:
 
         A current whole read returns ``x`` as a read-only view, which
         changes at the next commit; every other read is a new array."""
-        tau_k = _index(tau_k, "tau_k (commits retained)", len(self._log) + 1)
+        if type(tau_k) is not int or not 0 <= tau_k <= len(self._log):
+            tau_k = _index(tau_k, "tau_k (commits retained)", len(self._log) + 1)
         start = self.clock - tau_k
         applied = [h if type(h) is int else _index(h, "an applied update", self.clock)
                    for h in applied]
         applied.sort()
-        if applied and (applied[0] < start or applied[-1] >= self.clock):
-            raise ContractViolation(f"applied updates {applied} outside window "
-                                    f"[{start}, {self.clock - 1}]")
-        if len(applied) > 1 and len(set(applied)) < len(applied):
-            raise ContractViolation(f"applied updates {applied} repeat an update")
+        if applied and (applied[0] < start or applied[-1] >= self.clock
+                        or len(set(applied)) < len(applied)):
+            raise ContractViolation(f"applied updates {applied} must lie in the window "
+                                    f"[{start}, {self.clock - 1}] without a repeat")
         rows = self._rows
         if row is None:
             if not tau_k:
@@ -220,7 +220,8 @@ class MasterState:
         else:
             if rows is None:
                 raise ContractViolation("a row read needs a state built with rows")
-            row = _index(row, "row", rows.indptr.size - 1)
+            if type(row) is not int or not 0 <= row < rows.indptr.size - 1:
+                row = _index(row, "row", rows.indptr.size - 1)
             first, end = rows.indptr[row:row + 2].tolist()
             xhat = self.x[rows.indices[first:end]]
             if not tau_k:
@@ -247,8 +248,7 @@ class MasterState:
 
 
 def _index(value, name: str, stop: int) -> int:
-    """``value`` as an int in [0, ``stop``); a bool (not an ``np.integer``)
-    or any other non-integer is refused."""
+    """``value`` as an int in [0, ``stop``); bools and non-integers are refused."""
     if type(value) is not int and not isinstance(value, np.integer) or not 0 <= value < stop:
         raise ContractViolation(f"{name} must be an integer in [0, {stop}), got {value!r}")
     return int(value)

@@ -212,16 +212,17 @@ class RowBlocks:
     i's entries in block j are the stored entries p..q-1, and ``offsets[e]``
     is entry e's coordinate minus its block's lower bound.
 
-    The spans are tabulated in ``cuts`` (``cuts[i, j]:cuts[i, j + 1]``)
-    where its n * (m + 1) values do not outnumber the stored entries; else
-    (m near d on sparse rows) ``cuts`` is None and ``span`` searches row i
-    at block j's bounds, so memory stays O(nnz) either way."""
+    The spans are tabulated in ``cuts`` (``cuts[i][j]:cuts[i][j + 1]``, as
+    lists, so that a span is two list reads) where its n * (m + 1) values do
+    not outnumber the stored entries; else (m near d on sparse rows)
+    ``cuts`` is None and ``span`` searches row i at block j's bounds, so
+    memory stays O(nnz) either way."""
 
     indptr: np.ndarray
     indices: np.ndarray
     bounds: np.ndarray
     offsets: np.ndarray
-    cuts: np.ndarray | None
+    cuts: list | None
 
     @staticmethod
     def build(dataset: Dataset, part: BlockPartition) -> "RowBlocks":
@@ -239,14 +240,15 @@ class RowBlocks:
             rows = np.arange(dataset.n, dtype=np.int64) * dataset.d
             keys = rows.repeat(dataset.row_nnz)
             keys += indices
-            cuts = keys.searchsorted(rows[:, None] + bounds)
+            cuts = keys.searchsorted(rows[:, None] + bounds).tolist()
         return RowBlocks(dataset.indptr, indices, bounds, offsets, cuts)
 
     def span(self, i: int, j: int) -> tuple[int, int]:
         """(p, q): row ``i``'s entries in block ``j`` are the stored entries
         p..q-1."""
         if self.cuts is not None:
-            return tuple(self.cuts[i, j:j + 2].tolist())
+            cut = self.cuts[i]
+            return cut[j], cut[j + 1]
         start, end = self.indptr[i:i + 2].tolist()
         cuts = start + self.indices[start:end].searchsorted(self.bounds[j:j + 2])
         return tuple(cuts.tolist())
