@@ -10,33 +10,26 @@ delayed, perturbed read of the iterate:
   the commit touches one block.
 
 A consistent read is an inconsistent read with J(k) empty, and SVRG is SVRCD
-with one block (logged as block -1), so each execution mode has one loop:
+with one block (logged as block -1). Both execution modes run one sequence
+of block commits on a ``MasterState`` over the run's partition: a commit
+replaces one block, advances the clock and adds the new iterate to the stage
+sum. Both form a block's new values by one update rule (``_stage_rule``).
 
 * simulate (``replay``): one logical thread replays a pre-drawn delay
-  schedule against a master state that updates the iterate in place and
-  keeps an undo log of its last tau commits; fully deterministic. With no
-  schedule every read is current: that is the sequential ProxSVRG/ProxSVRCD
-  solver, which a zero-delay simulation therefore reproduces bit-for-bit.
-  Every commit replaces one block of the run's partition, and every
-  delayed read, of the whole vector or of a row's support, follows one
-  rule per block (``MasterState.read``). A one-row update reads the
-  iterate on the row's support, computes the gradient on the row's entries
-  in the committed block and proxes and commits that block: a row-block
-  index built once per run (``RowBlocks``, O(nnz), tabulated or searched)
-  locates the row's entries in each block, and the anchor's terms on every
-  stored entry are computed once per stage. It costs O(nnz + d/m + tau *
-  nnz) besides the O(d) stage sum. A larger batch reads the whole vector
-  and takes its rows and anchor term from the stage's batch plan, so what
-  is left per update is one pass at the read: over its distinct rows,
-  gathered a chunk of updates at a time, O(nnz(batch) + d); or, for a
-  batch of at least n rows, over every stored row weighted by its
-  multiplicity, with no gather, O(nnz + d). A stage's rows and blocks are
-  drawn at once, under either sampling law;
-* threads: P workers against a block-locked master (one block for SVRG, m
-  for SVRCD). Lock order is always block lock -> clock lock; a worker takes
-  its clock stamp inside block 0's lock, so one block gives an atomic
-  snapshot. Delays are measured from commit-clock stamps. Each worker
-  draws its rows and blocks a chunk at a time.
+  schedule against a master state with an undo log of its last tau commits;
+  fully deterministic. With no schedule every read is current: that is the
+  sequential ProxSVRG/ProxSVRCD solver, which a zero-delay simulation
+  therefore reproduces bit-for-bit. Every delayed read, of the whole vector
+  or of a row's support, follows one rule per block (``MasterState.read``);
+* threads: P workers against one block-locked ``MasterState`` per stage,
+  with no undo log. A worker pulls the whole iterate, computes its gradient
+  outside any lock, then steps, proxes and commits its block holding the
+  block's lock and then the clock lock: the lock order is always block ->
+  clock. The ticket and pull clock are taken inside block 0's lock, so one
+  block gives an atomic snapshot; a commit's delay is the commits between
+  its pull and itself. Each worker draws its rows and blocks a chunk at a
+  time, and one worker walks the sequential solver's trajectory on its own
+  streams, bit for bit.
 """
 
 from __future__ import annotations
@@ -135,7 +128,7 @@ def sample_delay_schedule(
 
 
 class MasterState:
-    """Simulation-mode master over the blocks of one ``BlockPartition``
+    """Master over the blocks of one ``BlockPartition``
     (``part``; None is one block, the whole vector): the current iterate
     ``x``, updated in place, the global clock, the sum of the stage's
     iterates, and an undo log of the last ``tau_bound`` commits for delayed
@@ -372,6 +365,49 @@ def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
     raise ContractViolation(f"unknown mode {mode!r}")
 
 
+def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
+                rows: RowBlocks | None):
+    """A stage's anchor at ``x_tilde`` and its update rule ``(anchor, grad,
+    step)`` over the partition ``bounds`` (a list). ``grad(batch, j, read,
+    planned=None)`` is eta times the variance-corrected gradient on block j:
+    with ``rows`` (the run's ``RowBlocks``; one-row batches) from the read
+    on the row's support, on the row's entries in the block only, as ``(p,
+    q, values)`` for the stored entries p..q-1; else from a whole read, with
+    the batch's stage-plan entry or None. ``step(x, j, g)`` proxes block j's
+    ``x - g`` (``x - eta * anchor.base`` off a row's entries), from the
+    current ``x``, in a new buffer. The entry terms and ``eta *
+    anchor.base`` are computed once per stage."""
+    anchor = problem.make_anchor(x_tilde)
+    reg, vr_grad = problem.reg, problem.vr_grad
+    if rows is not None:
+        terms = entry_terms(problem.dataset, anchor)
+        step_base = eta * anchor.base
+        indices, offsets = rows.indices, rows.offsets
+
+    def grad(batch, j, read, planned=None):
+        lo, hi = bounds[j], bounds[j + 1]
+        if rows is None:
+            u = vr_grad(batch, read, anchor, None, planned)[lo:hi]
+        else:
+            p, q = rows.span(batch[0], j)
+            u = vr_grad(batch, read, anchor, (lo, hi), (p, q, terms))
+        u *= eta
+        return u if rows is None else (p, q, u)
+
+    def step(x, j, g):
+        lo, hi = bounds[j], bounds[j + 1]
+        if rows is None:
+            # a buffer of the block's size for the undo log: g views the gradient
+            y = np.subtract(x[lo:hi], g)
+        else:
+            p, q, u = g
+            y = x[lo:hi] - step_base[lo:hi]
+            y[offsets[p:q]] = x[indices[p:q]] - u
+        return prox_elastic(y, eta, reg, out=y)
+
+    return anchor, grad, step
+
+
 # --------------------------------------------------------------------------
 # single-thread replay (simulate mode; sequential solvers with no schedule)
 # --------------------------------------------------------------------------
@@ -391,47 +427,37 @@ def replay(
     ``config.m`` blocks; with ``schedule=None`` every read is current and
     this is the sequential ProxSVRG/ProxSVRCD solver.
 
-    A one-row update takes its row's share of each block from the run's
-    ``RowBlocks``: it reads the iterate on the row's support, computes the
-    gradient on the row's entries in the committed block, forms ``x - eta *
-    anchor.base`` on the block, patches in the row's entries, proxes that
-    buffer in place and commits it by reference; ``eta * anchor.base`` and
-    the anchor's entry terms (``entry_terms``) are computed once per stage.
-    A larger batch reads the whole vector and passes ``vr_grad`` its entry
-    of the stage's batch plan (``problem.stage_batches``): its rows and
-    multiplicities and its anchor term, gathered a chunk of updates at a
-    time or, for a batch of at least n rows, every stored row weighted by
-    its multiplicity. The update computes the dot products at the read, one
-    scatter and the substitution rule: O(nnz(batch) + d), or O(nnz + d) for
-    a wide batch.
+    A one-row update reads the iterate on the row's support and steps its
+    block by the row-block index (``RowBlocks``, built once per run): O(nnz
+    + d/m + tau * nnz) besides the O(d) stage sum. A larger batch reads the
+    whole vector and passes ``vr_grad`` its entry of the stage's batch plan
+    (``problem.stage_batches``), gathered a chunk of updates at a time or,
+    for a batch of at least n rows, every stored row weighted by its
+    multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch.
 
     A stage's rows come from one ``draw_batches`` call and its blocks from
     one ``integers(0, m, size=K)``; under either sampling law these give the
     values of K draws of one update each."""
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
-    bounds = [part.block_bounds(j) for j in range(m)]
+    bounds = part.bounds.tolist()
     batch_rng, block_rng = make_streams(config.seed)
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
-    eta, B, K, n, reg = config.eta, config.B, config.K, problem.n, problem.reg
-    ds = problem.dataset
-    row_blocks = RowBlocks.build(ds, part) if B == 1 else None
+    B, K = config.B, config.K
+    row_blocks = RowBlocks.build(problem.dataset, part) if B == 1 else None
     delays, log = [], ([] if debug else None)
     g = 0  # global update index into the schedule
 
     def inner(s, x_tilde, iterates):
         nonlocal g
-        anchor = problem.make_anchor(x_tilde)
+        anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
         state = MasterState(x_tilde, tau_bound, part, row_blocks)
         x = state.x
         blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
-        rows = draw_batches(batch_rng, n, B, K, config.with_replacement)
-        batches = stage_batches(ds, anchor, rows)
-        if B == 1:
-            terms = entry_terms(ds, anchor)
-            step_base = eta * anchor.base
+        rows = draw_batches(batch_rng, problem.n, B, K, config.with_replacement)
+        batches = stage_batches(problem.dataset, anchor, rows)
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
         included = None if applied_sets is None else applied_sets[g:g + K]
         for k, (j, (batch, planned)) in enumerate(zip(blocks, batches)):
@@ -443,24 +469,11 @@ def replay(
                 # offset o is column o - 1 and names the commit at clock - o
                 flags = included[k]
                 applied = [k - o for o in range(1, tau + 1) if flags[o - 1]]
-            lo, hi = bounds[j]
-            if planned is None:  # one row: support read, the row's block entries
-                i = batch[0]
-                p, q = row_blocks.span(i, j)
-                x_row = read_inconsistent(state, tau, applied, i)
-                u = problem.vr_grad(batch, x_row, anchor, (lo, hi), (p, q, terms))
-                y = x[lo:hi] - step_base[lo:hi]
-                y[row_blocks.offsets[p:q]] = x[ds.indices[p:q]] - eta * u
-                new = prox_elastic(y, eta, reg, out=y)
-            else:
-                x_read = read_inconsistent(state, tau, applied)
-                u = problem.vr_grad(batch, x_read, anchor, None, planned)[lo:hi]
-                u *= eta
-                # a buffer of the block's size: u views the whole gradient,
-                # and the undo log keeps what is committed
-                new = np.subtract(x[lo:hi], u)
-                prox_elastic(new, eta, reg, out=new)
-            state.commit(new, j)
+            if row_blocks is None:
+                read = read_inconsistent(state, tau, applied)
+            else:  # one row: its support
+                read = read_inconsistent(state, tau, applied, batch[0])
+            state.commit(step(x, j, grad(batch, j, read, planned)), j)
             delays.append(tau)
             if iterates is not None:
                 iterates.append(x.copy())
@@ -498,67 +511,61 @@ def _worker_draws(streams, n: int, B: int, m: int, with_replacement: bool):
 def _threads(problem, config, x0, svrg, mode, stop_below, debug):
     P = mode.workers
     m = 1 if svrg else config.m
+    ds = problem.dataset
     # one stream pair per worker, drawn a chunk at a time across stages
     draws = [_worker_draws(make_streams(child), problem.n, config.B, m, config.with_replacement)
              for child in np.random.SeedSequence(config.seed).spawn(P)]
     part = BlockPartition.equal(problem.d, m)
-    bounds = [part.block_bounds(j) for j in range(m)]
-    eta = config.eta
+    bounds = part.bounds.tolist()
+    row_blocks = RowBlocks.build(ds, part) if config.B == 1 else None
     delays, worker_updates = [], [0] * P
     log = [] if debug else None
 
     def inner(s, x_tilde, iterates):
-        anchor = problem.make_anchor(x_tilde)
-        x = x_tilde.copy()
-        stage_sum = np.zeros_like(x)
-        # lock order block -> clock; the ticket and clock stamp are taken
+        _, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
+        state = MasterState(x_tilde, 0, part)
+        x = state.x
+        # lock order block -> clock; the ticket and pull clock are taken
         # inside block 0's lock, so a one-block pull is an atomic snapshot
         block_locks = [threading.Lock() for _ in range(m)]
         clock_lock = threading.Lock()
-        shared = {"clock": 0, "tickets": config.K}
-        # first iterate (clock >= 1) at which each block's value is current
-        since = [1] * m
+        tickets = [config.K]
 
         def run_worker(wid):
             while True:
                 x_hat = np.empty(problem.d)
-                for jj, (lo, hi) in enumerate(bounds):
-                    with block_locks[jj]:
+                for jj, lock in enumerate(block_locks):
+                    lo, hi = bounds[jj], bounds[jj + 1]
+                    with lock:
                         if jj == 0:
                             with clock_lock:
-                                if shared["tickets"] == 0:
+                                if tickets[0] == 0:
                                     return
-                                shared["tickets"] -= 1
-                                pulled_at = shared["clock"]
+                                tickets[0] -= 1
+                                pulled_at = state.clock
                         x_hat[lo:hi] = x[lo:hi]
-                batch, jk = next(draws[wid])
-                u = problem.vr_grad(batch, x_hat, anchor)
-                lo, hi = bounds[jk]
-                with block_locks[jk]:
-                    new_block = prox_elastic(x[lo:hi] - eta * u[lo:hi], eta, problem.reg)
+                batch, j = next(draws[wid])
+                if row_blocks is not None:  # one row reads its support
+                    i = int(batch[0])
+                    x_hat = x_hat[ds.indices[ds.indptr[i]:ds.indptr[i + 1]]]
+                g = grad(batch, j, x_hat)
+                with block_locks[j]:
+                    new = step(x, j, g)
                     with clock_lock:
-                        shared["clock"] += 1
-                        t_commit = shared["clock"]
-                        delay = (t_commit - 1) - pulled_at
+                        delay = state.clock - pulled_at
+                        state.commit(new, j)
                         delays.append(delay)
                         worker_updates[wid] += 1
-                    # lazy stage sum: the old block value was current in
-                    # the iterates since[jk] .. t_commit - 1
-                    stage_sum[lo:hi] += x[lo:hi] * (t_commit - since[jk])
-                    x[lo:hi] = new_block
-                    since[jk] = t_commit
-                    if log is not None:
-                        log.append(CommitRecord(s, t_commit, wid, -1 if svrg else jk, delay,
-                                                new_block))
+                        if log is not None:
+                            log.append(CommitRecord(s, state.clock, wid, -1 if svrg else j, delay,
+                                                    new))
 
         threads = [threading.Thread(target=run_worker, args=(w,)) for w in range(P)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        for jj, (lo, hi) in enumerate(bounds):
-            stage_sum[lo:hi] += x[lo:hi] * (config.K + 1 - since[jj])
-        return x, stage_sum
+        return x, state.stage_sum
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below)
     return AsyncReport(trace, delays, worker_updates, mode.declared_tau, log)

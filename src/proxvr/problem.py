@@ -614,15 +614,14 @@ def vr_gradient(
     counterparts exactly instead of up to rounding.
 
     The anchor term of row i is ``anchor.coefs[i] * a_i``, so only the read
-    needs dot products. A batch of several rows comes with its rows and
-    anchor term in ``planned``, the batch's entry of a stage plan
-    (``stage_batches``), in the gathered or the all-rows form; without one
-    it is gathered by ``_plan_chunk`` as a chunk of one batch. What is left
-    is the read's dot products and coefficients, one scatter and the
-    substitution rule: O(nnz(batch) + d) gathered, O(nnz + d) in the
-    all-rows form, with no gather. A one-row batch takes the block path
-    below on [0, d): O(nnz(a_i) + d). Both terms equal the two
-    ``minibatch_grad`` results (at the read and at the anchor) bit for bit.
+    needs dot products. A batch comes with its rows and anchor term in
+    ``planned``, the batch's entry of a stage plan (``stage_batches``), in
+    the gathered or the all-rows form; without one it is gathered by
+    ``_plan_chunk`` as a chunk of one batch. What is left is the read's dot
+    products and coefficients, one scatter and the substitution rule:
+    O(nnz(batch) + d) gathered, O(nnz + d) in the all-rows form, with no
+    gather. Both terms equal the two ``minibatch_grad`` results (at the
+    read and at the anchor) bit for bit.
 
     ``block = (lo, hi)`` takes a one-row batch and returns its gradient on
     the row's stored entries inside [lo, hi) only, in index order, in
@@ -639,14 +638,7 @@ def vr_gradient(
             raise ContractViolation("a block gradient takes a one-row batch")
         return _vr_row(kind, dataset, int(batch[0]), x_read, anchor, block, planned)
     if planned is None:
-        batch = _batch_rows(dataset, batch)
-        if batch.size == 1:
-            i = int(batch[0])
-            support = dataset.indices[dataset.indptr[i]:dataset.indptr[i + 1]]
-            out = anchor.base.copy()
-            out[support] = _vr_row(kind, dataset, i, x_read[support], anchor, (0, dataset.d))
-            return out
-        planned = _plan_chunk(dataset, anchor, batch.reshape(1, -1))[0]
+        planned = _plan_chunk(dataset, anchor, _batch_rows(dataset, batch).reshape(1, -1))[0]
     rows, weights, size, g_anchor, same = planned
     _, g_read = _grad_sum(kind, dataset.d, rows, x_read, weights)
     g_read /= size

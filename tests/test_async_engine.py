@@ -1241,7 +1241,8 @@ def test_threads_svrcd_block_isolation_fold(rng):
 @pytest.mark.parametrize("algo", ["svrg", "svrcd"])
 def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
     # more workers than cores and frequent thread switches; a lost block
-    # write or a wrong lazy-sum weight breaks the rebuilt stage average
+    # write or a stage sum out of clock order breaks the rebuilt stage
+    # average, which equals the run's bit for bit
     prob = make_problem(rng, 30, 8, lambda2=0.1)
     m = 4 if algo == "svrcd" else 1
     cfg = SolverConfig(eta=0.1, B=1, K=150, S=2, m=m, seed=5)
@@ -1264,8 +1265,53 @@ def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
             x[lo:hi] = r.block_values
             total += x
         x_tilde = total / cfg.K
-        assert np.allclose(prob.objective(x_tilde), rep.trace.objectives[s - 1], rtol=1e-12)
-    assert np.allclose(x_tilde, rep.trace.x_final, rtol=1e-12, atol=1e-15)
+        assert prob.objective(x_tilde).hex() == rep.trace.objectives[s - 1].hex()
+    assert x_tilde.tobytes() == rep.trace.x_final.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("lambda1", [0.0, 5e-2])
+def test_one_worker_threads_equals_sequential_solver(monkeypatch, kind, lambda1):
+    # one worker always reads the current iterate, so on its own streams it
+    # walks the sequential solver's trajectory: the same update rule, the
+    # same commits and the same stage sum, bit for bit
+    from proxvr import async_engine
+
+    def worker_streams(seed, _real=async_engine.make_streams):
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed).spawn(1)[0]
+        return _real(seed)
+
+    monkeypatch.setattr(async_engine, "make_streams", worker_streams)
+    prob = _gappy_problem(np.random.default_rng(71), kind, lambda1)
+    x0 = np.zeros(prob.d)
+    for svrg, m in ((True, 1), (False, 3), (False, 7)):
+        runner = async_svrg_run if svrg else async_svrcd_run
+        part = BlockPartition.equal(prob.d, m)
+        for B in (1, 4):
+            for wr in (True, False):
+                cfg = SolverConfig(eta=0.4, B=B, K=30, S=3, m=m, seed=m + 10 * B,
+                                   with_replacement=wr)
+                want = replay(prob, cfg, x0, svrg, None, record_iterates=True)
+                got = runner(prob, cfg, x0, ThreadsMode(1), debug=True)
+                assert [o.hex() for o in got.trace.objectives] == [
+                    o.hex() for o in want.trace.objectives]
+                assert got.trace.x_final.tobytes() == want.trace.x_final.tobytes()
+                assert got.delays.tolist() == [0] * (cfg.S * cfg.K)
+                # the logged block values, folded in clock order from each
+                # stage's average, give every iterate
+                x_tilde, k = x0, 0
+                for s in range(1, cfg.S + 1):
+                    commits = [r for r in got.commit_log if r.stage == s]
+                    assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
+                    x, total = x_tilde.copy(), np.zeros(prob.d)
+                    for r in commits:
+                        lo, hi = part.block_bounds(max(r.block, 0))
+                        x[lo:hi] = r.block_values
+                        assert x.tobytes() == want.trace.iterates[k].tobytes()
+                        total += x
+                        k += 1
+                    x_tilde = total / cfg.K
 
 
 def test_threads_declared_tau_flag(rng):
