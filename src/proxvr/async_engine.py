@@ -27,9 +27,13 @@ sum. Both form a block's new values by one update rule (``_stage_rule``).
   block's lock and then the clock lock: the lock order is always block ->
   clock. The ticket and pull clock are taken inside block 0's lock, so one
   block gives an atomic snapshot; a commit's delay is the commits between
-  its pull and itself. Each worker draws its rows and blocks a chunk at a
-  time, and one worker walks the sequential solver's trajectory on its own
-  streams, bit for bit.
+  its pull and itself. The ticket is the update's index into the stage's
+  draws.
+
+Both modes draw a stage's rows and blocks at once (``_stage_draws``) from
+the run's two streams, so P workers commit the sequential solver's multiset
+of (batch, block) in every stage, and one worker walks its trajectory bit
+for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -267,8 +272,17 @@ class SimulateMode:
 
 @dataclass(frozen=True)
 class ThreadsMode:
+    """P = ``workers`` OS threads, an integer in [1, ``MAX_WORKERS``]."""
+
     workers: int
     declared_tau: int | None = None  # the tau used to pick eta, if any
+
+    MAX_WORKERS: ClassVar[int] = 64
+
+    def __post_init__(self):
+        if type(self.workers) is not int or not 1 <= self.workers <= self.MAX_WORKERS:
+            raise ContractViolation(f"need an integer 1 <= workers <= {self.MAX_WORKERS}, "
+                                    f"got {self.workers!r}")
 
 
 @dataclass
@@ -359,10 +373,20 @@ def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
         return replay(problem, config, x0, svrg, mode.schedule, stop_below, record_iterates,
                       debug)
     if isinstance(mode, ThreadsMode):
-        if mode.workers < 1:
-            raise ContractViolation("need at least one worker")
         return _threads(problem, config, x0, svrg, mode, stop_below, debug)
     raise ContractViolation(f"unknown mode {mode!r}")
+
+
+def _stage_draws(streams, n: int, B: int, m: int, K: int, with_replacement: bool):
+    """A stage's K updates' draws from the run's ``(batch_rng, block_rng)``:
+    the rows as one ``draw_batches`` (K, B) array and the blocks as one
+    ``integers(0, m, size=K)`` list (all 0 for m = 1, which draws nothing).
+    Under either sampling law these are the values of K draws of one update
+    each."""
+    batch_rng, block_rng = streams
+    rows = draw_batches(batch_rng, n, B, K, with_replacement)
+    blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
+    return rows, blocks
 
 
 def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
@@ -435,13 +459,11 @@ def replay(
     for a batch of at least n rows, every stored row weighted by its
     multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch.
 
-    A stage's rows come from one ``draw_batches`` call and its blocks from
-    one ``integers(0, m, size=K)``; under either sampling law these give the
-    values of K draws of one update each."""
+    A stage's rows and blocks come from one ``_stage_draws`` call."""
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
     bounds = part.bounds.tolist()
-    batch_rng, block_rng = make_streams(config.seed)
+    streams = make_streams(config.seed)
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
@@ -455,8 +477,7 @@ def replay(
         anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
         state = MasterState(x_tilde, tau_bound, part, row_blocks)
         x = state.x
-        blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
-        rows = draw_batches(batch_rng, problem.n, B, K, config.with_replacement)
+        rows, blocks = _stage_draws(streams, problem.n, B, m, K, config.with_replacement)
         batches = stage_batches(problem.dataset, anchor, rows)
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
         included = None if applied_sets is None else applied_sets[g:g + K]
@@ -491,30 +512,11 @@ def replay(
 # threads mode
 # --------------------------------------------------------------------------
 
-# rows a worker draws at once under i.i.d. sampling (at least one batch)
-_DRAW_ROWS = 4096
-
-
-def _worker_draws(streams, n: int, B: int, m: int, with_replacement: bool):
-    """A worker's (batch, block) pairs, the values of one ``draw_batch`` and
-    one ``draw_block`` per update, drawn ``_DRAW_ROWS`` rows at a time: a
-    ``Generator.integers`` call costs about 10 us whatever its size. Batches
-    without replacement are drawn one at a time, one call each anyway."""
-    batch_rng, block_rng = streams
-    count = max(1, _DRAW_ROWS // B) if with_replacement else 1
-    while True:
-        rows = draw_batches(batch_rng, n, B, count, with_replacement)
-        blocks = block_rng.integers(0, m, size=count).tolist() if m > 1 else [0] * count
-        yield from zip(rows, blocks)
-
-
 def _threads(problem, config, x0, svrg, mode, stop_below, debug):
-    P = mode.workers
+    P, K = mode.workers, config.K
     m = 1 if svrg else config.m
     ds = problem.dataset
-    # one stream pair per worker, drawn a chunk at a time across stages
-    draws = [_worker_draws(make_streams(child), problem.n, config.B, m, config.with_replacement)
-             for child in np.random.SeedSequence(config.seed).spawn(P)]
+    streams = make_streams(config.seed)
     part = BlockPartition.equal(problem.d, m)
     bounds = part.bounds.tolist()
     row_blocks = RowBlocks.build(ds, part) if config.B == 1 else None
@@ -523,13 +525,15 @@ def _threads(problem, config, x0, svrg, mode, stop_below, debug):
 
     def inner(s, x_tilde, iterates):
         _, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
+        rows, blocks = _stage_draws(streams, problem.n, config.B, m, K, config.with_replacement)
         state = MasterState(x_tilde, 0, part)
         x = state.x
-        # lock order block -> clock; the ticket and pull clock are taken
-        # inside block 0's lock, so a one-block pull is an atomic snapshot
+        # lock order block -> clock; the ticket (the update's index into the
+        # stage's draws) and the pull clock are taken inside block 0's lock,
+        # so a one-block pull is an atomic snapshot
         block_locks = [threading.Lock() for _ in range(m)]
         clock_lock = threading.Lock()
-        tickets = [config.K]
+        tickets = [0]
 
         def run_worker(wid):
             while True:
@@ -539,12 +543,13 @@ def _threads(problem, config, x0, svrg, mode, stop_below, debug):
                     with lock:
                         if jj == 0:
                             with clock_lock:
-                                if tickets[0] == 0:
+                                k = tickets[0]
+                                if k == K:
                                     return
-                                tickets[0] -= 1
+                                tickets[0] = k + 1
                                 pulled_at = state.clock
                         x_hat[lo:hi] = x[lo:hi]
-                batch, j = next(draws[wid])
+                batch, j = rows[k], blocks[k]
                 if row_blocks is not None:  # one row reads its support
                     i = int(batch[0])
                     x_hat = x_hat[ds.indices[ds.indptr[i]:ds.indptr[i + 1]]]

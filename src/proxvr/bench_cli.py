@@ -317,16 +317,16 @@ def _mode_parts(mode: str) -> tuple:
     try:
         if parts == ["seq"]:
             return ("seq",)
-        if parts[0] == "threads" and len(parts) == 2 and (workers := _int(parts[1])) >= 1:
-            return ("threads", workers)
+        if parts[0] == "threads" and len(parts) == 2:
+            return ("threads", async_engine.ThreadsMode(_int(parts[1])).workers)
         if (parts[0] == "simulate" and len(parts) == 3 and parts[1] in ("constant", "uniform")
                 and (tau := _int(parts[2])) >= 0):
             return ("simulate", parts[1], tau)
-    except ValueError:
+    except (ValueError, ContractViolation):
         pass
     raise ContractViolation(
-        f"bad value for mode: {mode!r} (expected seq, threads:<P> with P >= 1 or "
-        "simulate:<law>:<tau> with tau >= 0)"
+        f"bad value for mode: {mode!r} (expected seq, threads:<P> with 1 <= P <= "
+        f"{async_engine.ThreadsMode.MAX_WORKERS} or simulate:<law>:<tau> with tau >= 0)"
     )
 
 
@@ -615,11 +615,13 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _worker_counts(raw: str) -> list:
-    """``--workers``: comma-separated worker counts, each an integer >= 1."""
+    """``--workers``: comma-separated worker counts, each one ``ThreadsMode``
+    accepts."""
     counts = [_number("workers", tok, _int) for tok in raw.split(",")]
-    if min(counts) < 1:
-        raise ContractViolation(f"bad value for workers: {raw!r} (each count must be >= 1)")
-    return counts
+    try:
+        return [async_engine.ThreadsMode(count).workers for count in counts]
+    except ContractViolation as exc:
+        raise ContractViolation(f"bad value for workers: {raw!r} ({exc})") from None
 
 
 def main(argv=None) -> int:

@@ -78,7 +78,8 @@ class Dataset:
     """n examples in CSR form: row i stores the features
     ``indices[indptr[i]:indptr[i+1]]`` with values ``data[...]`` and has the
     label ``labels[i]``. Every row is in canonical sparse form (strictly
-    increasing indices in [0, d), no stored zeros); the arrays are read-only.
+    increasing indices in [0, d), no stored zeros), every value and label is
+    finite, and the arrays are read-only.
     """
 
     indptr: np.ndarray
@@ -107,6 +108,8 @@ class Dataset:
             raise ContractViolation("indices and data must have the same length")
         if indptr[0] != 0 or indptr[-1] != data.size:
             raise ContractViolation("indptr must run from 0 to the number of stored entries")
+        if not (np.isfinite(data).all() and np.isfinite(self.labels).all()):
+            raise ContractViolation("data and labels must be finite")
         row_nnz = np.diff(indptr)
         if np.any(row_nnz < 0):
             raise ContractViolation("indptr must be non-decreasing")
@@ -265,21 +268,15 @@ class EntryTerms:
     grad: np.ndarray
     same: np.ndarray | None
 
-    @staticmethod
-    def of(products, full) -> "EntryTerms":
-        """The terms from the entries' products ``coefs[i] * data[e]``, an
-        array that becomes ``grad``, and the full gradient there."""
-        products += 0.0
-        same = products == full
-        return EntryTerms(products, same if same.any() else None)
-
 
 def entry_terms(dataset: Dataset, anchor: VRAnchor) -> EntryTerms:
     """Every stored entry's ``EntryTerms`` at ``anchor``, in O(nnz): the
     anchor side of a stage's one-row updates."""
     products = anchor.coefs.repeat(dataset.row_nnz)
     products *= dataset.data
-    return EntryTerms.of(products, anchor.full_grad[dataset.indices])
+    products += 0.0
+    same = products == anchor.full_grad[dataset.indices]
+    return EntryTerms(products, same if same.any() else None)
 
 
 def _check_labels(kind: LossKind, dataset: Dataset) -> None:
@@ -540,9 +537,9 @@ def loss_grad(kind: LossKind, example: SparseExample, x: DenseVec) -> SparseVec:
     if a.dim != x.shape[0]:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {x.shape[0]}")
     c = _row_coef(kind, a.values, x[a.indices], example.b)
-    if c == 0.0:
-        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), a.dim)
-    return SparseVec(a.indices, c * a.values, a.dim)
+    values = c * a.values
+    stored = values != 0.0  # c * a_ij may be zero (c = 0, or an underflow)
+    return SparseVec(a.indices[stored], values[stored], a.dim)
 
 
 def _batch_rows(dataset: Dataset, batch) -> np.ndarray:
@@ -627,16 +624,16 @@ def vr_gradient(
     the row's stored entries inside [lo, hi) only, in index order, in
     O(nnz(a_i)); every other coordinate of [lo, hi) is ``anchor.base``.
     ``x_read`` then holds the read iterate on the row's support alone, in
-    index order, and ``planned`` may give ``(p, q, terms)``: the entries'
-    offsets [p, q) in the stored arrays (``RowBlocks``) and the stage's
-    ``EntryTerms``, which spares the search and the anchor products. The
-    values equal the same coordinates of the whole-vector result bit for
-    bit.
+    index order, and ``planned`` must give ``(p, q, terms)``: the entries
+    p..q-1 of the stored arrays that fall in the block (``RowBlocks.span``)
+    and the stage's ``EntryTerms``. The values equal the same coordinates of
+    the whole-vector result bit for bit.
     """
     if block is not None:
-        if len(batch) != 1:
-            raise ContractViolation("a block gradient takes a one-row batch")
-        return _vr_row(kind, dataset, int(batch[0]), x_read, anchor, block, planned)
+        if len(batch) != 1 or planned is None:
+            raise ContractViolation("a block gradient takes a one-row batch and its "
+                                    "(p, q, terms)")
+        return _vr_row(kind, dataset, int(batch[0]), x_read, anchor, planned)
     if planned is None:
         planned = _plan_chunk(dataset, anchor, _batch_rows(dataset, batch).reshape(1, -1))[0]
     rows, weights, size, g_anchor, same = planned
@@ -649,32 +646,25 @@ def vr_gradient(
     return out
 
 
-def _vr_row(kind, dataset, i, x_row, anchor, block, planned=None) -> np.ndarray:
-    """``vr_gradient`` of row ``i`` on its stored entries inside ``block``,
-    ``x_row`` the read on its support. A one-row ``minibatch_grad`` is
-    ``0.0 + c * a_i`` on the support and +0.0 elsewhere, so the substitution
-    rule runs on these entries' values and yields ``anchor.base`` on the
-    rest of the block."""
+def _vr_row(kind, dataset, i, x_row, anchor, planned) -> np.ndarray:
+    """``vr_gradient`` of row ``i`` on its stored entries p..q-1, with
+    ``planned = (p, q, terms)`` and ``x_row`` the read on its support. A
+    one-row ``minibatch_grad`` is ``0.0 + c * a_i`` on the support and +0.0
+    elsewhere, so the substitution rule runs on these entries' values and
+    yields ``anchor.base`` on the rest of the block."""
     if not 0 <= i < dataset.n:
         raise ContractViolation("batch index out of range")
     start, end = dataset.indptr[i], dataset.indptr[i + 1]
-    if planned is None:
-        p, q = start + dataset.indices[start:end].searchsorted(block)
-        terms = EntryTerms.of(anchor.coefs[i] * dataset.data[p:q],
-                              anchor.full_grad[dataset.indices[p:q]])
-        origin = p  # the terms of entries p..q-1 only
-    else:
-        p, q, terms = planned
-        if not start <= p <= q <= end:
-            raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
-        origin = 0
+    p, q, terms = planned
+    if not start <= p <= q <= end:
+        raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
     c_read = _row_coef(kind, dataset.data[start:end], x_row, float(dataset.labels[i]))
     g_read = c_read * dataset.data[p:q]
     g_read += 0.0
-    out = g_read - terms.grad[p - origin:q - origin]
+    out = g_read - terms.grad[p:q]
     out += anchor.full_grad[dataset.indices[p:q]]
     if terms.same is not None:
-        np.copyto(out, g_read, where=terms.same[p - origin:q - origin])
+        np.copyto(out, g_read, where=terms.same[p:q])
     return out
 
 

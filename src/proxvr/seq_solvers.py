@@ -22,12 +22,11 @@ from .linalg import BlockPartition, DenseVec
 from .problem import Problem, prox_elastic
 
 
-def make_streams(seed):
-    """(batch_rng, block_rng) pair derived independently from one seed (an
-    int or a ``SeedSequence``)."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return tuple(np.random.Generator(np.random.PCG64(ss)) for ss in seed.spawn(2))
+def make_streams(seed: int):
+    """(batch_rng, block_rng) pair derived independently from one seed; every
+    mode of a run draws from this one pair."""
+    children = np.random.SeedSequence(seed).spawn(2)
+    return tuple(np.random.Generator(np.random.PCG64(ss)) for ss in children)
 
 
 def draw_batch(rng, n: int, B: int, with_replacement: bool = True) -> np.ndarray:

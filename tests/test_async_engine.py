@@ -508,6 +508,7 @@ def test_block_gradient_matches_dense_slice(rng):
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     d = prob.d
     index = RowBlocks.build(prob.dataset, BlockPartition([0, 3, 4, 9, d - 1, d]))
+    whole = RowBlocks.build(prob.dataset, BlockPartition.equal(d, 1))
     planted = 0
     for trial in range(200):
         i = int(rng.integers(0, prob.n))
@@ -529,15 +530,17 @@ def test_block_gradient_matches_dense_slice(rng):
         dense = two_pass_vr(prob.loss, prob.dataset, [i], x, anchor)
         assert prob.vr_grad([i], x, anchor).tobytes() == dense.tobytes()
         for j, (lo, hi) in enumerate(((0, 3), (3, 4), (4, 9), (9, d - 1), (d - 1, d))):
-            for planned in (None, (*index.span(i, j), terms)):
-                got = prob.vr_grad([i], x[support], anchor, (lo, hi), planned)
-                block = _block_from_entries(prob, i, got, anchor, lo, hi)
-                assert block.tobytes() == dense[lo:hi].tobytes()
-        got = prob.vr_grad([i], x[support], anchor, (0, d))
+            got = prob.vr_grad([i], x[support], anchor, (lo, hi), (*index.span(i, j), terms))
+            block = _block_from_entries(prob, i, got, anchor, lo, hi)
+            assert block.tobytes() == dense[lo:hi].tobytes()
+        got = prob.vr_grad([i], x[support], anchor, (0, d), (*whole.span(i, 0), terms))
         assert _block_from_entries(prob, i, got, anchor, 0, d).tobytes() == dense.tobytes()
     assert planted > 20
     with pytest.raises(ContractViolation):
-        prob.vr_grad([0, 1], x, anchor, (0, d))
+        prob.vr_grad([0, 1], x, anchor, (0, d), (*whole.span(0, 0), terms))
+    # a block gradient needs its entries and the stage's terms
+    with pytest.raises(ContractViolation):
+        prob.vr_grad([i], x[support], anchor, (0, d))
     # planned entries outside the row are refused
     wide = int(np.argmax(prob.dataset.row_nnz))
     start, end = prob.dataset.indptr[wide:wide + 2].tolist()
@@ -553,7 +556,7 @@ def test_block_gradient_matches_dense_slice(rng):
     dense = two_pass_vr(ls.loss, ls.dataset, [0], x, anchor)
     assert ls.vr_grad([0], x, anchor).tobytes() == dense.tobytes()
     assert not np.signbit(dense).any()
-    got = ls.vr_grad([0], x[[1, 3]], anchor, (0, 5))
+    got = ls.vr_grad([0], x[[1, 3]], anchor, (0, 5), (0, 2, entry_terms(ls.dataset, anchor)))
     assert _block_from_entries(ls, 0, got, anchor, 0, 5).tobytes() == dense.tobytes()
     assert got.tobytes() == dense[[1, 3]].tobytes()
 
@@ -785,23 +788,6 @@ def test_read_rule_matches_whole_iterate_oracle(seed, d, m, n, dense_rows, tau_b
             for i in range(n):
                 support = ds.indices[ds.indptr[i]:ds.indptr[i + 1]]
                 assert state.read(tau, applied, i).tobytes() == got[support].tobytes()
-
-
-@pytest.mark.parametrize("B, with_replacement", [(1, True), (3, True), (5000, True), (3, False)])
-@pytest.mark.parametrize("m", [1, 4])
-def test_worker_draws_are_per_update_draws(B, with_replacement, m):
-    # a threads-mode worker draws its rows and blocks a chunk at a time;
-    # they are the values of one draw_batch and one draw_block per update,
-    # across chunk bounds
-    from proxvr.async_engine import _DRAW_ROWS, _worker_draws
-
-    n, updates = 6000, 2 * _DRAW_ROWS // B + 5
-    draws = _worker_draws(make_streams(7), n, B, m, with_replacement)
-    batch_rng, block_rng = make_streams(7)
-    for _ in range(updates):
-        batch, block = next(draws)
-        assert batch.tolist() == draw_batch(batch_rng, n, B, with_replacement).tolist()
-        assert block == (draw_block(block_rng, m) if m > 1 else 0)
 
 
 def test_batched_replay_update_gathers_once(monkeypatch, rng):
@@ -1058,9 +1044,25 @@ def test_replay_draws_are_per_update_draws(monkeypatch, rng, B, with_replacement
     assert len(rep.trace.records) == stages < cfg.S
     batch_rng, block_rng = make_streams(cfg.seed)
     updates = stages * cfg.K
-    assert seen == [draw_batch(batch_rng, prob.n, B, with_replacement).tolist()
-                    for _ in range(updates)]
-    assert [r.block for r in rep.commit_log] == [draw_block(block_rng, 3) for _ in range(updates)]
+    want_batches = [draw_batch(batch_rng, prob.n, B, with_replacement).tolist()
+                    for _ in range(cfg.S * cfg.K)]
+    want_blocks = [draw_block(block_rng, 3) for _ in range(cfg.S * cfg.K)]
+    assert seen == want_batches[:updates]
+    assert [r.block for r in rep.commit_log] == want_blocks[:updates]
+    # threads workers take the same draws by ticket: each stage's batches
+    # and blocks, in whatever order the workers commit them
+    for workers in (1, 3):
+        seen.clear()
+        rep = async_svrcd_run(prob, cfg, x0, ThreadsMode(workers), stop_below=objectives[2],
+                              debug=True)
+        done = len(rep.trace.records) * cfg.K
+        blocks = [r.block for r in rep.commit_log]  # in clock order, stage by stage
+        if workers == 1:  # one worker takes them in order
+            assert (seen, blocks) == (want_batches[:updates], want_blocks[:updates])
+        assert len(seen) == len(blocks) == done
+        for k in range(0, done, cfg.K):
+            assert sorted(seen[k:k + cfg.K]) == sorted(want_batches[k:k + cfg.K]), workers
+            assert sorted(blocks[k:k + cfg.K]) == sorted(want_blocks[k:k + cfg.K]), workers
 
 
 def test_zero_delay_svrg_matches_sequential(rng):
@@ -1271,18 +1273,10 @@ def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
 
 @pytest.mark.parametrize("kind", list(LossKind))
 @pytest.mark.parametrize("lambda1", [0.0, 5e-2])
-def test_one_worker_threads_equals_sequential_solver(monkeypatch, kind, lambda1):
-    # one worker always reads the current iterate, so on its own streams it
-    # walks the sequential solver's trajectory: the same update rule, the
-    # same commits and the same stage sum, bit for bit
-    from proxvr import async_engine
-
-    def worker_streams(seed, _real=async_engine.make_streams):
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed).spawn(1)[0]
-        return _real(seed)
-
-    monkeypatch.setattr(async_engine, "make_streams", worker_streams)
+def test_one_worker_threads_equals_sequential_solver(kind, lambda1):
+    # one worker always reads the current iterate and takes the stage's
+    # draws in order, so it walks the sequential solver's trajectory: the
+    # same samples, update rule, commits and stage sum, bit for bit
     prob = _gappy_problem(np.random.default_rng(71), kind, lambda1)
     x0 = np.zeros(prob.d)
     for svrg, m in ((True, 1), (False, 3), (False, 7)):
@@ -1314,6 +1308,47 @@ def test_one_worker_threads_equals_sequential_solver(monkeypatch, kind, lambda1)
                     x_tilde = total / cfg.K
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threads_commit_the_sequential_stage_draws(monkeypatch, workers):
+    # whatever the interleaving, P workers step with each stage's (batch,
+    # block) multiset of the sequential solver: every update index is taken
+    # once, and each update's gradient is the one its commit steps with
+    from proxvr import async_engine
+
+    stages = []
+
+    def rule(*args, _real=async_engine._stage_rule):
+        anchor, grad, step = _real(*args)
+        drawn = []
+        stages.append(drawn)
+
+        def recorded(batch, j, *rest):
+            drawn.append((np.asarray(batch).tolist(), j))
+            return grad(batch, j, *rest)
+
+        return anchor, recorded, step
+
+    monkeypatch.setattr(async_engine, "_stage_rule", rule)
+    prob = _gappy_problem(np.random.default_rng(73), LossKind.LOGISTIC)
+    x0 = np.zeros(prob.d)
+    interval = sys.getswitchinterval()
+    for B, m, wr in ((1, 3, True), (1, 7, False), (4, 3, True), (4, 1, False)):
+        cfg = SolverConfig(eta=0.4, B=B, K=40, S=3, m=m, seed=B + m, with_replacement=wr)
+        stages.clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = async_svrcd_run(prob, cfg, x0, ThreadsMode(workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(rep.worker_updates) == rep.total_commits == cfg.S * cfg.K
+        batch_rng, block_rng = make_streams(cfg.seed)
+        assert len(stages) == cfg.S
+        for drawn in stages:
+            want = [(draw_batch(batch_rng, prob.n, B, wr).tolist(),
+                     draw_block(block_rng, m) if m > 1 else 0) for _ in range(cfg.K)]
+            assert sorted(drawn) == sorted(want)
+
+
 def test_threads_declared_tau_flag(rng):
     prob = make_problem(rng, 30, 6, lambda2=0.1)
     cfg = SolverConfig(eta=0.1, B=1, K=60, S=1, seed=2)
@@ -1337,5 +1372,10 @@ def test_mode_validation(rng):
     cfg = SolverConfig(eta=0.1, B=1, K=5, S=1, seed=0)
     with pytest.raises(ContractViolation):
         async_svrg_run(prob, cfg, np.zeros(6), ThreadsMode(0))
+    # the worker bound is refused at construction, before any thread starts
+    for workers in (ThreadsMode.MAX_WORKERS + 1, 10**9, 2.0, True):
+        with pytest.raises(ContractViolation, match="workers"):
+            ThreadsMode(workers)
+    assert ThreadsMode(ThreadsMode.MAX_WORKERS).workers == ThreadsMode.MAX_WORKERS
     with pytest.raises(ContractViolation):
         async_svrg_run(prob, cfg, np.zeros(6), "not-a-mode")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_problem, one_dim_problem
 from proxvr import bench_cli
+from proxvr.async_engine import ThreadsMode
 from proxvr.bench_cli import (
     ExperimentConfig,
     build_experiment,
@@ -619,10 +620,17 @@ def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("proxvr.bench_cli.compute_reference_optimum", no_reference)
     cfg = _cfg(tmp_path, f"dataset = {SYNTH}\nalgorithm = async_svrg\nmode = threads:1\n"
                          "eta = 0.1\nK = 5\n")
-    for raw in ("abc", ",", "0", "1.5", "1,-2"):
+    # above the worker bound: refused before any thread starts
+    over = str(ThreadsMode.MAX_WORKERS + 1)
+    for raw in ("abc", ",", "0", "1.5", "1,-2", over, "1,1e9"):
         assert main(["speedup", str(cfg), "--workers", raw, "-o", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "proxvr: error:" in err and "workers" in err, raw
+    for command in ("run", "speedup"):
+        code = main([command, str(cfg), "-o", str(tmp_path / "out"), "--set",
+                     f"mode=threads:{over}"])
+        assert code == 1
+        assert "bad value for mode" in capsys.readouterr().err
 
 
 def test_cli_speedup_data_ranges_checked_before_reference(tmp_path, capsys, monkeypatch):

@@ -89,6 +89,18 @@ def test_least_squares_grad_stationary_is_empty():
     assert g.nnz == 0
 
 
+@pytest.mark.parametrize("kind, label, x0", [(LossKind.LOGISTIC, 1.0, 744.0),
+                                             (LossKind.LEAST_SQUARES, 0.0, 5e-324)])
+def test_loss_grad_drops_products_that_underflow(kind, label, x0):
+    # c * 0.25 underflows to zero while c * 1.0 does not; the gradient
+    # stores only the nonzero products, as minibatch_grad's zeros show
+    ds = Dataset([0, 2], [0, 1], [1.0, 0.25], [label], 2)
+    x = np.array([x0, 0.0])
+    g = loss_grad(kind, ds.examples[0], x)
+    assert g.indices.tolist() == [0]
+    assert g.to_dense().tobytes() == minibatch_grad(kind, ds, [0], x).tobytes()
+
+
 def test_grad_support_inside_feature_support(rng):
     for _ in range(20):
         ex = SparseExample(random_sparse_vec(rng, 10, 0.4), 1.0)
@@ -563,6 +575,15 @@ def test_csr_constructor_rejects_bad_shapes():
         _csr([0, 1], [0], [1.0], labels=[1.0, -1.0])  # labels vs indptr
     with pytest.raises(ContractViolation):
         Dataset.build([_ex([(0, 1.0)], 2, 1.0), _ex([(0, 1.0)], 3, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["data", "labels"])
+def test_csr_constructor_rejects_non_finite_values(bad, field):
+    arrays = {"data": [1.0, 2.0], "labels": [1.0]}
+    arrays[field][0] = bad
+    with pytest.raises(ContractViolation, match="finite"):
+        Dataset([0, 2], [0, 1], arrays["data"], arrays["labels"], 2)
 
 
 # ----------------------------------------------- the row-order multiset mean
