@@ -10,30 +10,31 @@ delayed, perturbed read of the iterate:
   the commit touches one block.
 
 A consistent read is an inconsistent read with J(k) empty, and SVRG is SVRCD
-with one block (logged as block -1). Both execution modes run one sequence
-of block commits on a ``MasterState`` over the run's partition: a commit
+with one block (logged as block -1). Every mode is one run (``replay``). Per
+stage it sets up one update rule (``_stage_rule``), one ``MasterState`` over
+the run's partition, one draw of the rows and blocks (``_stage_draws``) from
+the run's two streams and one batch plan (``stage_batches``). Every commit
 replaces one block, advances the clock and adds the new iterate to the stage
-sum. Both form a block's new values by one update rule (``_stage_rule``).
+sum, through one function that also records it. Only the driver of a stage's
+K updates differs:
 
-* simulate (``replay``): one logical thread replays a pre-drawn delay
-  schedule against a master state with an undo log of its last tau commits;
+* serial (sequential and simulate): one logical thread replays a pre-drawn
+  delay schedule against the master's undo log of its last tau commits;
   fully deterministic. With no schedule every read is current: that is the
   sequential ProxSVRG/ProxSVRCD solver, which a zero-delay simulation
   therefore reproduces bit-for-bit. Every delayed read, of the whole vector
   or of a row's support, follows one rule per block (``MasterState.read``);
-* threads: P workers against one block-locked ``MasterState`` per stage,
-  with no undo log. A worker pulls the whole iterate, computes its gradient
-  outside any lock, then steps, proxes and commits its block holding the
-  block's lock and then the clock lock: the lock order is always block ->
-  clock. The ticket and pull clock are taken inside block 0's lock, so one
-  block gives an atomic snapshot; a commit's delay is the commits between
-  its pull and itself. The ticket is the update's index into the stage's
-  draws.
+* threads (``_run_workers``): P workers, with no undo log. A worker's ticket
+  k is its update's index: it takes the stage's draws and plan entry k. It
+  pulls the whole iterate, computes its gradient outside any lock, then
+  steps and commits its block holding the block's lock and then the clock
+  lock: the lock order is always block -> clock. The ticket and pull clock
+  are taken inside block 0's lock, so one block gives an atomic snapshot; a
+  commit's delay is the commits between its pull and itself. The plan is
+  advanced under its own leaf lock, never held with another lock.
 
-Both modes draw a stage's rows and blocks at once (``_stage_draws``) from
-the run's two streams, so P workers commit the sequential solver's multiset
-of (batch, block) in every stage, and one worker walks its trajectory bit
-for bit.
+So P workers commit the sequential solver's multiset of (batch, block) in
+every stage, and one worker walks its trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -148,6 +149,7 @@ class MasterState:
 
     def __init__(self, x0: DenseVec, tau_bound: int, part: BlockPartition | None = None,
                  rows: RowBlocks | None = None):
+        tau_bound = _index(tau_bound, "tau_bound")
         self.x = np.array(x0, dtype=np.float64, copy=True)
         bounds = [0, self.x.size] if part is None else part.bounds.tolist()
         if bounds[-1] != self.x.size or not (rows is None or np.array_equal(rows.bounds, bounds)):
@@ -245,7 +247,7 @@ class MasterState:
         return xhat
 
 
-def _index(value, name: str, stop: int) -> int:
+def _index(value, name: str, stop: float = np.inf) -> int:
     """``value`` as an int in [0, ``stop``); bools and non-integers are refused."""
     if type(value) is not int and not isinstance(value, np.integer) or not 0 <= value < stop:
         raise ContractViolation(f"{name} must be an integer in [0, {stop}), got {value!r}")
@@ -283,6 +285,8 @@ class ThreadsMode:
         if type(self.workers) is not int or not 1 <= self.workers <= self.MAX_WORKERS:
             raise ContractViolation(f"need an integer 1 <= workers <= {self.MAX_WORKERS}, "
                                     f"got {self.workers!r}")
+        if self.declared_tau is not None:
+            _index(self.declared_tau, "declared_tau")
 
 
 @dataclass
@@ -367,14 +371,10 @@ def async_svrcd_run(
 
 def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
     if isinstance(mode, SimulateMode):
-        need = config.S * config.K
-        if len(mode.schedule) < need:
-            raise ContractViolation(f"schedule length {len(mode.schedule)} < S*K = {need}")
-        return replay(problem, config, x0, svrg, mode.schedule, stop_below, record_iterates,
-                      debug)
-    if isinstance(mode, ThreadsMode):
-        return _threads(problem, config, x0, svrg, mode, stop_below, debug)
-    raise ContractViolation(f"unknown mode {mode!r}")
+        mode = mode.schedule
+    elif not isinstance(mode, ThreadsMode):
+        raise ContractViolation(f"unknown mode {mode!r}")
+    return replay(problem, config, x0, svrg, mode, stop_below, record_iterates, debug)
 
 
 def _stage_draws(streams, n: int, B: int, m: int, K: int, with_replacement: bool):
@@ -433,7 +433,7 @@ def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
 
 
 # --------------------------------------------------------------------------
-# single-thread replay (simulate mode; sequential solvers with no schedule)
+# the run of every mode, with its two drivers
 # --------------------------------------------------------------------------
 
 def replay(
@@ -441,15 +441,17 @@ def replay(
     config: SolverConfig,
     x0: DenseVec,
     svrg: bool,
-    schedule: DelaySchedule | None,
+    mode: DelaySchedule | ThreadsMode | None,
     stop_below: float | None = None,
     record_iterates: bool = False,
     debug: bool = False,
 ) -> AsyncReport:
-    """One logical thread replays ``schedule`` against a MasterState over
-    the run's partition: SVRG (``svrg``) with one block, else SVRCD with
-    ``config.m`` blocks; with ``schedule=None`` every read is current and
-    this is the sequential ProxSVRG/ProxSVRCD solver.
+    """The run of every mode, against a MasterState over the run's
+    partition: SVRG (``svrg``) with one block, else SVRCD with ``config.m``
+    blocks. ``mode`` is None (every read is current: the sequential
+    ProxSVRG/ProxSVRCD solver), a ``DelaySchedule`` (one logical thread
+    replays it; at least S*K delays) or a ``ThreadsMode`` (P workers,
+    ``_run_workers``).
 
     A one-row update reads the iterate on the row's support and steps its
     block by the row-block index (``RowBlocks``, built once per run): O(nnz
@@ -457,9 +459,14 @@ def replay(
     whole vector and passes ``vr_grad`` its entry of the stage's batch plan
     (``problem.stage_batches``), gathered a chunk of updates at a time or,
     for a batch of at least n rows, every stored row weighted by its
-    multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch.
-
-    A stage's rows and blocks come from one ``_stage_draws`` call."""
+    multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch."""
+    if not (mode is None or isinstance(mode, (DelaySchedule, ThreadsMode))):
+        raise ContractViolation(f"unknown mode {mode!r}")
+    threads = isinstance(mode, ThreadsMode)
+    schedule = None if threads else mode
+    if schedule is not None and len(schedule) < config.S * config.K:
+        raise ContractViolation(f"schedule length {len(schedule)} < S*K = "
+                                f"{config.S * config.K}")
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
     bounds = part.bounds.tolist()
@@ -469,16 +476,30 @@ def replay(
     applied_sets = None if schedule is None or svrg else schedule.applied
     B, K = config.B, config.K
     row_blocks = RowBlocks.build(problem.dataset, part) if B == 1 else None
-    delays, log = [], ([] if debug else None)
-    g = 0  # global update index into the schedule
+    delays, worker_updates = [], [0] * (mode.workers if threads else 1)
+    log = [] if debug else None
 
     def inner(s, x_tilde, iterates):
-        nonlocal g
         anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
         state = MasterState(x_tilde, tau_bound, part, row_blocks)
         x = state.x
         rows, blocks = _stage_draws(streams, problem.n, B, m, K, config.with_replacement)
         batches = stage_batches(problem.dataset, anchor, rows)
+
+        def commit(new, j, delay, worker=0):
+            state.commit(new, j)
+            delays.append(delay)
+            worker_updates[worker] += 1
+            if iterates is not None:
+                iterates.append(x.copy())
+            if log is not None:
+                log.append(CommitRecord(s, state.clock, worker, -1 if svrg else j, delay, new))
+
+        if threads:
+            _run_workers(mode.workers, state, bounds, row_blocks, grad, step, blocks, batches,
+                         commit)
+            return x, state.stage_sum
+        g = (s - 1) * K  # the stage's first update in the schedule
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
         included = None if applied_sets is None else applied_sets[g:g + K]
         for k, (j, (batch, planned)) in enumerate(zip(blocks, batches)):
@@ -494,83 +515,60 @@ def replay(
                 read = read_inconsistent(state, tau, applied)
             else:  # one row: its support
                 read = read_inconsistent(state, tau, applied, batch[0])
-            state.commit(step(x, j, grad(batch, j, read, planned)), j)
-            delays.append(tau)
-            if iterates is not None:
-                iterates.append(x.copy())
-            if log is not None:
-                log.append(CommitRecord(s, state.clock, 0, -1 if svrg else j, tau))
-            g += 1
+            commit(step(x, j, grad(batch, j, read, planned)), j, tau)
         return x, state.stage_sum
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
                        record_iterates=record_iterates)
-    return AsyncReport(trace, delays, [len(delays)], tau_bound, log)
+    return AsyncReport(trace, delays, worker_updates,
+                       mode.declared_tau if threads else tau_bound, log)
 
 
-# --------------------------------------------------------------------------
-# threads mode
-# --------------------------------------------------------------------------
+def _run_workers(P, state, bounds, row_blocks, grad, step, blocks, batches, commit):
+    """A stage's K updates (``blocks`` and the plan ``batches``) by P
+    threads against ``state``, as the module docstring sets out. The first
+    error a worker raises stops the remaining tickets, and is raised here
+    once every worker has joined."""
+    x, K = state.x, len(blocks)
+    block_locks = [threading.Lock() for _ in bounds[1:]]
+    clock_lock, plan_lock = threading.Lock(), threading.Lock()
+    tickets, plan, failed = [0], [], []
 
-def _threads(problem, config, x0, svrg, mode, stop_below, debug):
-    P, K = mode.workers, config.K
-    m = 1 if svrg else config.m
-    ds = problem.dataset
-    streams = make_streams(config.seed)
-    part = BlockPartition.equal(problem.d, m)
-    bounds = part.bounds.tolist()
-    row_blocks = RowBlocks.build(ds, part) if config.B == 1 else None
-    delays, worker_updates = [], [0] * P
-    log = [] if debug else None
-
-    def inner(s, x_tilde, iterates):
-        _, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
-        rows, blocks = _stage_draws(streams, problem.n, config.B, m, K, config.with_replacement)
-        state = MasterState(x_tilde, 0, part)
-        x = state.x
-        # lock order block -> clock; the ticket (the update's index into the
-        # stage's draws) and the pull clock are taken inside block 0's lock,
-        # so a one-block pull is an atomic snapshot
-        block_locks = [threading.Lock() for _ in range(m)]
-        clock_lock = threading.Lock()
-        tickets = [0]
-
-        def run_worker(wid):
+    def work(wid):
+        try:
             while True:
-                x_hat = np.empty(problem.d)
+                x_hat = np.empty(x.size)
                 for jj, lock in enumerate(block_locks):
                     lo, hi = bounds[jj], bounds[jj + 1]
                     with lock:
                         if jj == 0:
                             with clock_lock:
                                 k = tickets[0]
-                                if k == K:
+                                if k == K or failed:
                                     return
                                 tickets[0] = k + 1
                                 pulled_at = state.clock
                         x_hat[lo:hi] = x[lo:hi]
-                batch, j = rows[k], blocks[k]
+                with plan_lock:
+                    while len(plan) <= k:
+                        plan.append(next(batches))
+                    (batch, planned), plan[k] = plan[k], None
+                j = blocks[k]
                 if row_blocks is not None:  # one row reads its support
-                    i = int(batch[0])
-                    x_hat = x_hat[ds.indices[ds.indptr[i]:ds.indptr[i + 1]]]
-                g = grad(batch, j, x_hat)
+                    first, end = row_blocks.indptr[batch[0]:batch[0] + 2].tolist()
+                    x_hat = x_hat[row_blocks.indices[first:end]]
+                g = grad(batch, j, x_hat, planned)
                 with block_locks[j]:
                     new = step(x, j, g)
                     with clock_lock:
-                        delay = state.clock - pulled_at
-                        state.commit(new, j)
-                        delays.append(delay)
-                        worker_updates[wid] += 1
-                        if log is not None:
-                            log.append(CommitRecord(s, state.clock, wid, -1 if svrg else j, delay,
-                                                    new))
+                        commit(new, j, state.clock - pulled_at, wid)
+        except BaseException as err:  # raised by the run once all have joined
+            failed.append(err)
 
-        threads = [threading.Thread(target=run_worker, args=(w,)) for w in range(P)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return x, state.stage_sum
-
-    trace = run_stages(problem, config, x0, inner, stop_below=stop_below)
-    return AsyncReport(trace, delays, worker_updates, mode.declared_tau, log)
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(P)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]

@@ -133,12 +133,15 @@ def run_stages(
     last iterate and the sum of the K iterates, or None to advance to the
     last iterate. Then advance to the average, record the stage (the clock
     stops before the objective pass), and stop once the objective reaches
-    ``stop_below`` or is not finite (the run diverged).
+    ``stop_below`` or is not finite (the run diverged). ``x0`` is d finite
+    numbers in a 1-D array; the run starts from a float64 copy of it.
     """
     config.validate(problem.n, problem.d)
-    if x0.shape[0] != problem.d:
-        raise ContractViolation("x0 dimension mismatch")
-    x_tilde = x0.copy()
+    x0 = np.asarray(x0)
+    if x0.shape != (problem.d,) or x0.dtype.kind not in "iuf" or not np.isfinite(x0).all():
+        raise ContractViolation(f"x0 must be a 1-D array of d = {problem.d} finite values, got "
+                                f"shape {x0.shape}, dtype {x0.dtype}")
+    x_tilde = x0.astype(np.float64)  # a copy; float64 callers keep their bytes
     trace = RunTrace(iterates=[] if record_iterates else None)
     for s in range(1, config.S + 1):
         t0 = time.perf_counter()

@@ -1,4 +1,5 @@
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,9 @@ def test_commit_refuses_values_of_another_length():
         assert [id(e) for e in state._log] == log
     with pytest.raises(ContractViolation):
         MasterState(np.zeros(5), 1, BlockPartition(np.array([0, 1, 4, 6])))
+    for tau_bound in (-1, 2.0, True):
+        with pytest.raises(ContractViolation, match="tau_bound"):
+            MasterState(np.zeros(6), tau_bound)
 
 
 @pytest.mark.parametrize("tau_bound", [0, 1, 3, 6])
@@ -1115,6 +1119,10 @@ def test_simulate_schedule_too_short_rejected(rng):
     sched = sample_delay_schedule("constant", 0, 99, seed=0)
     with pytest.raises(ContractViolation):
         async_svrg_run(prob, cfg, np.zeros(6), SimulateMode(sched))
+    # the run itself checks the length, whoever calls it
+    for svrg in (True, False):
+        with pytest.raises(ContractViolation, match="schedule length"):
+            replay(prob, cfg, np.zeros(6), svrg, sched)
 
 
 def test_simulate_svrcd_singleton_blocks_contracts_within_rate(rng):
@@ -1244,31 +1252,95 @@ def test_threads_svrcd_block_isolation_fold(rng):
 def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
     # more workers than cores and frequent thread switches; a lost block
     # write or a stage sum out of clock order breaks the rebuilt stage
-    # average, which equals the run's bit for bit
+    # average, which equals the run's bit for bit. At B = 4 the workers also
+    # take their entries of the stage's batch plan under its own lock
     prob = make_problem(rng, 30, 8, lambda2=0.1)
     m = 4 if algo == "svrcd" else 1
-    cfg = SolverConfig(eta=0.1, B=1, K=150, S=2, m=m, seed=5)
     part = BlockPartition.equal(8, m)
     runner = async_svrcd_run if algo == "svrcd" else async_svrg_run
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        rep = runner(prob, cfg, np.zeros(8), ThreadsMode(6), debug=True)
-    finally:
-        sys.setswitchinterval(interval)
-    x_tilde = np.zeros(8)
-    for s in (1, 2):
-        commits = sorted((r for r in rep.commit_log if r.stage == s), key=lambda r: r.clock)
-        assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
-        x, total = x_tilde.copy(), np.zeros(8)
-        for r in commits:
-            assert 0 <= r.delay < r.clock
-            lo, hi = part.block_bounds(max(r.block, 0))
-            x[lo:hi] = r.block_values
-            total += x
-        x_tilde = total / cfg.K
-        assert prob.objective(x_tilde).hex() == rep.trace.objectives[s - 1].hex()
-    assert x_tilde.tobytes() == rep.trace.x_final.tobytes()
+    for B in (1, 4):
+        cfg = SolverConfig(eta=0.1, B=B, K=150, S=2, m=m, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = runner(prob, cfg, np.zeros(8), ThreadsMode(6), debug=True)
+        finally:
+            sys.setswitchinterval(interval)
+        x_tilde = np.zeros(8)
+        for s in (1, 2):
+            commits = sorted((r for r in rep.commit_log if r.stage == s), key=lambda r: r.clock)
+            assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
+            x, total = x_tilde.copy(), np.zeros(8)
+            for r in commits:
+                assert 0 <= r.delay < r.clock
+                lo, hi = part.block_bounds(max(r.block, 0))
+                x[lo:hi] = r.block_values
+                total += x
+            x_tilde = total / cfg.K
+            assert prob.objective(x_tilde).hex() == rep.trace.objectives[s - 1].hex()
+        assert x_tilde.tobytes() == rep.trace.x_final.tobytes()
+
+
+def test_threads_record_iterates_in_clock_order(rng):
+    # every commit records the iterate it made under the clock lock, so the
+    # recorded iterates are the commit log folded in clock order
+    prob = make_problem(rng, 30, 8, lambda2=0.1)
+    for svrg, m, B in ((True, 1, 1), (True, 1, 4), (False, 4, 1), (False, 4, 4)):
+        cfg = SolverConfig(eta=0.1, B=B, K=80, S=2, m=m, seed=7)
+        part = BlockPartition.equal(8, m)
+        runner = async_svrg_run if svrg else async_svrcd_run
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = runner(prob, cfg, np.zeros(8), ThreadsMode(3), record_iterates=True,
+                         debug=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rep.trace.iterates) == cfg.S * cfg.K
+        x_tilde, k = np.zeros(8), 0
+        for s in (1, 2):
+            commits = [r for r in rep.commit_log if r.stage == s]
+            assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
+            x, total = x_tilde.copy(), np.zeros(8)
+            for r in commits:
+                lo, hi = part.block_bounds(max(r.block, 0))
+                x[lo:hi] = r.block_values
+                assert x.tobytes() == rep.trace.iterates[k].tobytes()
+                total += x
+                k += 1
+            x_tilde = total / cfg.K
+        assert x_tilde.tobytes() == rep.trace.x_final.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_threads_worker_error_is_raised_by_the_run(monkeypatch, workers):
+    # a worker's error stops the remaining tickets, and the run raises it
+    # once every worker has joined, instead of returning a short stage
+    from proxvr import async_engine
+
+    calls = []
+
+    def rule(*args, _real=async_engine._stage_rule):
+        anchor, grad, step = _real(*args)
+
+        def failing(*rest):
+            calls.append(None)
+            if len(calls) == 7:
+                raise FloatingPointError("the seventh gradient")
+            return grad(*rest)
+
+        return anchor, failing, step
+
+    monkeypatch.setattr(async_engine, "_stage_rule", rule)
+    prob = make_problem(np.random.default_rng(3), 30, 8, lambda2=0.1)
+    running = set(threading.enumerate())
+    for B in (1, 4):
+        calls.clear()
+        cfg = SolverConfig(eta=0.1, B=B, K=50, S=2, m=4, seed=1)
+        with pytest.raises(FloatingPointError, match="seventh"):
+            async_svrcd_run(prob, cfg, np.zeros(8), ThreadsMode(workers))
+        assert len(calls) < cfg.K  # the first stage stopped short; no second one ran
+        assert set(threading.enumerate()) == running
 
 
 @pytest.mark.parametrize("kind", list(LossKind))
@@ -1287,11 +1359,13 @@ def test_one_worker_threads_equals_sequential_solver(kind, lambda1):
                 cfg = SolverConfig(eta=0.4, B=B, K=30, S=3, m=m, seed=m + 10 * B,
                                    with_replacement=wr)
                 want = replay(prob, cfg, x0, svrg, None, record_iterates=True)
-                got = runner(prob, cfg, x0, ThreadsMode(1), debug=True)
+                got = runner(prob, cfg, x0, ThreadsMode(1), record_iterates=True, debug=True)
                 assert [o.hex() for o in got.trace.objectives] == [
                     o.hex() for o in want.trace.objectives]
                 assert got.trace.x_final.tobytes() == want.trace.x_final.tobytes()
                 assert got.delays.tolist() == [0] * (cfg.S * cfg.K)
+                assert [x.tobytes() for x in got.trace.iterates] == [
+                    x.tobytes() for x in want.trace.iterates]
                 # the logged block values, folded in clock order from each
                 # stage's average, give every iterate
                 x_tilde, k = x0, 0
@@ -1377,5 +1451,9 @@ def test_mode_validation(rng):
         with pytest.raises(ContractViolation, match="workers"):
             ThreadsMode(workers)
     assert ThreadsMode(ThreadsMode.MAX_WORKERS).workers == ThreadsMode.MAX_WORKERS
+    for tau in (-1, 0.5, True):
+        with pytest.raises(ContractViolation, match="declared_tau"):
+            ThreadsMode(2, declared_tau=tau)
+    assert ThreadsMode(2, declared_tau=0).declared_tau == 0
     with pytest.raises(ContractViolation):
         async_svrg_run(prob, cfg, np.zeros(6), "not-a-mode")

@@ -84,8 +84,12 @@ def test_invalid_configs_rejected(rng):
         prox_sgd_run(prob, SolverConfig(eta=0.1, B=99, K=1, S=1), np.zeros(4))
     with pytest.raises(ContractViolation):
         prox_svrcd_run(prob, SolverConfig(eta=0.1, B=1, K=1, S=1, m=9), np.zeros(4))
-    with pytest.raises(ContractViolation):
-        prox_sgd_run(prob, SolverConfig(eta=0.1, B=1, K=1, S=1), np.zeros(5))
+    # x0 must be d finite numbers in a 1-D array: (d, 1) used to pass the
+    # length check and fail later in numpy
+    for x0 in (np.zeros(5), np.zeros((4, 1)), np.array([0.0, np.nan, 0.0, 0.0]),
+               np.array([0.0, 0.0, np.inf, 0.0])):
+        with pytest.raises(ContractViolation, match="x0"):
+            prox_sgd_run(prob, SolverConfig(eta=0.1, B=1, K=1, S=1), x0)
     # ranges that need no data fail when the config is built
     nan, inf = float("nan"), float("inf")
     for bad in (dict(eta=nan), dict(eta=inf), dict(eta=0.0), dict(B=0), dict(m=0),
@@ -105,6 +109,20 @@ def test_invalid_configs_rejected(rng):
                 dict(eta=0.0), dict(max_iter=0), dict(max_iter=-5)):
         with pytest.raises(ContractViolation):
             compute_reference_optimum(prob, 1e-12, **bad)
+
+
+@pytest.mark.parametrize("runner", [prox_sgd_run, prox_scd_run, prox_svrg_run, prox_svrcd_run])
+def test_integer_x0_runs_as_float(rng, runner):
+    # an int x0 used to be the run's own iterate, truncated in place by
+    # ProxSCD's block step; every run now starts from a float64 copy
+    prob = make_problem(rng, 12, 6, lambda2=0.1)
+    cfg = SolverConfig(eta=0.2, B=2, K=10, S=3, m=3, seed=4)
+    want = runner(prob, cfg, np.zeros(6), record_iterates=True)
+    x0 = np.zeros(6, dtype=int)
+    got = runner(prob, cfg, x0, record_iterates=True)
+    assert [o.hex() for o in got.objectives] == [o.hex() for o in want.objectives]
+    assert [x.tobytes() for x in got.iterates] == [x.tobytes() for x in want.iterates]
+    assert got.x_final.tobytes() == want.x_final.tobytes() and not x0.any()
 
 
 # ---------------------------------------------------------------- ProxSCD
