@@ -24,14 +24,16 @@ K updates differs:
   sequential ProxSVRG/ProxSVRCD solver, which a zero-delay simulation
   therefore reproduces bit-for-bit. Every delayed read, of the whole vector
   or of a row's support, follows one rule per block (``MasterState.read``);
-* threads (``_run_workers``): P workers, with no undo log. A worker's ticket
-  k is its update's index: it takes the stage's draws and plan entry k. It
-  pulls the whole iterate, computes its gradient outside any lock, then
-  steps and commits its block holding the block's lock and then the clock
-  lock: the lock order is always block -> clock. The ticket and pull clock
-  are taken inside block 0's lock, so one block gives an atomic snapshot; a
-  commit's delay is the commits between its pull and itself. The plan is
-  advanced under its own leaf lock, never held with another lock.
+* threads (``_run_workers``): P workers, with no undo log, started once per
+  run as a thread pool, with the block, clock and plan locks made once; each
+  stage submits P tasks and waits for them. A worker's ticket k is its
+  update's index: it takes the stage's draws and plan entry k. It pulls the
+  whole iterate, computes its gradient outside any lock, then steps and
+  commits its block holding the block's lock and then the clock lock: the
+  lock order is always block -> clock. The ticket and pull clock are taken
+  inside block 0's lock, so one block gives an atomic snapshot; a commit's
+  delay is the commits between its pull and itself. The plan is advanced
+  under its own leaf lock, never held with another lock.
 
 So P workers commit the sequential solver's multiset of (batch, block) in
 every stage, and one worker walks its trajectory bit for bit.
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -71,8 +75,9 @@ class DelaySchedule:
     def __post_init__(self):
         t = np.asarray(self.taus, dtype=np.int64)
         object.__setattr__(self, "taus", t)
-        if self.tau_bound < 0:
-            raise ContractViolation("tau_bound must be >= 0")
+        object.__setattr__(self, "tau_bound", _index(self.tau_bound, "tau_bound"))
+        if t.ndim != 1:
+            raise ContractViolation(f"taus must be 1-D, got shape {t.shape}")
         if t.size and (t.min() < 0 or t.max() > self.tau_bound):
             raise ContractViolation("delays must lie in [0, tau_bound]")
         if t.size and np.any(t > np.arange(t.size)):
@@ -277,7 +282,6 @@ class ThreadsMode:
     """P = ``workers`` OS threads, an integer in [1, ``MAX_WORKERS``]."""
 
     workers: int
-    declared_tau: int | None = None  # the tau used to pick eta, if any
 
     MAX_WORKERS: ClassVar[int] = 64
 
@@ -285,8 +289,6 @@ class ThreadsMode:
         if type(self.workers) is not int or not 1 <= self.workers <= self.MAX_WORKERS:
             raise ContractViolation(f"need an integer 1 <= workers <= {self.MAX_WORKERS}, "
                                     f"got {self.workers!r}")
-        if self.declared_tau is not None:
-            _index(self.declared_tau, "declared_tau")
 
 
 @dataclass
@@ -307,7 +309,6 @@ class AsyncReport:
     trace: RunTrace
     delays: np.ndarray  # one per commit, in commit order
     worker_updates: list
-    declared_tau: int | None = None
     commit_log: list | None = None
 
     def __post_init__(self):
@@ -335,10 +336,6 @@ class AsyncReport:
         ends = np.cumsum([r.updates for r in self.trace.records], dtype=np.int64)
         return [float(d.mean()) if d.size else 0.0 for d in np.split(self.delays, ends)[:-1]]
 
-    @property
-    def mean_delay_exceeded(self) -> bool:
-        return self.declared_tau is not None and self.delay_mean > self.declared_tau
-
 
 def async_svrg_run(
     problem: Problem,
@@ -351,7 +348,7 @@ def async_svrg_run(
     debug: bool = False,
 ) -> AsyncReport:
     """Asynchronous SVRG under the consistent (whole-vector) read model;
-    ``config.m`` is ignored."""
+    ``config.m`` is unused, but must lie in [1, d]."""
     return _run(problem, config, x0, mode, True, stop_below, record_iterates, debug)
 
 
@@ -451,7 +448,7 @@ def replay(
     blocks. ``mode`` is None (every read is current: the sequential
     ProxSVRG/ProxSVRCD solver), a ``DelaySchedule`` (one logical thread
     replays it; at least S*K delays) or a ``ThreadsMode`` (P workers,
-    ``_run_workers``).
+    started once per run; ``_run_workers``).
 
     A one-row update reads the iterate on the row's support and steps its
     block by the row-block index (``RowBlocks``, built once per run): O(nnz
@@ -496,8 +493,8 @@ def replay(
                 log.append(CommitRecord(s, state.clock, worker, -1 if svrg else j, delay, new))
 
         if threads:
-            _run_workers(mode.workers, state, bounds, row_blocks, grad, step, blocks, batches,
-                         commit)
+            _run_workers(pool, mode.workers, locks, state, bounds, row_blocks, grad, step,
+                         blocks, batches, commit)
             return x, state.stage_sum
         g = (s - 1) * K  # the stage's first update in the schedule
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
@@ -518,20 +515,23 @@ def replay(
             commit(step(x, j, grad(batch, j, read, planned)), j, tau)
         return x, state.stage_sum
 
-    trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
-                       record_iterates=record_iterates)
-    return AsyncReport(trace, delays, worker_updates,
-                       mode.declared_tau if threads else tau_bound, log)
+    pool = ThreadPoolExecutor(mode.workers) if threads else nullcontext()
+    locks = [threading.Lock() for _ in range(m + 2)] if threads else None
+    with pool:
+        trace = run_stages(problem, config, x0, inner, stop_below=stop_below,
+                           record_iterates=record_iterates)
+    return AsyncReport(trace, delays, worker_updates, log)
 
 
-def _run_workers(P, state, bounds, row_blocks, grad, step, blocks, batches, commit):
-    """A stage's K updates (``blocks`` and the plan ``batches``) by P
-    threads against ``state``, as the module docstring sets out. The first
-    error a worker raises stops the remaining tickets, and is raised here
-    once every worker has joined."""
+def _run_workers(pool, P, locks, state, bounds, row_blocks, grad, step, blocks, batches,
+                 commit):
+    """A stage's K updates (``blocks`` and the plan ``batches``) by P tasks on
+    the run's ``pool`` against ``state``, with the run's ``locks`` (per block,
+    then clock and plan), as the module docstring sets out. The first error a
+    worker raises stops the remaining tickets, and is raised here once every
+    worker has returned."""
     x, K = state.x, len(blocks)
-    block_locks = [threading.Lock() for _ in bounds[1:]]
-    clock_lock, plan_lock = threading.Lock(), threading.Lock()
+    *block_locks, clock_lock, plan_lock = locks
     tickets, plan, failed = [0], [], []
 
     def work(wid):
@@ -562,13 +562,9 @@ def _run_workers(P, state, bounds, row_blocks, grad, step, blocks, batches, comm
                     new = step(x, j, g)
                     with clock_lock:
                         commit(new, j, state.clock - pulled_at, wid)
-        except BaseException as err:  # raised by the run once all have joined
+        except BaseException as err:  # raised by the run once all have returned
             failed.append(err)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(P)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    wait([pool.submit(work, w) for w in range(P)])
     if failed:
         raise failed[0]

@@ -7,6 +7,7 @@ stored zeros, so sparsity statistics read straight off the stored entries.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +85,9 @@ class BlockPartition:
         """Equal-size contiguous blocks; the last block absorbs the remainder."""
         if not (1 <= m <= d):
             raise ContractViolation(f"need 1 <= m <= d, got m={m}, d={d}")
-        base = d // m
-        cuts = [base * j for j in range(m)] + [d]
-        return BlockPartition(np.array(cuts, dtype=np.int64))
+        cuts = np.arange(operator.index(m) + 1, dtype=np.int64) * (d // m)
+        cuts[-1] = d
+        return BlockPartition(cuts)
 
     @property
     def m(self) -> int:

@@ -412,7 +412,9 @@ def _is_wide(dataset: Dataset, B: int) -> bool:
     multiplicities, instead of a gather of their distinct rows. Measured per
     batch, the all-rows form wins or ties from B = n up and loses below
     n / 2, dense or sparse; between the two the winner depends on the shape
-    (README)."""
+    (README). ``SolverConfig.validate`` refuses B > n, so a solver's batches
+    take this form at exactly B = n; larger B reach it only from a direct
+    ``stage_batches`` call."""
     return B >= dataset.n
 
 

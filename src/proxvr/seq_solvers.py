@@ -80,7 +80,12 @@ class SolverConfig:
     last_iterate: bool = False
 
     def __post_init__(self):
-        """Range checks that need no data; NaN fails every one of them."""
+        """Checks that need no data: NaN fails every range; the counts and the
+        seed must be integers (numpy's too), not bools."""
+        for key in ("B", "K", "S", "m", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractViolation(f"{key} must be an integer, got {value!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.eta, *(self.eta_decay or ()))):
             raise ContractViolation(f"eta and eta_decay must be finite and > 0, got "
                                     f"eta={self.eta}, eta_decay={self.eta_decay}")
@@ -237,8 +242,8 @@ def prox_svrg_run(
 
     Each inner update is x <- prox_{eta R}(x - eta * v), with the
     variance-corrected gradient v evaluated at the current iterate; stages
-    advance to the average of the K inner iterates. ``config.m`` is ignored.
-    """
+    advance to the average of the K inner iterates. ``config.m`` is unused,
+    but must lie in [1, d]."""
     from .async_engine import replay
 
     return replay(problem, config, x0, True, None, stop_below, record_iterates).trace

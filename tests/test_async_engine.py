@@ -1,6 +1,9 @@
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,6 +351,19 @@ def test_schedule_validation():
             sample_delay_schedule("uniform", 2, 5, seed=0, inconsistent=True, include_prob=p)
     with pytest.raises(ContractViolation):
         DelaySchedule(np.array([0, 1]), 2, np.zeros((2, 1), dtype=bool))  # wrong shape
+
+
+def test_schedule_refuses_malformed_input():
+    # taus must be 1-D (a 2-D array used to fail in numpy's broadcast) and
+    # tau_bound an integer (True used to be accepted as 1)
+    for taus in (np.zeros((2, 2), dtype=np.int64), np.zeros((1, 3), dtype=np.int64), np.int64(0)):
+        with pytest.raises(ContractViolation, match="1-D"):
+            DelaySchedule(taus, 1)
+    for bound in (True, False, 1.0, 2.5, -1, "2", None):
+        with pytest.raises(ContractViolation, match="tau_bound"):
+            DelaySchedule(np.array([0, 1]), bound)
+    s = DelaySchedule(np.array([0, 1]), np.int64(2))
+    assert type(s.tau_bound) is int and s.tau_bound == 2
 
 
 def _per_update_draw(kind, tau, length, seed, include_prob):
@@ -1109,7 +1125,7 @@ def test_simulate_commit_count_and_delay_bound(rng):
     rep = async_svrg_run(prob, cfg, np.zeros(8), SimulateMode(sched))
     assert rep.total_commits == 100
     assert rep.delay_max <= 3
-    assert not rep.mean_delay_exceeded
+    assert rep.delay_mean <= 3
     assert len(rep.stage_mean_delays) == 4
 
 
@@ -1423,13 +1439,49 @@ def test_threads_commit_the_sequential_stage_draws(monkeypatch, workers):
             assert sorted(drawn) == sorted(want)
 
 
-def test_threads_declared_tau_flag(rng):
-    prob = make_problem(rng, 30, 6, lambda2=0.1)
-    cfg = SolverConfig(eta=0.1, B=1, K=60, S=1, seed=2)
-    rep = async_svrg_run(prob, cfg, np.zeros(6), ThreadsMode(2, declared_tau=0))
-    assert rep.mean_delay_exceeded == (rep.delay_mean > 0)
-    ok = async_svrg_run(prob, cfg, np.zeros(6), ThreadsMode(2, declared_tau=10**9))
-    assert not ok.mean_delay_exceeded
+def test_threads_run_starts_its_workers_and_locks_once(monkeypatch):
+    # P workers and the block, clock and plan locks are made once per run,
+    # not once per stage; sequential and simulate runs make neither
+    from proxvr import async_engine
+
+    ran_on, pools, locks = [], [], []
+
+    def rule(*args, _real=async_engine._stage_rule):
+        anchor, grad, step = _real(*args)
+
+        def recorded(*rest):
+            ran_on.append(threading.current_thread())  # a kept reference: no id reuse
+            time.sleep(1e-4)  # lets every worker take tickets
+            return grad(*rest)
+
+        return anchor, recorded, step
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    def lock():
+        locks.append(threading.Lock())
+        return locks[-1]
+
+    monkeypatch.setattr(async_engine, "_stage_rule", rule)
+    monkeypatch.setattr(async_engine, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(async_engine, "threading", SimpleNamespace(Lock=lock))
+    prob = make_problem(np.random.default_rng(5), 30, 8, lambda2=0.1)
+    for B, m in ((1, 3), (4, 2)):
+        cfg = SolverConfig(eta=0.1, B=B, K=30, S=4, m=m, seed=1)
+        ran_on.clear(), pools.clear(), locks.clear()
+        rep = async_svrcd_run(prob, cfg, np.zeros(8), ThreadsMode(3))
+        assert rep.total_commits == len(ran_on) == cfg.S * cfg.K
+        assert len(set(ran_on)) == 3 and threading.current_thread() not in ran_on
+        assert len(pools) == 1 and len(locks) == m + 2
+        ran_on.clear(), pools.clear(), locks.clear()
+        sched = sample_delay_schedule("uniform", 2, cfg.S * cfg.K, seed=3, inconsistent=True)
+        for mode in (None, sched):
+            replay(prob, cfg, np.zeros(8), False, mode)
+        assert set(ran_on) == {threading.current_thread()}
+        assert not pools and not locks
 
 
 def test_threads_single_worker_svrcd_matches_objective_trend(rng):
@@ -1451,9 +1503,5 @@ def test_mode_validation(rng):
         with pytest.raises(ContractViolation, match="workers"):
             ThreadsMode(workers)
     assert ThreadsMode(ThreadsMode.MAX_WORKERS).workers == ThreadsMode.MAX_WORKERS
-    for tau in (-1, 0.5, True):
-        with pytest.raises(ContractViolation, match="declared_tau"):
-            ThreadsMode(2, declared_tau=tau)
-    assert ThreadsMode(2, declared_tau=0).declared_tau == 0
     with pytest.raises(ContractViolation):
         async_svrg_run(prob, cfg, np.zeros(6), "not-a-mode")

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem, one_dim_problem
-from proxvr import bench_cli
+from proxvr import bench_cli, seq_solvers
 from proxvr.async_engine import ThreadsMode
 from proxvr.bench_cli import (
     ExperimentConfig,
@@ -402,6 +402,52 @@ def test_run_experiment_simulated_delays(tmp_path):
     assert summary["eta_admissible"] == "true"
     assert 0 < summary["observed_mean_delay"] <= 3
     assert summary["observed_max_delay"] <= 3
+
+
+@pytest.mark.parametrize("mode,tau", [("threads:2", 0), ("threads:2", 10**9),
+                                      ("threads:2", None), ("simulate:uniform:2", None)])
+def test_summary_mean_delay_exceeded_judges_the_declared_tau(tmp_path, mode, tau):
+    # the CLI judges the tau the config declares: `tau` for threads:P (no
+    # verdict when unset) and the schedule's own tau for simulate
+    over = {} if tau is None else {"tau": tau}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tau = 10**9 makes eta inadmissible, by design
+        run_experiment(_base_cfg(algorithm="async_svrg", mode=mode, K=60, max_stages=2,
+                                 p_star=0.0, stop_tol=math.inf, **over), tmp_path / "out")
+    summary = dict(line.split("=", 1)
+                   for line in (tmp_path / "out" / "summary.txt").read_text().splitlines())
+    mean = float(summary["observed_mean_delay"])
+    declared = 2 if mode.startswith("simulate") else tau
+    want = declared is not None and mean > declared
+    assert summary["mean_delay_exceeded"] == str(want).lower()
+    if tau != 0:
+        assert summary["mean_delay_exceeded"] == "false"
+
+
+_SOLVER_VALUES = st.fixed_dictionaries({
+    "eta": st.floats(1e-6, 10.0),
+    "B": st.integers(1, 120),
+    "K": st.integers(0, 10**6),
+    "max_stages": st.integers(0, 10**4),
+    "m": st.integers(1, 12),
+    "eta_decay": st.none() | st.tuples(st.floats(1e-6, 10.0), st.floats(1e-3, 1e4)),
+    "seed": st.integers(0, 2**32 - 1),
+    "with_replacement": st.booleans(),
+    "last_iterate": st.booleans(),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=_SOLVER_VALUES)
+def test_solver_config_is_derived_from_the_experiment_fields(values):
+    cfg = _base_cfg(**values)
+    want = seq_solvers.SolverConfig(
+        eta=values["eta"], B=values["B"], K=values["K"], S=values["max_stages"],
+        m=values["m"], eta_decay=values["eta_decay"], seed=values["seed"],
+        with_replacement=values["with_replacement"], last_iterate=values["last_iterate"])
+    got = bench_cli._solver_config(cfg)
+    for f in fields(seq_solvers.SolverConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 # ---------------------------------------------------------- speedup

@@ -73,3 +73,16 @@ def test_block_partition_covers_everything():
                 assert hi > lo
                 covered.extend(range(lo, hi))
             assert covered == list(range(d))
+
+
+def test_block_partition_bounds_equal_the_list_formula():
+    # the numpy bounds are the list [base * j for j < m] + [d], m = 1 and m = d included
+    for d in (1, 2, 3, 7, 16, 31, 100, 1000):
+        for m in sorted({1, 2, 3, d // 3, d // 2, d - 1, d} & set(range(1, d + 1))):
+            base = d // m
+            want = [base * j for j in range(m)] + [d]
+            got = BlockPartition.equal(d, m).bounds
+            assert got.dtype == np.int64 and got.tolist() == want
+    for m in (2.0, 1.5):
+        with pytest.raises(TypeError):
+            BlockPartition.equal(6, m)

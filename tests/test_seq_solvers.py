@@ -97,6 +97,16 @@ def test_invalid_configs_rejected(rng):
                 dict(eta_decay=(1.0, inf)), dict(eta_decay=(0.5, -1.0))):
         with pytest.raises(ContractViolation):
             SolverConfig(**{**dict(eta=0.1, B=1, K=1, S=1), **bad})
+    # the counts and the seed must be integers: floats and bools used to fail
+    # later, as a TypeError from the draws or inside SeedSequence
+    for key in ("B", "K", "S", "m", "seed"):
+        for bad in (2.0, 2.5, True, False, np.float64(2.0), "2", None):
+            with pytest.raises(ContractViolation, match=key):
+                SolverConfig(**{**dict(eta=0.1, B=1, K=2, S=2), key: bad})
+    cfg = SolverConfig(eta=0.1, B=np.int64(1), K=np.int32(2), S=np.int64(2), m=np.int64(2),
+                       seed=np.uint8(3))
+    assert prox_svrcd_run(prob, cfg, np.zeros(4)).objectives == prox_svrcd_run(
+        prob, SolverConfig(eta=0.1, B=1, K=2, S=2, m=2, seed=3), np.zeros(4)).objectives
     for length, seed in ((-3, 0), (5, -1)):
         with pytest.raises(ContractViolation):
             sample_delay_schedule("uniform", 2, length, seed)
