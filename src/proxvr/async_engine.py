@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ClassVar
@@ -515,6 +514,8 @@ def replay(
             commit(step(x, j, grad(batch, j, read, planned)), j, tau)
         return x, state.stage_sum
 
+    if threads:  # imported here only: concurrent.futures loads logging, ~0.4 MB of RSS
+        from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(mode.workers) if threads else nullcontext()
     locks = [threading.Lock() for _ in range(m + 2)] if threads else None
     with pool:
@@ -565,6 +566,6 @@ def _run_workers(pool, P, locks, state, bounds, row_blocks, grad, step, blocks, 
         except BaseException as err:  # raised by the run once all have returned
             failed.append(err)
 
-    wait([pool.submit(work, w) for w in range(P)])
+    list(pool.map(work, range(P)))  # waits for every worker and reads its result
     if failed:
         raise failed[0]

@@ -394,10 +394,16 @@ def _execute(cfg: ExperimentConfig, problem: Problem, stop_below: float | None):
     if kind == "threads":
         mode = async_engine.ThreadsMode(args[0])
     else:
-        seed = cfg.schedule_seed if cfg.schedule_seed is not None else cfg.seed
-        mode = async_engine.SimulateMode(async_engine.sample_delay_schedule(
-            *args, sc.S * sc.K, seed, inconsistent=cfg.algorithm.endswith("svrcd"),
-            include_prob=cfg.include_prob))
+        law, tau = args
+        schedule = async_engine.sample_delay_schedule(
+            law,
+            tau,
+            sc.S * sc.K,
+            cfg.schedule_seed if cfg.schedule_seed is not None else cfg.seed,
+            inconsistent=cfg.algorithm.endswith("svrcd"),
+            include_prob=cfg.include_prob,
+        )
+        mode = async_engine.SimulateMode(schedule)
     report = _RUNNERS[cfg.algorithm](problem, sc, x0, mode, stop_below=stop_below)
     return report.trace, report
 

@@ -80,21 +80,16 @@ class SolverConfig:
     last_iterate: bool = False
 
     def __post_init__(self):
-        """Checks that need no data: NaN fails every range; the counts and the
-        seed must be integers (numpy's too), not bools."""
-        for key in ("B", "K", "S", "m", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractViolation(f"{key} must be an integer, got {value!r}")
+        """Checks that need no data: NaN fails every range; B and m are
+        integers >= 1, and K, S and seed integers >= 0 (K = 0 or S = 0 is an
+        explicit no-op run), numpy's too but never bools."""
         if not all(math.isfinite(v) and v > 0 for v in (self.eta, *(self.eta_decay or ()))):
             raise ContractViolation(f"eta and eta_decay must be finite and > 0, got "
                                     f"eta={self.eta}, eta_decay={self.eta_decay}")
-        if self.B < 1 or self.m < 1:
-            raise ContractViolation(f"B and m must be >= 1, got B={self.B}, m={self.m}")
-        # K = 0 or S = 0 is an explicit no-op run
-        if min(self.K, self.S, self.seed) < 0:
-            raise ContractViolation(f"K, S and seed must be >= 0, got {self.K}, {self.S}, "
-                                    f"{self.seed}")
+        for key, low in (("B", 1), ("m", 1), ("K", 0), ("S", 0), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ContractViolation(f"{key} must be an integer >= {low}, got {value!r}")
 
     def validate(self, n: int, d: int) -> None:
         if self.B > n:

@@ -1,7 +1,7 @@
+import concurrent.futures
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1456,7 +1456,7 @@ def test_threads_run_starts_its_workers_and_locks_once(monkeypatch):
 
         return anchor, recorded, step
 
-    class Pool(ThreadPoolExecutor):
+    class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
@@ -1466,7 +1466,7 @@ def test_threads_run_starts_its_workers_and_locks_once(monkeypatch):
         return locks[-1]
 
     monkeypatch.setattr(async_engine, "_stage_rule", rule)
-    monkeypatch.setattr(async_engine, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(async_engine, "threading", SimpleNamespace(Lock=lock))
     prob = make_problem(np.random.default_rng(5), 30, 8, lambda2=0.1)
     for B, m in ((1, 3), (4, 2)):
