@@ -12,11 +12,12 @@ delayed, perturbed read of the iterate:
 A consistent read is an inconsistent read with J(k) empty, and SVRG is SVRCD
 with one block (logged as block -1). Every mode is one run (``replay``). Per
 stage it sets up one update rule (``_stage_rule``), one ``MasterState`` over
-the run's partition, one draw of the rows and blocks (``_stage_draws``) from
-the run's two streams and one batch plan (``stage_batches``). Every commit
-replaces one block, advances the clock and adds the new iterate to the stage
-sum, through one function that also records it. Only the driver of a stage's
-K updates differs:
+the run's partition, one draw of the rows and blocks from the run's two
+streams (``seq_solvers._stage_draws``, through which every solver draws a
+stage) and one batch plan (``stage_batches``). Every commit replaces one
+block, advances the clock and adds the new iterate to the stage sum, through
+one function that also records it. Only the driver of a stage's K updates
+differs:
 
 * serial (sequential and simulate): one logical thread replays a pre-drawn
   delay schedule against the master's undo log of its last tau commits;
@@ -49,10 +50,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_int
 from .linalg import BlockPartition, DenseVec
 from .problem import Problem, RowBlocks, entry_terms, prox_elastic, stage_batches
-from .seq_solvers import RunTrace, SolverConfig, draw_batches, make_streams, run_stages
+from .seq_solvers import RunTrace, SolverConfig, _stage_draws, make_streams, run_stages
 
 
 @dataclass
@@ -74,7 +75,7 @@ class DelaySchedule:
     def __post_init__(self):
         t = np.asarray(self.taus, dtype=np.int64)
         object.__setattr__(self, "taus", t)
-        object.__setattr__(self, "tau_bound", _index(self.tau_bound, "tau_bound"))
+        object.__setattr__(self, "tau_bound", check_int(self.tau_bound, "tau_bound"))
         if t.ndim != 1:
             raise ContractViolation(f"taus must be 1-D, got shape {t.shape}")
         if t.size and (t.min() < 0 or t.max() > self.tau_bound):
@@ -117,8 +118,8 @@ def sample_delay_schedule(
     with probability ``include_prob``; the inclusion uniforms are drawn in
     update order, then offset order.
     """
-    if min(tau, length, seed) < 0:
-        raise ContractViolation(f"need tau, length, seed >= 0, got {tau}, {length}, {seed}")
+    for key, value in (("tau", tau), ("length", length), ("seed", seed)):
+        check_int(value, key)
     if kind not in ("constant", "uniform"):
         raise ContractViolation(f"unknown delay law {kind!r}")
     if not 0.0 <= include_prob <= 1.0:
@@ -153,7 +154,7 @@ class MasterState:
 
     def __init__(self, x0: DenseVec, tau_bound: int, part: BlockPartition | None = None,
                  rows: RowBlocks | None = None):
-        tau_bound = _index(tau_bound, "tau_bound")
+        tau_bound = check_int(tau_bound, "tau_bound")
         self.x = np.array(x0, dtype=np.float64, copy=True)
         bounds = [0, self.x.size] if part is None else part.bounds.tolist()
         if bounds[-1] != self.x.size or not (rows is None or np.array_equal(rows.bounds, bounds)):
@@ -172,7 +173,7 @@ class MasterState:
         outside the block. Any other length is refused before anything
         changes."""
         if type(block) is not int or not 0 <= block < len(self._bounds) - 1:
-            block = _index(block, "block", len(self._bounds) - 1)
+            block = check_int(block, "block", 0, len(self._bounds) - 1)
         lo, hi = self._bounds[block], self._bounds[block + 1]
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (hi - lo,):
@@ -207,9 +208,9 @@ class MasterState:
         A current whole read returns ``x`` as a read-only view, which
         changes at the next commit; every other read is a new array."""
         if type(tau_k) is not int or not 0 <= tau_k <= len(self._log):
-            tau_k = _index(tau_k, "tau_k (commits retained)", len(self._log) + 1)
+            tau_k = check_int(tau_k, "tau_k (commits retained)", 0, len(self._log) + 1)
         start = self.clock - tau_k
-        applied = [h if type(h) is int else _index(h, "an applied update", self.clock)
+        applied = [h if type(h) is int else check_int(h, "an applied update", 0, self.clock)
                    for h in applied]
         applied.sort()
         if applied and (applied[0] < start or applied[-1] >= self.clock
@@ -225,7 +226,7 @@ class MasterState:
             if rows is None:
                 raise ContractViolation("a row read needs a state built with rows")
             if type(row) is not int or not 0 <= row < rows.indptr.size - 1:
-                row = _index(row, "row", rows.indptr.size - 1)
+                row = check_int(row, "row", 0, rows.indptr.size - 1)
             first, end = rows.indptr[row:row + 2].tolist()
             xhat = self.x[rows.indices[first:end]]
             if not tau_k:
@@ -251,13 +252,6 @@ class MasterState:
         return xhat
 
 
-def _index(value, name: str, stop: float = np.inf) -> int:
-    """``value`` as an int in [0, ``stop``); bools and non-integers are refused."""
-    if type(value) is not int and not isinstance(value, np.integer) or not 0 <= value < stop:
-        raise ContractViolation(f"{name} must be an integer in [0, {stop}), got {value!r}")
-    return int(value)
-
-
 def read_consistent(state: MasterState, tau_k: int) -> DenseVec:
     """Atomic snapshot of the full iterate from ``tau_k`` commits ago: the
     inconsistent read with no applied updates."""
@@ -278,16 +272,16 @@ class SimulateMode:
 
 @dataclass(frozen=True)
 class ThreadsMode:
-    """P = ``workers`` OS threads, an integer in [1, ``MAX_WORKERS``]."""
+    """P = ``workers`` OS threads, an integer in [1, ``MAX_WORKERS``] (numpy
+    integers too), stored as an int."""
 
     workers: int
 
     MAX_WORKERS: ClassVar[int] = 64
 
     def __post_init__(self):
-        if type(self.workers) is not int or not 1 <= self.workers <= self.MAX_WORKERS:
-            raise ContractViolation(f"need an integer 1 <= workers <= {self.MAX_WORKERS}, "
-                                    f"got {self.workers!r}")
+        object.__setattr__(self, "workers", check_int(self.workers, "workers", 1,
+                                                      self.MAX_WORKERS + 1))
 
 
 @dataclass
@@ -347,7 +341,8 @@ def async_svrg_run(
     debug: bool = False,
 ) -> AsyncReport:
     """Asynchronous SVRG under the consistent (whole-vector) read model;
-    ``config.m`` is unused, but must lie in [1, d]."""
+    ``config.m`` is unused, but must lie in [1, d], and ``config.eta_decay``
+    is unused."""
     return _run(problem, config, x0, mode, True, stop_below, record_iterates, debug)
 
 
@@ -361,7 +356,8 @@ def async_svrcd_run(
     record_iterates: bool = False,
     debug: bool = False,
 ) -> AsyncReport:
-    """Asynchronous SVRCD under the inconsistent (block-level) read model."""
+    """Asynchronous SVRCD under the inconsistent (block-level) read model;
+    ``config.eta_decay`` is unused."""
     return _run(problem, config, x0, mode, False, stop_below, record_iterates, debug)
 
 
@@ -371,18 +367,6 @@ def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
     elif not isinstance(mode, ThreadsMode):
         raise ContractViolation(f"unknown mode {mode!r}")
     return replay(problem, config, x0, svrg, mode, stop_below, record_iterates, debug)
-
-
-def _stage_draws(streams, n: int, B: int, m: int, K: int, with_replacement: bool):
-    """A stage's K updates' draws from the run's ``(batch_rng, block_rng)``:
-    the rows as one ``draw_batches`` (K, B) array and the blocks as one
-    ``integers(0, m, size=K)`` list (all 0 for m = 1, which draws nothing).
-    Under either sampling law these are the values of K draws of one update
-    each."""
-    batch_rng, block_rng = streams
-    rows = draw_batches(batch_rng, n, B, K, with_replacement)
-    blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
-    return rows, blocks
 
 
 def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import async_engine, data_io, seq_solvers, theory
-from .errors import ContractViolation, ConvergenceFailure, ParseError
+from .errors import ContractViolation, ConvergenceFailure, ParseError, check_int
 from .linalg import DenseVec
 from .problem import Dataset, LossKind, Problem, Regularizer, prox_elastic
 
@@ -83,7 +83,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """NaN fails every check; the solver keys and the regularizer weights
-        are checked by ``SolverConfig`` and ``Regularizer``."""
+        are checked by ``SolverConfig`` and ``Regularizer``. ``eta_decay`` is
+        refused for every algorithm but prox_sgd, the only one that reads it."""
         if self.algorithm not in SEQ_ALGOS + ASYNC_ALGOS:
             raise ContractViolation(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ASYNC_ALGOS and self.mode == "seq":
@@ -92,6 +93,8 @@ class ExperimentConfig:
             raise ContractViolation("sequential algorithms use mode=seq")
         _mode_parts(self.mode)
         _solver_config(self)
+        if self.eta_decay is not None and self.algorithm != "prox_sgd":
+            raise ContractViolation(f"eta_decay is read by prox_sgd only, not {self.algorithm}")
         Regularizer(self.lambda1, self.lambda2)
         LossKind.parse(self.loss)
         if not (self.stop_tol > 0 and self.ref_tol > 0 and self.speedup_target > 0):
@@ -99,8 +102,10 @@ class ExperimentConfig:
                                     f"{self.stop_tol}, {self.ref_tol}, {self.speedup_target}")
         if not 0.0 <= self.include_prob <= 1.0:
             raise ContractViolation(f"include_prob must lie in [0, 1], got {self.include_prob}")
-        if min(self.schedule_seed or 0, self.tau or 0) < 0 or not self.ref_max_iter >= 1:
-            raise ContractViolation("need schedule_seed >= 0, tau >= 0, ref_max_iter >= 1")
+        for key in ("schedule_seed", "tau"):
+            if getattr(self, key) is not None:
+                check_int(getattr(self, key), key)
+        check_int(self.ref_max_iter, "ref_max_iter", 1)
         if self.ref_eta is not None and not (math.isfinite(self.ref_eta) and self.ref_eta > 0):
             raise ContractViolation(f"ref_eta must be finite and > 0, got {self.ref_eta}")
         if self.p_star is not None and not math.isfinite(self.p_star):
@@ -203,8 +208,6 @@ def _parse_synth_spec(spec: str) -> dict:
         key = key.strip()
         if key in ("n", "d", "seed", "delta"):
             out[key] = _number(key, raw, float if key == "delta" else _int)
-            if key == "seed" and out[key] < 0:
-                raise ContractViolation(f"synth seed must be >= 0, got {out[key]}")
         elif key == "label":
             out[key] = raw.strip()
         else:
@@ -283,8 +286,7 @@ def compute_reference_optimum(
     unique minimizer (lambda2 > 0 suffices)."""
     if not ref_tol > 0:
         raise ContractViolation(f"ref_tol must be > 0, got {ref_tol}")
-    if not max_iter >= 1:
-        raise ContractViolation(f"max_iter must be >= 1, got {max_iter}")
+    check_int(max_iter, "max_iter", 1)
     eta = _reference_step(problem, eta)
     x = np.zeros(problem.d) if x0 is None else x0.copy()
     y, t = x, 1.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, check_int
 from .problem import Dataset
 from .theory import data_sparsity_delta
 
@@ -160,8 +160,8 @@ def synth_dataset(
     """
     if not (0.0 < target_delta <= 1.0):
         raise ContractViolation("need 0 < target_delta <= 1")
-    if n < 1 or d < 1:
-        raise ContractViolation("need n >= 1 and d >= 1")
+    for key, value, low in (("n", n, 1), ("d", d, 1), ("seed", seed, 0)):
+        check_int(value, key, low)
     if label_rule not in ("logistic", "regression"):
         raise ContractViolation(f"unknown label_rule {label_rule!r}")
     rng = np.random.default_rng(seed)

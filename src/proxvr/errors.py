@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every library input of a count, an index or a seed goes through."""
+
+import math
+
+import numpy as np
 
 
 class ContractViolation(ValueError):
     """A caller broke a documented precondition (dimension mismatch, bad index, ...)."""
+
+
+def check_int(value, name: str, low: int = 0, stop: float = math.inf) -> int:
+    """``value`` as an int in [``low``, ``stop``). Numpy integers pass;
+    bools and non-integers, integral floats included, are refused."""
+    if type(value) is not int and not isinstance(value, np.integer) or not low <= value < stop:
+        raise ContractViolation(f"{name} must be an integer in [{low}, {stop}), got {value!r}")
+    return int(value)
 
 
 class ParseError(ValueError):

@@ -1,12 +1,14 @@
 """Sequential proximal solvers: ProxSGD, ProxSCD, ProxSVRG, ProxSVRCD.
 
 These single-threaded runs are the deterministic references. All four run
-the stage loop ``run_stages``, as does the asynchronous engine; ProxSVRG and
-ProxSVRCD run its replay loop with no delay schedule, so a zero-delay
-simulation reproduces them bit-for-bit. Two dedicated RNG streams (mini-batch
-sampling, block sampling) are derived from the seed, so a one-block ProxSVRCD
-run consumes the same batch stream as ProxSVRG and walks the identical
-trajectory.
+the stage loop ``run_stages``, as does the asynchronous engine. ProxSGD is
+ProxSCD's one-block case on a sampled mini-batch, and both run one plain
+proximal loop; ProxSVRG is ProxSVRCD's one-block case, and both run replay
+with no delay schedule, so a zero-delay simulation reproduces them
+bit-for-bit. Every solver in every mode draws each stage at once
+(``_stage_draws``) from two RNG streams derived from the seed (mini-batch
+sampling, block sampling). ``config.eta_decay`` is read by ProxSGD only,
+and ``config.m`` by ProxSCD and ProxSVRCD.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_int
 from .linalg import BlockPartition, DenseVec
 from .problem import Problem, prox_elastic
 
@@ -39,17 +41,19 @@ def draw_batch(rng, n: int, B: int, with_replacement: bool = True) -> np.ndarray
     return np.sort(rng.choice(n, size=B, replace=False))
 
 
-def draw_batches(rng, n: int, B: int, count: int, with_replacement: bool = True) -> np.ndarray:
-    """``count`` mini-batches as a (count, B) array: the values of ``count``
-    ``draw_batch`` calls, which leave ``rng`` where these leave it."""
+def _stage_draws(streams, n: int, B: int, m: int, K: int, with_replacement: bool):
+    """A stage's K updates' draws from the run's ``(batch_rng, block_rng)``:
+    the rows as one (K, B) array and the blocks as one ``integers(0, m,
+    size=K)`` list (all 0 for m = 1, which draws nothing). Under either
+    sampling law these are the values of K draws of one update each."""
+    batch_rng, block_rng = streams
     if with_replacement:
-        return rng.integers(0, n, size=(count, B))
-    return np.array([draw_batch(rng, n, B, False) for _ in range(count)],
-                    dtype=np.int64).reshape(count, B)
-
-
-def draw_block(rng, m: int) -> int:
-    return int(rng.integers(0, m))
+        rows = batch_rng.integers(0, n, size=(K, B))
+    else:
+        rows = np.array([draw_batch(batch_rng, n, B, False) for _ in range(K)],
+                        dtype=np.int64).reshape(K, B)
+    blocks = block_rng.integers(0, m, size=K).tolist() if m > 1 else [0] * K
+    return rows, blocks
 
 
 @dataclass
@@ -60,9 +64,10 @@ class SolverConfig:
     B          -- mini-batch size, 1 <= B <= n
     K          -- inner updates per stage (trace period for SGD/SCD)
     S          -- number of stages (= max stages under early stopping)
-    m          -- coordinate block count (block methods only)
-    eta_decay  -- optional (eta0, sigma0); ProxSGD then uses
-                  eta_k = eta0 * sqrt(sigma0 / (k + sigma0))
+    m          -- coordinate block count, 1 <= m <= d; read by ProxSCD,
+                  ProxSVRCD and Async-ProxSVRCD only
+    eta_decay  -- optional (eta0, sigma0), read by ProxSGD only, which then
+                  uses eta_k = eta0 * sqrt(sigma0 / (k + sigma0))
     seed       -- RNG seed for the batch/block streams
     with_replacement -- mini-batch sampling law (i.i.d. draws by default)
     last_iterate     -- advance stages from the last inner iterate instead of
@@ -87,9 +92,7 @@ class SolverConfig:
             raise ContractViolation(f"eta and eta_decay must be finite and > 0, got "
                                     f"eta={self.eta}, eta_decay={self.eta_decay}")
         for key, low in (("B", 1), ("m", 1), ("K", 0), ("S", 0), ("seed", 0)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ContractViolation(f"{key} must be an integer >= {low}, got {value!r}")
+            check_int(getattr(self, key), key, low)
 
     def validate(self, n: int, d: int) -> None:
         if self.B > n:
@@ -157,6 +160,33 @@ def run_stages(
     return trace
 
 
+def _plain_run(problem: Problem, config: SolverConfig, x0: DenseVec, sgd: bool,
+               stop_below: float | None, record_iterates: bool) -> RunTrace:
+    """The plain proximal loop of ProxSGD (``sgd``) and ProxSCD. Each update
+    proxes block j of the run's iterate in place: ProxSCD takes the exact
+    gradient on ``config.m`` blocks with the constant step; ProxSGD, its
+    one-block case, a sampled mini-batch gradient with the ``eta_decay``
+    step. Each stage advances to its last iterate."""
+    B, m = (config.B, 1) if sgd else (0, config.m)  # ProxSCD draws no rows
+    bounds = BlockPartition.equal(problem.d, m).bounds.tolist()
+    streams = make_streams(config.seed)
+    decay = config.eta_decay if sgd else None
+
+    def inner(s, x, iterates):
+        rows, blocks = _stage_draws(streams, problem.n, B, m, config.K, config.with_replacement)
+        for k, (batch, j) in enumerate(zip(rows, blocks), (s - 1) * config.K):
+            eta = config.eta if decay is None else decay[0] * np.sqrt(decay[1] / (k + decay[1]))
+            g = problem.minibatch_grad(batch, x) if sgd else problem.full_grad(x)
+            lo, hi = bounds[j], bounds[j + 1]
+            x[lo:hi] = prox_elastic(x[lo:hi] - eta * g[lo:hi], eta, problem.reg)
+            if iterates is not None:
+                iterates.append(x.copy())
+        return x, None
+
+    return run_stages(problem, config, x0, inner, stop_below=stop_below,
+                      record_iterates=record_iterates)
+
+
 def prox_sgd_run(
     problem: Problem,
     config: SolverConfig,
@@ -170,27 +200,7 @@ def prox_sgd_run(
     Runs S*K updates with a trace record every K; the step decays per
     ``config.eta_decay`` when set, else stays constant.
     """
-    batch_rng, _ = make_streams(config.seed)
-    k_global = 0
-
-    def inner(s, x, iterates):
-        nonlocal k_global
-        for _ in range(config.K):
-            if config.eta_decay is not None:
-                eta0, sigma0 = config.eta_decay
-                eta_k = eta0 * np.sqrt(sigma0 / (k_global + sigma0))
-            else:
-                eta_k = config.eta
-            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
-            g = problem.minibatch_grad(batch, x)
-            x = prox_elastic(x - eta_k * g, eta_k, problem.reg)
-            k_global += 1
-            if iterates is not None:
-                iterates.append(x.copy())
-        return x, None
-
-    return run_stages(problem, config, x0, inner, stop_below=stop_below,
-                      record_iterates=record_iterates)
+    return _plain_run(problem, config, x0, True, stop_below, record_iterates)
 
 
 def prox_scd_run(
@@ -205,24 +215,9 @@ def prox_scd_run(
 
     Each update samples one block uniformly, takes a prox step on that block
     using the exact partial gradient of F at the current iterate, and leaves
-    every other coordinate bitwise unchanged.
+    every other coordinate bitwise unchanged. ``config.eta_decay`` is unused.
     """
-    _, block_rng = make_streams(config.seed)
-    part = BlockPartition.equal(problem.d, config.m)
-
-    def inner(s, x, iterates):
-        # x is the run's own copy of x0, updated in place
-        for _ in range(config.K):
-            j = draw_block(block_rng, config.m)
-            g = problem.full_grad(x)
-            lo, hi = part.block_bounds(j)
-            x[lo:hi] = prox_elastic(x[lo:hi] - config.eta * g[lo:hi], config.eta, problem.reg)
-            if iterates is not None:
-                iterates.append(x.copy())
-        return x, None
-
-    return run_stages(problem, config, x0, inner, stop_below=stop_below,
-                      record_iterates=record_iterates)
+    return _plain_run(problem, config, x0, False, stop_below, record_iterates)
 
 
 def prox_svrg_run(
@@ -238,7 +233,7 @@ def prox_svrg_run(
     Each inner update is x <- prox_{eta R}(x - eta * v), with the
     variance-corrected gradient v evaluated at the current iterate; stages
     advance to the average of the K inner iterates. ``config.m`` is unused,
-    but must lie in [1, d]."""
+    but must lie in [1, d], and ``config.eta_decay`` is unused."""
     from .async_engine import replay
 
     return replay(problem, config, x0, True, None, stop_below, record_iterates).trace
@@ -257,6 +252,7 @@ def prox_svrcd_run(
     Same stage structure as ``prox_svrg_run``; each inner update additionally
     samples one of ``config.m`` coordinate blocks and applies the prox step on
     that block only. With m = 1 the trajectories coincide bitwise.
+    ``config.eta_decay`` is unused.
     """
     from .async_engine import replay
 

@@ -55,6 +55,12 @@ def two_pass_vr(kind, ds, batch, x, anchor):
     return np.where(g_anchor == anchor.full_grad, g_read, raw)
 
 
+def draw_block(rng, m):
+    """One update's block, drawn on its own: the per-update reference for the
+    blocks that ``seq_solvers._stage_draws`` draws a stage at a time."""
+    return int(rng.integers(0, m))
+
+
 def random_sparse_vec(rng, d, density=0.6):
     """Random canonical sparse vector with at least one entry."""
     nnz = max(1, int(round(density * d)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem, two_pass_vr
+from conftest import draw_block, make_problem, two_pass_vr
 from proxvr.async_engine import (
     CommitRecord,
     DelaySchedule,
@@ -37,8 +37,8 @@ from proxvr.problem import (
 )
 from proxvr.seq_solvers import (
     SolverConfig,
+    _stage_draws,
     draw_batch,
-    draw_block,
     make_streams,
     prox_svrcd_run,
     prox_svrg_run,
@@ -351,6 +351,14 @@ def test_schedule_validation():
             sample_delay_schedule("uniform", 2, 5, seed=0, inconsistent=True, include_prob=p)
     with pytest.raises(ContractViolation):
         DelaySchedule(np.array([0, 1]), 2, np.zeros((2, 1), dtype=bool))  # wrong shape
+    # tau, length and seed are integers >= 0: floats and bools used to fail
+    # inside numpy as a TypeError, or pass
+    for tau, length, seed in ((2, 2.5, 0), (2, 10, 1.5), (2.0, 10, 0), (True, 10, 0),
+                              (2, 10, False), (-1, 10, 0), (2, 10, "0")):
+        with pytest.raises(ContractViolation):
+            sample_delay_schedule("uniform", tau, length, seed)
+    assert sample_delay_schedule("uniform", np.int64(2), np.int32(10), np.uint8(0)).taus.tolist() \
+        == sample_delay_schedule("uniform", 2, 10, 0).taus.tolist()
 
 
 def test_schedule_refuses_malformed_input():
@@ -1025,17 +1033,16 @@ def test_stage_plan_memory_budget(monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2**40), B=st.sampled_from([1, 3, 200]),
        m=st.integers(2, 64), K=st.integers(0, 12), stop=st.integers(1, 3))
 def test_stage_draws_equal_per_update_draws(seed, n, B, m, K, stop):
-    # replay draws a stage's rows and blocks at once; they must be the values
-    # of K draws of one update each and leave each generator where those
-    # leave it, so a run that stops early after ``stop`` stages consumed the
-    # same prefix of both streams
-    stage_rows, stage_blocks = make_streams(seed)
+    # every solver draws a stage's rows and blocks at once; they must be the
+    # values of K draws of one update each and leave each generator where
+    # those leave it, so a run that stops early after ``stop`` stages
+    # consumed the same prefix of both streams
+    stage_rows, stage_blocks = streams = make_streams(seed)
     update_rows, update_blocks = make_streams(seed)
     for _ in range(stop):
-        rows = stage_rows.integers(0, n, size=(K, B))
+        rows, blocks = _stage_draws(streams, n, B, m, K, True)
         assert rows.shape == (K, B)
         assert rows.tolist() == [draw_batch(update_rows, n, B).tolist() for _ in range(K)]
-        blocks = stage_blocks.integers(0, m, size=K).tolist()
         assert blocks == [draw_block(update_blocks, m) for _ in range(K)]
         assert stage_rows.bit_generator.state == update_rows.bit_generator.state
         assert stage_blocks.bit_generator.state == update_blocks.bit_generator.state
@@ -1503,5 +1510,7 @@ def test_mode_validation(rng):
         with pytest.raises(ContractViolation, match="workers"):
             ThreadsMode(workers)
     assert ThreadsMode(ThreadsMode.MAX_WORKERS).workers == ThreadsMode.MAX_WORKERS
+    # numpy integers pass, as SolverConfig's counts do, and are stored as int
+    assert type(ThreadsMode(np.int64(2)).workers) is int and ThreadsMode(np.int64(2)).workers == 2
     with pytest.raises(ContractViolation):
         async_svrg_run(prob, cfg, np.zeros(6), "not-a-mode")

@@ -218,7 +218,7 @@ def test_parse_config_file_and_overrides(tmp_path):
     p = _cfg(
         tmp_path,
         "# comment\ndataset = synth:n=50,d=5,delta=1.0,seed=1\n"
-        "algorithm = prox_svrg\neta = 0.1  # inline\nK = 10\nseed = 3\n",
+        "algorithm = prox_sgd\neta = 0.1  # inline\nK = 10\nseed = 3\n",
     )
     mapping = parse_config_file(p)
     cfg = build_experiment(mapping)
@@ -244,6 +244,19 @@ def test_build_experiment_validation():
         build_experiment(
             {"dataset": SYNTH, "algorithm": "prox_svrg", "eta": "0.1", "K": "5", "bogus": "1"}
         )
+    # tau, schedule_seed and ref_max_iter are integers, as the CLI parses
+    # them: a float or a bool from the library used to be accepted
+    for bad in (dict(schedule_seed=1.5), dict(tau=True), dict(ref_max_iter=2.5),
+                dict(tau=2.0), dict(schedule_seed=False), dict(ref_max_iter=0)):
+        with pytest.raises(ContractViolation):
+            _base_cfg(algorithm="async_svrg", mode="threads:1", **bad)
+    # only prox_sgd reads eta_decay; every other algorithm refuses it
+    for algorithm, mode in (("prox_scd", "seq"), ("prox_svrg", "seq"), ("prox_svrcd", "seq"),
+                            ("async_svrg", "threads:1"), ("async_svrcd", "simulate:uniform:2")):
+        with pytest.raises(ContractViolation, match="eta_decay"):
+            _base_cfg(algorithm=algorithm, mode=mode, eta_decay=(0.5, 100.0))
+    assert _base_cfg(algorithm="prox_sgd", eta_decay=(0.5, 100.0)).eta_decay == (0.5, 100.0)
+    assert _base_cfg(algorithm="async_svrg", mode="threads:1", tau=np.int64(2)).tau == 2
 
 
 def test_named_dataset_lambda_defaults():
@@ -440,7 +453,7 @@ _SOLVER_VALUES = st.fixed_dictionaries({
 @settings(max_examples=50, deadline=None)
 @given(values=_SOLVER_VALUES)
 def test_solver_config_is_derived_from_the_experiment_fields(values):
-    cfg = _base_cfg(**values)
+    cfg = _base_cfg(algorithm="prox_sgd", **values)
     want = seq_solvers.SolverConfig(
         eta=values["eta"], B=values["B"], K=values["K"], S=values["max_stages"],
         m=values["m"], eta_decay=values["eta_decay"], seed=values["seed"],
@@ -588,6 +601,7 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=nan"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta=inf"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=inf,1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=0.5,100"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "seed=-1"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "max_stages=-2"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "B=0"]),
@@ -766,7 +780,7 @@ def test_every_config_key_parses_by_its_annotation(tmp_path):
     by_key = {"dataset": ("synth:n=9,d=3,delta=1", "synth:n=9,d=3,delta=1"),
               "algorithm": ("prox_svrcd", "prox_svrcd"),
               "loss": ("least-squares", "least-squares"), "mode": ("seq", "seq")}
-    base = f"dataset = {SYNTH}\nalgorithm = prox_svrg\neta = 0.1\nK = 5\n"
+    base = f"dataset = {SYNTH}\nalgorithm = prox_sgd\neta = 0.1\nK = 5\n"  # reads eta_decay
 
     def parsed(key, raw, attr=None):
         path = _cfg(tmp_path, f"{base}{key} = {raw}\n")

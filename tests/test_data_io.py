@@ -145,6 +145,13 @@ def test_synth_validates_delta():
         synth_dataset(10, 3, 0.0)
     with pytest.raises(ContractViolation):
         synth_dataset(10, 3, 1.5)
+    # n, d and the seed are integers: floats, bools and a negative seed used
+    # to fail inside numpy, as a ValueError or a TypeError
+    for args, kwargs in (((2.5, 5, 0.5), {}), ((20, 5, 0.5), {"seed": -1}),
+                         ((20, True, 0.5), {}), ((0, 5, 0.5), {}), ((20, 5.0, 0.5), {}),
+                         ((20, 5, 0.5), {"seed": 1.5})):
+        with pytest.raises(ContractViolation):
+            synth_dataset(*args, **kwargs)
 
 
 def test_synth_regression_labels():

@@ -2,8 +2,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_problem, one_dim_problem, separable_quadratic
+from conftest import draw_block, make_problem, one_dim_problem, separable_quadratic
 from proxvr.async_engine import (
     SimulateMode,
     ThreadsMode,
@@ -13,6 +15,7 @@ from proxvr.async_engine import (
 )
 from proxvr.bench_cli import compute_reference_optimum
 from proxvr.errors import ContractViolation
+from proxvr.linalg import BlockPartition
 from proxvr.problem import LossKind, Problem, Regularizer, prox_elastic
 from proxvr.seq_solvers import (
     SolverConfig,
@@ -22,6 +25,7 @@ from proxvr.seq_solvers import (
     prox_sgd_run,
     prox_svrcd_run,
     prox_svrg_run,
+    run_stages,
 )
 from proxvr.theory import estimate_lipschitz
 
@@ -116,7 +120,8 @@ def test_invalid_configs_rejected(rng):
     # a step above 1/L fakes a small certificate; FISTA needs eta <= 1/L
     limit = 1.0 / estimate_lipschitz(prob.dataset, prob.loss)[0]
     for bad in (dict(eta=nan), dict(eta=inf), dict(eta=1e300), dict(eta=2 * limit),
-                dict(eta=0.0), dict(max_iter=0), dict(max_iter=-5)):
+                dict(eta=0.0), dict(max_iter=0), dict(max_iter=-5), dict(max_iter=2.5),
+                dict(max_iter=True), dict(max_iter="5")):
         with pytest.raises(ContractViolation):
             compute_reference_optimum(prob, 1e-12, **bad)
 
@@ -133,6 +138,73 @@ def test_integer_x0_runs_as_float(rng, runner):
     assert [o.hex() for o in got.objectives] == [o.hex() for o in want.objectives]
     assert [x.tobytes() for x in got.iterates] == [x.tobytes() for x in want.iterates]
     assert got.x_final.tobytes() == want.x_final.tobytes() and not x0.any()
+
+
+def _per_update_plain(problem, config, x0, sgd, stop_below=None):
+    """ProxSGD (``sgd``) or ProxSCD as two hand-written loops that draw one
+    update at a time (``draw_batch``, ``draw_block``): the per-update
+    reference for their shared plain loop, which draws a stage at once."""
+    batch_rng, block_rng = make_streams(config.seed)
+    k_global = 0
+
+    def sgd_inner(s, x, iterates):
+        nonlocal k_global
+        for _ in range(config.K):
+            if config.eta_decay is not None:
+                eta0, sigma0 = config.eta_decay
+                eta_k = eta0 * np.sqrt(sigma0 / (k_global + sigma0))
+            else:
+                eta_k = config.eta
+            batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
+            g = problem.minibatch_grad(batch, x)
+            x = prox_elastic(x - eta_k * g, eta_k, problem.reg)
+            k_global += 1
+            iterates.append(x.copy())
+        return x, None
+
+    def scd_inner(s, x, iterates):
+        part = BlockPartition.equal(problem.d, config.m)
+        for _ in range(config.K):
+            j = draw_block(block_rng, config.m)
+            g = problem.full_grad(x)
+            lo, hi = part.block_bounds(j)
+            x[lo:hi] = prox_elastic(x[lo:hi] - config.eta * g[lo:hi], config.eta, problem.reg)
+            iterates.append(x.copy())
+        return x, None
+
+    return run_stages(problem, config, x0, sgd_inner if sgd else scd_inner,
+                      stop_below=stop_below, record_iterates=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sgd=st.booleans(),
+       kind=st.sampled_from([LossKind.LOGISTIC, LossKind.LEAST_SQUARES]),
+       lambda1=st.sampled_from([0.0, 0.05]), B=st.sampled_from([1, 3, "n"]),
+       m=st.sampled_from([1, 3, "d"]), with_replacement=st.booleans(), decay=st.booleans(),
+       empty=st.sampled_from([None, "K", "S"]), stop=st.booleans())
+def test_plain_loop_equals_per_update_loops(seed, sgd, kind, lambda1, B, m, with_replacement,
+                                            decay, empty, stop):
+    # ProxSGD and ProxSCD share one loop that draws each stage at once; it
+    # must give the per-update loops' objectives, iterates and x_final, byte
+    # for byte, in a run stopped early at stage 2 too
+    rng = np.random.default_rng(seed)
+    prob = make_problem(rng, 9, 7, kind=kind, lambda1=lambda1)
+    cfg = SolverConfig(eta=0.1, B=prob.n if B == "n" else B, m=prob.d if m == "d" else m,
+                       K=0 if empty == "K" else 4, S=0 if empty == "S" else 3, seed=seed,
+                       eta_decay=(0.3, 5.0) if decay else None,
+                       with_replacement=with_replacement)
+    x0 = rng.standard_normal(prob.d)
+    runner = prox_sgd_run if sgd else prox_scd_run
+    stop_below = None
+    if stop and cfg.S:
+        stop_below = runner(prob, cfg, x0).objectives[1]
+    got = runner(prob, cfg, x0, stop_below=stop_below, record_iterates=True)
+    want = _per_update_plain(prob, cfg, x0, sgd, stop_below)
+    assert len(got.records) == len(want.records) <= (2 if stop_below is not None else cfg.S)
+    assert [o.hex() for o in got.objectives] == [o.hex() for o in want.objectives]
+    assert len(got.iterates) == len(want.iterates) == len(got.records) * cfg.K
+    assert [x.tobytes() for x in got.iterates] == [x.tobytes() for x in want.iterates]
+    assert got.x_final.tobytes() == want.x_final.tobytes()
 
 
 # ---------------------------------------------------------------- ProxSCD
