@@ -84,14 +84,16 @@ class ExperimentConfig:
     def __post_init__(self):
         """NaN fails every check; the solver keys and the regularizer weights
         are checked by ``SolverConfig`` and ``Regularizer``. ``eta_decay`` is
-        refused for every algorithm but prox_sgd, the only one that reads it."""
+        refused for every algorithm but prox_sgd, the only one that reads it,
+        ``tau`` for every mode but threads:P and ``schedule_seed`` for every
+        mode but simulate, for the same reason."""
         if self.algorithm not in SEQ_ALGOS + ASYNC_ALGOS:
             raise ContractViolation(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ASYNC_ALGOS and self.mode == "seq":
             raise ContractViolation("async algorithms need mode=simulate:... or threads:P")
         if self.algorithm in SEQ_ALGOS and self.mode != "seq":
             raise ContractViolation("sequential algorithms use mode=seq")
-        _mode_parts(self.mode)
+        kind = _mode_parts(self.mode)[0]
         _solver_config(self)
         if self.eta_decay is not None and self.algorithm != "prox_sgd":
             raise ContractViolation(f"eta_decay is read by prox_sgd only, not {self.algorithm}")
@@ -102,9 +104,12 @@ class ExperimentConfig:
                                     f"{self.stop_tol}, {self.ref_tol}, {self.speedup_target}")
         if not 0.0 <= self.include_prob <= 1.0:
             raise ContractViolation(f"include_prob must lie in [0, 1], got {self.include_prob}")
-        for key in ("schedule_seed", "tau"):
+        for key, reader in (("schedule_seed", "simulate"), ("tau", "threads")):
             if getattr(self, key) is not None:
                 check_int(getattr(self, key), key)
+                if kind != reader:
+                    raise ContractViolation(f"{key} is read by mode={reader}:... only, "
+                                            f"not mode={self.mode}")
         check_int(self.ref_max_iter, "ref_max_iter", 1)
         if self.ref_eta is not None and not (math.isfinite(self.ref_eta) and self.ref_eta > 0):
             raise ContractViolation(f"ref_eta must be finite and > 0, got {self.ref_eta}")
@@ -233,8 +238,9 @@ def load_dataset(source: str, normalize: bool = True, expected_dim: int | None =
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    """The configured problem; ``B > n``, ``m > d`` or ``ref_eta > 1/L`` is a
-    usage error here, before any reference optimum is computed."""
+    """The configured problem; ``B > n``, ``m > d`` or ``ref_eta > 1/L_F``
+    (``theory.smoothness_bound``) is a usage error here, before any reference
+    optimum is computed."""
     dataset = load_dataset(cfg.dataset, cfg.normalize)
     _solver_config(cfg).validate(dataset.n, dataset.d)
     problem = Problem(dataset, LossKind.parse(cfg.loss), Regularizer(cfg.lambda1, cfg.lambda2))
@@ -245,23 +251,29 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
 @dataclass
 class ReferenceOptimum:
+    """The certified optimum and how it was reached; ``step`` is the FISTA
+    step, None when ``p_star`` was given instead."""
+
     x_star: DenseVec
     p_star: float
     certificate: float
     iterations: int
+    step: float | None
 
 
 def _reference_step(problem: Problem, eta: float | None) -> float:
-    """The reference step size: 1/L by default, with L from
-    ``theory.estimate_lipschitz``; a given step must be finite and in
-    (0, 1/L], the only range where a small certificate proves anything."""
-    L, _ = theory.estimate_lipschitz(problem.dataset, problem.loss)
+    """The reference step size: 1/L_F by default, with L_F from
+    ``theory.smoothness_bound``, the smoothness of the average loss (not the
+    per-example L of the rates); a given step must be finite and in
+    (0, 1/L_F], the only range where a small certificate proves anything.
+    With no stored entries (L_F = 0) the default is 1."""
+    L = theory.smoothness_bound(problem.dataset, problem.loss)
     limit = 1.0 / L if L > 0 else math.inf
     if eta is None:
         return limit if L > 0 else 1.0
     if not (math.isfinite(eta) and 0 < eta <= limit):
         raise ContractViolation(
-            f"reference step ref_eta must be finite and in (0, 1/L] = (0, {limit!r}], got {eta}"
+            f"reference step ref_eta must be finite and in (0, 1/L_F] = (0, {limit!r}], got {eta}"
         )
     return eta
 
@@ -281,9 +293,10 @@ def compute_reference_optimum(
 
     Momentum restarts (t = 1, y = x+) whenever <y - x+, x+ - x> > 0, i.e.
     when the step from the previous iterate x runs against the mapping. The
-    step must lie in (0, 1/L] (default 1/L): FISTA needs it, and a larger one
-    shrinks the certificate without bringing y near the optimum. Needs a
-    unique minimizer (lambda2 > 0 suffices)."""
+    step must lie in (0, 1/L_F] (default 1/L_F), L_F from
+    ``theory.smoothness_bound`` bounding the smoothness of the average loss:
+    FISTA needs it, and a larger one shrinks the certificate without bringing
+    y near the optimum. Needs a unique minimizer (lambda2 > 0 suffices)."""
     if not ref_tol > 0:
         raise ContractViolation(f"ref_tol must be > 0, got {ref_tol}")
     check_int(max_iter, "max_iter", 1)
@@ -297,7 +310,7 @@ def compute_reference_optimum(
         cert = float(np.linalg.norm(step)) / eta
         best = min(best, cert)
         if cert <= ref_tol:
-            return ReferenceOptimum(x_next, problem.objective(x_next), cert, it)
+            return ReferenceOptimum(x_next, problem.objective(x_next), cert, it, eta)
         if float(step @ (x_next - x)) > 0:
             y, t = x_next, 1.0
         else:
@@ -380,7 +393,7 @@ _RUNNERS = {
 def _reference(cfg: ExperimentConfig, problem: Problem) -> ReferenceOptimum:
     """The configured ``p_star`` if given, else the certified optimum."""
     if cfg.p_star is not None:
-        return ReferenceOptimum(np.zeros(problem.d), cfg.p_star, math.nan, 0)
+        return ReferenceOptimum(np.zeros(problem.d), cfg.p_star, math.nan, 0, None)
     return compute_reference_optimum(
         problem, cfg.ref_tol, eta=cfg.ref_eta, max_iter=cfg.ref_max_iter
     )
@@ -484,6 +497,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "p_star": ref.p_star,
         "ref_certificate": ref.certificate,
         "ref_iterations": ref.iterations,
+        "ref_step": "n/a" if ref.step is None else ref.step,
         "delta": stats.delta,
         "mu": consts.mu if consts else math.nan,
         "L": consts.L if consts else math.nan,
@@ -532,7 +546,9 @@ def speedup_report(cfg: ExperimentConfig, worker_counts, out_dir) -> list:
     target = ref.p_star + cfg.speedup_target
 
     # sequential-solver baseline for the summary record
-    seq_cfg = replace(cfg, algorithm=cfg.algorithm.replace("async_", "prox_"), mode="seq")
+    # replace() checks the config again: drop the keys the new mode does not read
+    seq_cfg = replace(cfg, algorithm=cfg.algorithm.replace("async_", "prox_"), mode="seq",
+                      tau=None, schedule_seed=None)
     t0 = time.perf_counter()
     seq_trace, _ = _execute(seq_cfg, problem, target)
     seq_seconds = time.perf_counter() - t0
@@ -542,7 +558,8 @@ def speedup_report(cfg: ExperimentConfig, worker_counts, out_dir) -> list:
     base_seconds = None
     for P in worker_counts:
         t0 = time.perf_counter()
-        _, report = _execute(replace(cfg, mode=f"threads:{int(P)}"), problem, target)
+        threads_cfg = replace(cfg, mode=f"threads:{int(P)}", schedule_seed=None)
+        _, report = _execute(threads_cfg, problem, target)
         seconds = time.perf_counter() - t0
         reached = report.trace.records[-1].objective <= target if report.trace.records else False
         row = {
@@ -685,11 +702,12 @@ def _dispatch(args) -> int:
                 "p_star": ref.p_star,
                 "certificate": ref.certificate,
                 "iterations": ref.iterations,
+                "step": ref.step,
             },
         )
         np.savetxt(out / "x_star.txt", ref.x_star)
         print(f"p_star={ref.p_star:.17g} certificate={ref.certificate:.3g} "
-              f"iterations={ref.iterations}")
+              f"iterations={ref.iterations} step={ref.step:.17g}")
         return 0
 
     if args.command == "run":

@@ -162,3 +162,32 @@ def estimate_lipschitz(dataset: Dataset, kind: LossKind) -> tuple[float, float]:
     top = float(dataset.row_norms_sq().max())
     L = 0.25 * top if kind is LossKind.LOGISTIC else top
     return L, L
+
+
+def smoothness_bound(dataset: Dataset, kind: LossKind) -> float:
+    """A certified upper bound L_F on the Lipschitz constant of the gradient
+    of the smooth part F(x) = (1/n) sum_i f(a_i^T x, b_i), in O(nnz):
+
+        L_F = c min( max_i ||a_i||^2,  max_j sum_i |a_ij| r_i / n ),
+
+    with r_i = ||a_i||_1 and c = 1/4 for logistic, 1 for least squares, so
+    c ||A||^2 / n <= L_F. Row term: A^T A / n is the mean of the a_i a_i^T,
+    each of norm ||a_i||^2 (it is ``estimate_lipschitz``'s L, so L_F never
+    exceeds that). Column term: ||A x|| <= || |A| |x| ||, so ||A||^2 <=
+    rho(|A|^T |A|), at most the largest row sum of the nonnegative
+    |A|^T |A|, and row j of it sums to sum_i |a_ij| r_i. The paper's rates
+    need the per-example L; this is the constant a full-gradient method
+    needs. 0 when the dataset stores no entries."""
+    if not dataset.data.size:
+        return 0.0
+    absval = np.abs(dataset.data)
+    # r_i per row; np.add.reduceat sums a start-to-start segment, so the
+    # empty rows (r_i = 0) are left out of it
+    full = dataset.row_nnz > 0
+    row_l1 = np.zeros(dataset.n)
+    row_l1[full] = np.add.reduceat(absval, dataset.indptr[:-1][full])
+    weights = np.repeat(row_l1, dataset.row_nnz)
+    weights *= absval
+    cols = float(np.bincount(dataset.indices, weights=weights).max()) / dataset.n
+    top = min(float(dataset.row_norms_sq().max()), cols)
+    return 0.25 * top if kind is LossKind.LOGISTIC else top

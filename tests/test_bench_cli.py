@@ -37,6 +37,7 @@ from proxvr.theory import (
     ProblemConstants,
     data_sparsity_delta,
     estimate_lipschitz,
+    smoothness_bound,
     svrg_rate,
 )
 
@@ -178,7 +179,7 @@ _MAPPING_SLACK = 64 * np.finfo(float).eps
 def test_reference_certificate_is_mapping_at_certified_point(rng, monkeypatch, kind, lam1, lam2,
                                                              n, d):
     prob = make_problem(rng, n, d, kind=kind, lambda1=lam1, lambda2=lam2)
-    eta, seen = _eta(prob), []
+    seen = []
     full_grad = Problem.full_grad
 
     def recording(self, x):
@@ -190,6 +191,9 @@ def test_reference_certificate_is_mapping_at_certified_point(rng, monkeypatch, k
         monkeypatch.setattr(Problem, "full_grad", recording)
         ref = compute_reference_optimum(prob, tol)
         monkeypatch.undo()
+        # the default step is 1/L_F, the smoothness bound of the average loss
+        eta = ref.step
+        assert eta == 1.0 / smoothness_bound(prob.dataset, prob.loss)
         # one gradient per iteration; the last was taken at the certified point
         # y, x_star is y's prox step T(y) and the certificate is ||G(y)||
         y, x = seen[-1], ref.x_star
@@ -203,8 +207,9 @@ def test_reference_certificate_is_mapping_at_certified_point(rng, monkeypatch, k
 
 
 def test_reference_certifies_ill_conditioned_case():
-    # kappa = L / mu = 0.25 / 1e-4 = 2,500 (rows normalized): restarted FISTA
-    # certifies 1e-12 in about 1,150 iterations; plain PGD did not in 20,000
+    # kappa = L / mu = 0.25 / 1e-4 = 2,500 with the per-example L (rows
+    # normalized): at the step 1/L_F restarted FISTA certifies 1e-12 in 194
+    # iterations (about 1,150 at 1/L); plain PGD at 1/L did not in 20,000
     prob = Problem(load_dataset("synth:n=2000,d=400,delta=0.05,seed=1"), LossKind.LOGISTIC,
                    Regularizer(0.0, 1e-4))
     ref = compute_reference_optimum(prob, 1e-12, max_iter=2000)
@@ -246,10 +251,23 @@ def test_build_experiment_validation():
         )
     # tau, schedule_seed and ref_max_iter are integers, as the CLI parses
     # them: a float or a bool from the library used to be accepted
-    for bad in (dict(schedule_seed=1.5), dict(tau=True), dict(ref_max_iter=2.5),
-                dict(tau=2.0), dict(schedule_seed=False), dict(ref_max_iter=0)):
-        with pytest.raises(ContractViolation):
-            _base_cfg(algorithm="async_svrg", mode="threads:1", **bad)
+    for mode, bad in (("simulate:uniform:2", dict(schedule_seed=1.5)),
+                      ("threads:1", dict(tau=True)), ("threads:1", dict(ref_max_iter=2.5)),
+                      ("threads:1", dict(tau=2.0)),
+                      ("simulate:uniform:2", dict(schedule_seed=False)),
+                      ("threads:1", dict(ref_max_iter=0))):
+        with pytest.raises(ContractViolation, match="must be an integer"):
+            _base_cfg(algorithm="async_svrg", mode=mode, **bad)
+    # only threads:P reads tau and only simulate reads schedule_seed: a
+    # sequential run given tau=50 used to be judged as delayed by 50
+    for algorithm, mode, key in (("prox_svrg", "seq", "tau"),
+                                 ("async_svrg", "simulate:uniform:2", "tau"),
+                                 ("prox_svrg", "seq", "schedule_seed"),
+                                 ("async_svrg", "threads:1", "schedule_seed")):
+        with pytest.raises(ContractViolation, match=f"{key} is read by"):
+            _base_cfg(algorithm=algorithm, mode=mode, **{key: 0})
+    assert _base_cfg(algorithm="async_svrg", mode="simulate:uniform:2",
+                     schedule_seed=np.int64(3)).schedule_seed == 3
     # only prox_sgd reads eta_decay; every other algorithm refuses it
     for algorithm, mode in (("prox_scd", "seq"), ("prox_svrg", "seq"), ("prox_svrcd", "seq"),
                             ("async_svrg", "threads:1"), ("async_svrcd", "simulate:uniform:2")):
@@ -285,8 +303,11 @@ def test_run_experiment_csv_and_summary(tmp_path):
     assert summary["status"] == "OK"
     assert summary["final_suboptimality"] <= 1e-10
     assert summary["ref_certificate"] <= 1e-12 and summary["ref_iterations"] >= 1
-    assert f"ref_iterations={summary['ref_iterations']}" in (
-        (tmp_path / "out" / "summary.txt").read_text().splitlines())
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert f"ref_iterations={summary['ref_iterations']}" in lines
+    # the reference ran at its default step, 1/L_F
+    step = 1.0 / smoothness_bound(load_dataset(SYNTH), LossKind.LOGISTIC)
+    assert summary["ref_step"] == step and f"ref_step={step:.17g}" in lines
     with open(tmp_path / "out" / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0].keys()) == [
@@ -486,6 +507,17 @@ def test_speedup_report_p1_baseline(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("over", [dict(mode="threads:1", tau=3),
+                                  dict(mode="simulate:uniform:2", schedule_seed=4)])
+def test_speedup_drops_keys_its_runs_do_not_read(tmp_path, over):
+    # the sequential baseline and the threads rows are configs of their own,
+    # checked again: a threads tau or a simulate schedule_seed is dropped
+    # where the mode does not read it
+    cfg = _base_cfg(algorithm="async_svrg", K=20, max_stages=2, p_star=0.0, **over)
+    rows = speedup_report(cfg, [1], tmp_path / "out")
+    assert [row["P"] for row in rows] == [1]
+
+
 def test_speedup_rejects_sequential_algorithm(tmp_path):
     with pytest.raises(ContractViolation):
         speedup_report(_base_cfg(), [1], tmp_path / "out")
@@ -565,6 +597,10 @@ def test_cli_ref_outputs(tmp_path, capsys):
     ref_text = (tmp_path / "out" / "reference.txt").read_text()
     assert ref_text.startswith("p_star=")
     assert (tmp_path / "out" / "x_star.txt").exists()
+    # the step is reported in the file and on the printed line
+    step = 1.0 / smoothness_bound(load_dataset(SYNTH), LossKind.LOGISTIC)
+    assert f"step={step:.17g}" in ref_text.splitlines()
+    assert capsys.readouterr().out.rstrip().endswith(f"step={step:.17g}")
 
 
 def test_cli_usage_error_exit_code():
@@ -613,7 +649,7 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=inf"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=0"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=1e300"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=6"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "B=1000"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=1000"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda1=inf"]),
@@ -636,6 +672,11 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + simulate, ["--set", "seed=-1"]),
         (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=simulate:uniform:-1"]),
         (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=threads:1", "--set", "tau=-1"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "tau=50"]),
+        (f"dataset = {SYNTH}\n" + simulate, ["--set", "tau=2"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "schedule_seed=1"]),
+        (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=threads:1",
+                                               "--set", "schedule_seed=1"]),
         (f"dataset = {SYNTH}\n" + async_svrg, ["--set", "mode=threads:0"]),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = threads:x\n", []),
         (f"dataset = {SYNTH}\n" + async_svrg + "mode = simulate:uniform\n", []),
@@ -671,6 +712,7 @@ def test_cli_theory_constants_checked_before_reference(tmp_path, capsys, monkeyp
     summary = (out / "summary.txt").read_text().splitlines()
     assert "rho=n/a" in summary and "eta_admissible=n/a" in summary
     assert "total_updates=0" in summary and "ref_iterations=0" in summary
+    assert "ref_step=n/a" in summary
 
 
 def test_cli_speedup_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -780,10 +822,15 @@ def test_every_config_key_parses_by_its_annotation(tmp_path):
     by_key = {"dataset": ("synth:n=9,d=3,delta=1", "synth:n=9,d=3,delta=1"),
               "algorithm": ("prox_svrcd", "prox_svrcd"),
               "loss": ("least-squares", "least-squares"), "mode": ("seq", "seq")}
-    base = f"dataset = {SYNTH}\nalgorithm = prox_sgd\neta = 0.1\nK = 5\n"  # reads eta_decay
+    base = f"dataset = {SYNTH}\neta = 0.1\nK = 5\n"
+    # the algorithm and mode that read the key: prox_sgd reads eta_decay,
+    # threads:P reads tau and simulate reads schedule_seed
+    reader = {"tau": "algorithm = async_svrg\nmode = threads:2\n",
+              "schedule_seed": "algorithm = async_svrg\nmode = simulate:uniform:2\n"}
 
     def parsed(key, raw, attr=None):
-        path = _cfg(tmp_path, f"{base}{key} = {raw}\n")
+        head = reader.get(key, "algorithm = prox_sgd\n")
+        path = _cfg(tmp_path, f"{base}{head}{key} = {raw}\n")
         return getattr(build_experiment(parse_config_file(path)), attr or key)
 
     for f in fields(ExperimentConfig):

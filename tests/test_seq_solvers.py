@@ -27,7 +27,7 @@ from proxvr.seq_solvers import (
     prox_svrg_run,
     run_stages,
 )
-from proxvr.theory import estimate_lipschitz
+from proxvr.theory import smoothness_bound
 
 
 def _traces_equal(a, b):
@@ -117,8 +117,8 @@ def test_invalid_configs_rejected(rng):
     for tol in (-1.0, 0.0, nan):
         with pytest.raises(ContractViolation):
             compute_reference_optimum(prob, tol, max_iter=1)
-    # a step above 1/L fakes a small certificate; FISTA needs eta <= 1/L
-    limit = 1.0 / estimate_lipschitz(prob.dataset, prob.loss)[0]
+    # a step above 1/L_F fakes a small certificate; FISTA needs eta <= 1/L_F
+    limit = 1.0 / smoothness_bound(prob.dataset, prob.loss)
     for bad in (dict(eta=nan), dict(eta=inf), dict(eta=1e300), dict(eta=2 * limit),
                 dict(eta=0.0), dict(max_iter=0), dict(max_iter=-5), dict(max_iter=2.5),
                 dict(max_iter=True), dict(max_iter="5")):

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
+from proxvr.bench_cli import compute_reference_optimum
 from proxvr.errors import ContractViolation, RateDomainError
 from proxvr.linalg import SparseVec
-from proxvr.problem import Dataset, LossKind, SparseExample
+from proxvr.problem import Dataset, LossKind, Problem, Regularizer, SparseExample
 from proxvr.theory import (
     ProblemConstants,
     data_sparsity_delta,
     estimate_lipschitz,
+    smoothness_bound,
     svrcd_rate,
     svrcd_speedup_condition,
     svrcd_stepsize_admissible,
@@ -166,6 +170,58 @@ def test_estimate_lipschitz_cases(rng):
     L, T = estimate_lipschitz(norm, LossKind.LOGISTIC)
     assert L == pytest.approx(0.25, abs=1e-12)
     assert T == L
+
+
+def _csr(A) -> Dataset:
+    """The dense matrix ``A`` as a Dataset with labels +-1."""
+    rows, cols = np.nonzero(A)
+    indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(A, axis=1), out=indptr[1:])
+    labels = np.where(np.arange(A.shape[0]) % 2, 1.0, -1.0)
+    return Dataset(indptr, cols, A[rows, cols], labels, A.shape[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 12),
+       density=st.sampled_from([0.05, 0.2, 0.5, 1.0]), shift=st.sampled_from([0.0, 1.0]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), blank=st.booleans())
+@example(seed=0, n=1, d=5, density=1.0, shift=0.0, scale=1.0, blank=False)
+@example(seed=1, n=6, d=4, density=1.0, shift=1.0, scale=1.0, blank=True)
+@example(seed=2, n=5, d=7, density=1.0, shift=-1.0, scale=1.0, blank=False)
+def test_smoothness_bound_brackets_the_average_curvature(seed, n, d, density, shift, scale,
+                                                        blank):
+    # c lambda_max(A^T A / n) <= smoothness_bound <= c max_i ||a_i||^2, for
+    # sparse and dense data, either sign, empty rows and columns, and n = 1
+    rng = np.random.default_rng(seed)
+    A = scale * (rng.standard_normal((n, d)) + shift)
+    A[rng.random((n, d)) >= density] = 0.0
+    if blank:  # an empty first row and last column
+        A[0], A[:, -1] = 0.0, 0.0
+    ds = _csr(A)
+    for kind, c in ((LossKind.LEAST_SQUARES, 1.0), (LossKind.LOGISTIC, 0.25)):
+        bound = smoothness_bound(ds, kind)
+        exact = c * np.linalg.eigvalsh(A.T @ A / n).max()
+        assert bound >= exact * (1.0 - 1e-12), (kind, bound, exact)
+        L, _ = estimate_lipschitz(ds, kind)
+        assert bound <= L == pytest.approx(c * (A * A).sum(axis=1).max(), rel=1e-14)
+
+
+def test_smoothness_bound_without_entries_keeps_the_unit_step():
+    # no stored entry: F is constant, L_F = 0, and the reference steps at 1.0
+    ds = _csr(np.zeros((3, 4)))
+    for kind in LossKind:
+        assert smoothness_bound(ds, kind) == 0.0
+        ref = compute_reference_optimum(Problem(ds, kind, Regularizer(0.1, 0.1)), 1e-12)
+        assert ref.step == 1.0 and ref.iterations == 1 and not ref.x_star.any()
+
+
+def test_smoothness_bound_is_exact_on_uniform_rows_and_columns():
+    # every entry equal: |A|^T |A| has equal row sums, so the column term is
+    # ||A||^2 / n = d exactly, as is the row term
+    assert smoothness_bound(_csr(np.ones((4, 3))), LossKind.LEAST_SQUARES) == 3.0
+    # one entry per row and per column: the column term is ||A||^2 / n = 1/n,
+    # n times below the row term
+    assert smoothness_bound(_csr(np.eye(8)), LossKind.LEAST_SQUARES) == 1.0 / 8
 
 
 def test_constants_validation():
