@@ -109,19 +109,21 @@ def sample_delay_schedule(
     seed: int,
     *,
     inconsistent: bool = False,
-    include_prob: float = 0.5,
+    include_prob: float | None = None,
 ) -> DelaySchedule:
     """Draw i.i.d. delays, clipped so tau_k <= k.
 
     ``kind`` is "constant" (always tau) or "uniform" (uniform on {0..tau}).
     For the inconsistent model each pending update enters J(k) independently
-    with probability ``include_prob``; the inclusion uniforms are drawn in
-    update order, then offset order.
+    with probability ``include_prob`` (None is 0.5); the inclusion uniforms
+    are drawn in update order, then offset order.
     """
     for key, value in (("tau", tau), ("length", length), ("seed", seed)):
         check_int(value, key)
     if kind not in ("constant", "uniform"):
         raise ContractViolation(f"unknown delay law {kind!r}")
+    if include_prob is None:
+        include_prob = 0.5
     if not 0.0 <= include_prob <= 1.0:
         raise ContractViolation(f"include_prob must lie in [0, 1], got {include_prob}")
     rng = np.random.default_rng(seed)
@@ -168,19 +170,15 @@ class MasterState:
         self._x_view.flags.writeable = False
 
     def commit(self, values: DenseVec, block: int = 0) -> None:
-        """Apply one update to block ``block``: ``values`` is either the
-        block's new values or a whole new iterate, equal to the current one
-        outside the block. Any other length is refused before anything
-        changes."""
+        """Apply one update to block ``block``: ``values`` are the block's
+        new values. Any other length is refused before anything changes."""
         if type(block) is not int or not 0 <= block < len(self._bounds) - 1:
             block = check_int(block, "block", 0, len(self._bounds) - 1)
         lo, hi = self._bounds[block], self._bounds[block + 1]
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (hi - lo,):
-            if values.shape != self.x.shape:
-                raise ContractViolation(f"a commit to block {block} takes {hi - lo} or "
-                                        f"{self.x.size} values, got shape {values.shape}")
-            values = values[lo:hi].copy()
+            raise ContractViolation(f"a commit to block {block} takes {hi - lo} values, "
+                                    f"got shape {values.shape}")
         if self._log.maxlen:
             self._log.append((block, self.x[lo:hi].copy(), values))
         self.x[lo:hi] = values

@@ -49,8 +49,9 @@ _DATASET_LAMBDAS = {
 @dataclass
 class ExperimentConfig:
     """One experiment. Each key's type is its annotation; every range that
-    needs no data is checked on construction, however the config is made.
-    ``B <= n`` and ``m <= d`` are checked by ``build_problem``."""
+    needs no data is checked on construction, however the config is made,
+    and so is every key set where no run reads it. ``B <= n`` and
+    ``m <= d`` are checked by ``build_problem``."""
 
     dataset: str
     algorithm: str
@@ -65,13 +66,12 @@ class ExperimentConfig:
     max_stages: int = 20
     eta_decay: tuple | None = None
     mode: str = "seq"
-    include_prob: float = 0.5
+    include_prob: float | None = None
     schedule_seed: int | None = None
     tau: int | None = None
     stop_tol: float = 1e-10
     seed: int = 0
     ref_tol: float = 1e-12
-    ref_eta: float | None = None
     ref_max_iter: int = 1_000_000
     p_star: float | None = None
     mu: float | None = None
@@ -85,8 +85,10 @@ class ExperimentConfig:
         """NaN fails every check; the solver keys and the regularizer weights
         are checked by ``SolverConfig`` and ``Regularizer``. ``eta_decay`` is
         refused for every algorithm but prox_sgd, the only one that reads it,
-        ``tau`` for every mode but threads:P and ``schedule_seed`` for every
-        mode but simulate, for the same reason."""
+        ``tau`` for every mode but threads:P, ``schedule_seed`` for every
+        mode but simulate, ``include_prob`` for every run but async_svrcd's
+        simulated inconsistent reads and ``normalize = false`` for synth data,
+        whose rows are always unit-norm, for the same reason."""
         if self.algorithm not in SEQ_ALGOS + ASYNC_ALGOS:
             raise ContractViolation(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ASYNC_ALGOS and self.mode == "seq":
@@ -102,8 +104,15 @@ class ExperimentConfig:
         if not (self.stop_tol > 0 and self.ref_tol > 0 and self.speedup_target > 0):
             raise ContractViolation(f"stop_tol, ref_tol and speedup_target must be > 0, got "
                                     f"{self.stop_tol}, {self.ref_tol}, {self.speedup_target}")
-        if not 0.0 <= self.include_prob <= 1.0:
-            raise ContractViolation(f"include_prob must lie in [0, 1], got {self.include_prob}")
+        if self.include_prob is not None:
+            if not 0.0 <= self.include_prob <= 1.0:
+                raise ContractViolation(f"include_prob must lie in [0, 1], got {self.include_prob}")
+            if self.algorithm != "async_svrcd" or kind != "simulate":
+                raise ContractViolation(f"include_prob is read by async_svrcd in mode=simulate:... "
+                                        f"only, not {self.algorithm} in mode={self.mode}")
+        if not self.normalize and self.dataset.startswith("synth:"):
+            raise ContractViolation("normalize = false does not apply to synth: data, whose "
+                                    "rows are always unit-norm")
         for key, reader in (("schedule_seed", "simulate"), ("tau", "threads")):
             if getattr(self, key) is not None:
                 check_int(getattr(self, key), key)
@@ -111,8 +120,6 @@ class ExperimentConfig:
                     raise ContractViolation(f"{key} is read by mode={reader}:... only, "
                                             f"not mode={self.mode}")
         check_int(self.ref_max_iter, "ref_max_iter", 1)
-        if self.ref_eta is not None and not (math.isfinite(self.ref_eta) and self.ref_eta > 0):
-            raise ContractViolation(f"ref_eta must be finite and > 0, got {self.ref_eta}")
         if self.p_star is not None and not math.isfinite(self.p_star):
             raise ContractViolation(f"p_star must be finite, got {self.p_star}")
         for key in ("mu", "L_const", "T_const"):
@@ -238,15 +245,11 @@ def load_dataset(source: str, normalize: bool = True, expected_dim: int | None =
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    """The configured problem; ``B > n``, ``m > d`` or ``ref_eta > 1/L_F``
-    (``theory.smoothness_bound``) is a usage error here, before any reference
-    optimum is computed."""
+    """The configured problem; ``B > n`` or ``m > d`` is a usage error here,
+    before any reference optimum is computed."""
     dataset = load_dataset(cfg.dataset, cfg.normalize)
     _solver_config(cfg).validate(dataset.n, dataset.d)
-    problem = Problem(dataset, LossKind.parse(cfg.loss), Regularizer(cfg.lambda1, cfg.lambda2))
-    if cfg.ref_eta is not None:
-        _reference_step(problem, cfg.ref_eta)
-    return problem
+    return Problem(dataset, LossKind.parse(cfg.loss), Regularizer(cfg.lambda1, cfg.lambda2))
 
 
 @dataclass
@@ -261,30 +264,8 @@ class ReferenceOptimum:
     step: float | None
 
 
-def _reference_step(problem: Problem, eta: float | None) -> float:
-    """The reference step size: 1/L_F by default, with L_F from
-    ``theory.smoothness_bound``, the smoothness of the average loss (not the
-    per-example L of the rates); a given step must be finite and in
-    (0, 1/L_F], the only range where a small certificate proves anything.
-    With no stored entries (L_F = 0) the default is 1."""
-    L = theory.smoothness_bound(problem.dataset, problem.loss)
-    limit = 1.0 / L if L > 0 else math.inf
-    if eta is None:
-        return limit if L > 0 else 1.0
-    if not (math.isfinite(eta) and 0 < eta <= limit):
-        raise ContractViolation(
-            f"reference step ref_eta must be finite and in (0, 1/L_F] = (0, {limit!r}], got {eta}"
-        )
-    return eta
-
-
 def compute_reference_optimum(
-    problem: Problem,
-    ref_tol: float = 1e-12,
-    *,
-    eta: float | None = None,
-    max_iter: int = 1_000_000,
-    x0: DenseVec | None = None,
+    problem: Problem, ref_tol: float = 1e-12, *, max_iter: int = 1_000_000
 ) -> ReferenceOptimum:
     """FISTA (Beck & Teboulle 2009) with gradient-based adaptive restart
     (O'Donoghue & Candes 2015), until the prox-gradient mapping
@@ -293,15 +274,15 @@ def compute_reference_optimum(
 
     Momentum restarts (t = 1, y = x+) whenever <y - x+, x+ - x> > 0, i.e.
     when the step from the previous iterate x runs against the mapping. The
-    step must lie in (0, 1/L_F] (default 1/L_F), L_F from
-    ``theory.smoothness_bound`` bounding the smoothness of the average loss:
-    FISTA needs it, and a larger one shrinks the certificate without bringing
-    y near the optimum. Needs a unique minimizer (lambda2 > 0 suffices)."""
+    step is 1/L_F, L_F from ``theory.smoothness_bound`` bounding the
+    smoothness of the average loss, or 1 when no entries are stored. Needs a
+    unique minimizer (lambda2 > 0 suffices)."""
     if not ref_tol > 0:
         raise ContractViolation(f"ref_tol must be > 0, got {ref_tol}")
     check_int(max_iter, "max_iter", 1)
-    eta = _reference_step(problem, eta)
-    x = np.zeros(problem.d) if x0 is None else x0.copy()
+    L = theory.smoothness_bound(problem.dataset, problem.loss)
+    eta = 1.0 / L if L > 0 else 1.0
+    x = np.zeros(problem.d)
     y, t = x, 1.0
     best = math.inf
     for it in range(1, max_iter + 1):
@@ -394,9 +375,7 @@ def _reference(cfg: ExperimentConfig, problem: Problem) -> ReferenceOptimum:
     """The configured ``p_star`` if given, else the certified optimum."""
     if cfg.p_star is not None:
         return ReferenceOptimum(np.zeros(problem.d), cfg.p_star, math.nan, 0, None)
-    return compute_reference_optimum(
-        problem, cfg.ref_tol, eta=cfg.ref_eta, max_iter=cfg.ref_max_iter
-    )
+    return compute_reference_optimum(problem, cfg.ref_tol, max_iter=cfg.ref_max_iter)
 
 
 def _execute(cfg: ExperimentConfig, problem: Problem, stop_below: float | None):
@@ -548,7 +527,7 @@ def speedup_report(cfg: ExperimentConfig, worker_counts, out_dir) -> list:
     # sequential-solver baseline for the summary record
     # replace() checks the config again: drop the keys the new mode does not read
     seq_cfg = replace(cfg, algorithm=cfg.algorithm.replace("async_", "prox_"), mode="seq",
-                      tau=None, schedule_seed=None)
+                      tau=None, schedule_seed=None, include_prob=None)
     t0 = time.perf_counter()
     seq_trace, _ = _execute(seq_cfg, problem, target)
     seq_seconds = time.perf_counter() - t0
@@ -558,7 +537,8 @@ def speedup_report(cfg: ExperimentConfig, worker_counts, out_dir) -> list:
     base_seconds = None
     for P in worker_counts:
         t0 = time.perf_counter()
-        threads_cfg = replace(cfg, mode=f"threads:{int(P)}", schedule_seed=None)
+        threads_cfg = replace(cfg, mode=f"threads:{int(P)}", schedule_seed=None,
+                              include_prob=None)
         _, report = _execute(threads_cfg, problem, target)
         seconds = time.perf_counter() - t0
         reached = report.trace.records[-1].objective <= target if report.trace.records else False
@@ -691,9 +671,7 @@ def _dispatch(args) -> int:
 
     if args.command == "ref":
         problem = build_problem(cfg)
-        ref = compute_reference_optimum(
-            problem, cfg.ref_tol, eta=cfg.ref_eta, max_iter=cfg.ref_max_iter
-        )
+        ref = compute_reference_optimum(problem, cfg.ref_tol, max_iter=cfg.ref_max_iter)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_summary(

@@ -184,16 +184,16 @@ def test_read_refuses_non_integer_updates_and_rows():
 
 
 def test_commit_refuses_values_of_another_length():
-    # a block commit takes the block's values or a whole vector; two values
-    # for a block of three used to be broadcast across it, and logged as is
+    # a block commit takes the block's values only; two values for a block
+    # of three used to be broadcast across it, and logged as is
     state = MasterState(np.zeros(6), 3, BlockPartition(np.array([0, 1, 4, 6])))
     state.commit(np.array([7.0, 8.0, 9.0]), 1)
-    state.commit(np.arange(6.0), 2)
+    state.commit(np.arange(4.0, 6.0), 2)
     assert state.x.tolist() == [0.0, 7.0, 8.0, 9.0, 4.0, 5.0]
     log, x, total = [id(e) for e in state._log], state.x.copy(), state.stage_sum.copy()
     for values, block in ((np.array([7.0, 9.0]), 1), (np.ones(5), 2), (np.ones(7), 0),
-                          (np.ones((2, 3)), 1), (np.ones(6), 3), (np.ones(1), -1),
-                          (np.ones(1), (0, 1))):
+                          (np.arange(6.0), 2), (np.ones(6), 1), (np.ones((2, 3)), 1),
+                          (np.ones(6), 3), (np.ones(1), -1), (np.ones(1), (0, 1))):
         with pytest.raises(ContractViolation):
             state.commit(values, block)
         assert state.clock == 2 and state.x.tobytes() == x.tobytes()
@@ -212,16 +212,10 @@ def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
     part = BlockPartition(np.array([0, 1, 5, 6, 11]))  # uneven blocks
     state = MasterState(rng.standard_normal(d), tau_bound, part)
     history = [state.x.copy()]
-    for k in range(steps):
+    for _ in range(steps):
         j = int(rng.integers(0, part.m))
         lo, hi = part.block_bounds(j)
-        new_block = state.x[lo:hi] + rng.standard_normal(hi - lo)
-        if k % 2 == 0:
-            state.commit(new_block, j)  # the block's values
-        else:
-            x_new = state.x.copy()
-            x_new[lo:hi] = new_block
-            state.commit(x_new, j)  # a whole vector
+        state.commit(state.x[lo:hi] + rng.standard_normal(hi - lo), j)
         history.append(state.x.copy())
         assert len(state._log) == min(state.clock, tau_bound)
         for block, before, after in state._log:
@@ -271,7 +265,7 @@ def test_block_only_read_matches_whole_vector_read(rng, m):
             # lambda1 > 0: the prox emits -0.0 for thresholded negatives
             x_new[lo:hi] = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo),
                                         1.0, reg)
-            state.commit(x_new, j)
+            state.commit(x_new[lo:hi], j)
             neg_zeros += int(np.sum(np.signbit(x_new) & (x_new == 0.0)))
         k = state.clock
         for tau in range(steps + 1):
@@ -703,9 +697,9 @@ def test_row_blocks_match_per_row_searchsorted(seed, n, d, m):
 @pytest.mark.parametrize("whole_values", [False, True])
 def test_row_read_matches_generic_read(rng, m, whole_values):
     # the row read must give the bytes of the whole read on the row's
-    # support, over block commits given as the block's values or, with
-    # ``whole_values``, as whole vectors; the undo log must rebuild every
-    # retained iterate
+    # support, over block commits given as the block's own array or, with
+    # ``whole_values``, as the block's slice of a whole new iterate; the undo
+    # log must rebuild every retained iterate
     prob = _gappy_problem(rng, LossKind.LOGISTIC)
     ds, d, steps = prob.dataset, prob.d, 6
     part = BlockPartition.equal(d, m)
@@ -721,7 +715,7 @@ def test_row_read_matches_generic_read(rng, m, whole_values):
             # lambda1 > 0: the prox emits -0.0 for thresholded negatives
             new = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo), 1.0, reg)
             if whole_values:
-                new = np.concatenate((state.x[:lo], new, state.x[hi:]))
+                new = np.concatenate((state.x[:lo], new, state.x[hi:]))[lo:hi]
             state.commit(new, j)
             history.append(state.x.copy())
             neg_zeros += int(np.sum(np.signbit(state.x) & (state.x == 0.0)))

@@ -107,9 +107,11 @@ def test_reference_optimum_stable_under_tolerance():
 
 
 def test_reference_optimum_budget_failure():
+    # two iterations at the step 1/L_F certify this problem; one does not
     with pytest.raises(ConvergenceFailure) as err:
-        compute_reference_optimum(one_dim_problem(0.3), 1e-12, eta=1e-3, max_iter=3)
-    assert err.value.best_certificate is not None
+        compute_reference_optimum(one_dim_problem(0.3), 1e-12, max_iter=1)
+    assert err.value.best_certificate == pytest.approx(0.7)
+    assert compute_reference_optimum(one_dim_problem(0.3), 1e-12, max_iter=2).iterations == 2
 
 
 def _dense(dataset):
@@ -266,6 +268,14 @@ def test_build_experiment_validation():
                                  ("async_svrg", "threads:1", "schedule_seed")):
         with pytest.raises(ContractViolation, match=f"{key} is read by"):
             _base_cfg(algorithm=algorithm, mode=mode, **{key: 0})
+    # include_prob is read by simulated async_svrcd only, and synth rows are
+    # unit-norm whatever normalize says: a run given either used to ignore it
+    for algorithm, mode in (("prox_svrcd", "seq"), ("async_svrg", "simulate:uniform:2"),
+                            ("async_svrcd", "threads:2")):
+        with pytest.raises(ContractViolation, match="include_prob is read by"):
+            _base_cfg(algorithm=algorithm, mode=mode, include_prob=0.5)
+    with pytest.raises(ContractViolation, match="normalize"):
+        _base_cfg(normalize=False)
     assert _base_cfg(algorithm="async_svrg", mode="simulate:uniform:2",
                      schedule_seed=np.int64(3)).schedule_seed == 3
     # only prox_sgd reads eta_decay; every other algorithm refuses it
@@ -508,12 +518,14 @@ def test_speedup_report_p1_baseline(tmp_path):
 
 
 @pytest.mark.parametrize("over", [dict(mode="threads:1", tau=3),
-                                  dict(mode="simulate:uniform:2", schedule_seed=4)])
+                                  dict(mode="simulate:uniform:2", schedule_seed=4),
+                                  dict(algorithm="async_svrcd", mode="simulate:uniform:2",
+                                       include_prob=0.9)])
 def test_speedup_drops_keys_its_runs_do_not_read(tmp_path, over):
     # the sequential baseline and the threads rows are configs of their own,
-    # checked again: a threads tau or a simulate schedule_seed is dropped
-    # where the mode does not read it
-    cfg = _base_cfg(algorithm="async_svrg", K=20, max_stages=2, p_star=0.0, **over)
+    # checked again: a threads tau, a simulate schedule_seed or include_prob
+    # is dropped where the run does not read it
+    cfg = _base_cfg(**{"algorithm": "async_svrg", **over}, K=20, max_stages=2, p_star=0.0)
     rows = speedup_report(cfg, [1], tmp_path / "out")
     assert [row["P"] for row in rows] == [1]
 
@@ -564,9 +576,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 def test_cli_run_computes_row_norms_once_per_dataset(tmp_path, monkeypatch):
-    # normalization, dataset statistics, the theory verdict, the ref_eta
-    # check and the reference step all read the row norms; the per-row loop
-    # runs once per dataset, and the cached array is read-only
+    # normalization, dataset statistics, the theory verdict and the
+    # reference step all read the row norms; the per-row loop runs once per
+    # dataset, and the cached array is read-only
     from proxvr import problem as problem_mod
 
     seen = []
@@ -581,7 +593,7 @@ def test_cli_run_computes_row_norms_once_per_dataset(tmp_path, monkeypatch):
         f"dataset = {SYNTH}\nalgorithm = prox_svrg\neta = 0.2\nK = 20\nB = 1\n"
         "lambda2 = 0.1\nmax_stages = 2\nstop_tol = inf\nseed = 5\n",
     )
-    assert main(["run", str(cfg), "-o", str(tmp_path / "out"), "--set", "ref_eta=1.0"]) == 0
+    assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 0
     assert len(seen) >= 2 and len({id(ds) for ds in seen}) == len(seen)
     for ds in seen:
         assert ds.row_norms_sq() is ds.row_norms_sq()
@@ -622,6 +634,7 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
     svrg = "algorithm = prox_svrg\neta = 0.1\nK = 5\n"
     async_svrg = "algorithm = async_svrg\neta = 0.1\nK = 5\n"
     simulate = async_svrg + "mode = simulate:uniform:2\n"
+    svrcd_simulate = simulate.replace("async_svrg", "async_svrcd")
     cases = [
         ("dataset = nope.txt\n" + svrg, []),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "K=abc"]),
@@ -632,9 +645,9 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta=nan"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "stop_tol=nan"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda2=nan"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=1.5"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=-0.5"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=nan"]),
+        (f"dataset = {SYNTH}\n" + svrcd_simulate, ["--set", "include_prob=1.5"]),
+        (f"dataset = {SYNTH}\n" + svrcd_simulate, ["--set", "include_prob=-0.5"]),
+        (f"dataset = {SYNTH}\n" + svrcd_simulate, ["--set", "include_prob=nan"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta=inf"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=inf,1"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "eta_decay=0.5,100"]),
@@ -644,12 +657,11 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=0"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_tol=-1"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_max_iter=0"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=-1"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=nan"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=inf"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=0"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=1e300"]),
-        (f"dataset = {SYNTH}\n" + svrg, ["--set", "ref_eta=6"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "include_prob=0.9"]),
+        (f"dataset = {SYNTH}\n" + simulate, ["--set", "include_prob=0.5"]),
+        (f"dataset = {SYNTH}\n" + svrcd_simulate, ["--set", "mode=threads:2",
+                                                    "--set", "include_prob=0.5"]),
+        (f"dataset = {SYNTH}\n" + svrg, ["--set", "normalize=false"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "B=1000"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "m=1000"]),
         (f"dataset = {SYNTH}\n" + svrg, ["--set", "lambda1=inf"]),
@@ -689,6 +701,10 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
         cfg = _cfg(tmp_path, text)
         assert main(["run", str(cfg), "-o", str(tmp_path / "out"), *extra]) == 1, (text, extra)
         assert "proxvr: error:" in capsys.readouterr().err
+    # the reference step is 1/L_F, not a key
+    cfg = _cfg(tmp_path, f"dataset = {SYNTH}\n" + svrg)
+    assert main(["run", str(cfg), "-o", str(tmp_path / "out"), "--set", "ref_eta=0.1"]) == 1
+    assert "unknown config key: 'ref_eta'" in capsys.readouterr().err
     assert main(["stats", str(malformed)]) == 1
     assert "malformed.txt:1" in capsys.readouterr().err
     assert main(["synth", "n=5,d=3,delta=1,seed=-1", "-o", str(tmp_path / "s.txt")]) == 1
@@ -823,10 +839,14 @@ def test_every_config_key_parses_by_its_annotation(tmp_path):
               "algorithm": ("prox_svrcd", "prox_svrcd"),
               "loss": ("least-squares", "least-squares"), "mode": ("seq", "seq")}
     base = f"dataset = {SYNTH}\neta = 0.1\nK = 5\n"
-    # the algorithm and mode that read the key: prox_sgd reads eta_decay,
-    # threads:P reads tau and simulate reads schedule_seed
+    # the algorithm, mode and data that read the key: prox_sgd reads
+    # eta_decay, threads:P reads tau, simulate reads schedule_seed, simulated
+    # async_svrcd reads include_prob and file data read normalize (a config
+    # is built without loading its data)
     reader = {"tau": "algorithm = async_svrg\nmode = threads:2\n",
-              "schedule_seed": "algorithm = async_svrg\nmode = simulate:uniform:2\n"}
+              "schedule_seed": "algorithm = async_svrg\nmode = simulate:uniform:2\n",
+              "include_prob": "algorithm = async_svrcd\nmode = simulate:uniform:2\n",
+              "normalize": "algorithm = prox_sgd\ndataset = data.txt\n"}
 
     def parsed(key, raw, attr=None):
         head = reader.get(key, "algorithm = prox_sgd\n")
