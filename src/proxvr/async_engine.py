@@ -29,12 +29,13 @@ differs:
   run as a thread pool, with the block, clock and plan locks made once; each
   stage submits P tasks and waits for them. A worker's ticket k is its
   update's index: it takes the stage's draws and plan entry k. It pulls the
-  whole iterate, computes its gradient outside any lock, then steps and
-  commits its block holding the block's lock and then the clock lock: the
-  lock order is always block -> clock. The ticket and pull clock are taken
-  inside block 0's lock, so one block gives an atomic snapshot; a commit's
-  delay is the commits between its pull and itself. The plan is advanced
-  under its own leaf lock, never held with another lock.
+  whole iterate (one row: its support, each block under its lock),
+  computes its gradient outside any lock, then steps and commits its block
+  holding the block's lock and then the clock lock: the lock order is
+  always block -> clock. The ticket and pull clock are taken inside block
+  0's lock, so one block gives an atomic snapshot; a commit's delay is the
+  commits between its pull and itself. The plan is advanced under its own
+  leaf lock, never held with another lock.
 
 So P workers commit the sequential solver's multiset of (batch, block) in
 every stage, and one worker walks its trajectory bit for bit.
@@ -52,7 +53,8 @@ import numpy as np
 
 from .errors import ContractViolation, check_int
 from .linalg import BlockPartition, DenseVec
-from .problem import Problem, RowBlocks, entry_terms, prox_elastic, stage_batches
+from .problem import (Problem, RowBlocks, _vr_row, entry_terms, prox_elastic, stage_batches,
+                      vr_gradient)
 from .seq_solvers import RunTrace, SolverConfig, _stage_draws, make_streams, run_stages
 
 
@@ -151,21 +153,24 @@ class MasterState:
     after)`` holds that block's values before and after it, so a commit
     costs O(d/m) besides the O(d) stage sum and no whole iterate is stored.
     Committed values are kept by reference and must not be modified
-    afterwards. ``rows``, a ``RowBlocks`` over the same partition, lets
-    ``read`` read one row's support."""
+    afterwards, so ``before`` is the block's last committed values where
+    they are held, else a copy. ``rows``, a ``RowBlocks`` over the same
+    partition, lets ``read`` read one row's support."""
 
     def __init__(self, x0: DenseVec, tau_bound: int, part: BlockPartition | None = None,
                  rows: RowBlocks | None = None):
         tau_bound = check_int(tau_bound, "tau_bound")
         self.x = np.array(x0, dtype=np.float64, copy=True)
-        bounds = [0, self.x.size] if part is None else part.bounds.tolist()
-        if bounds[-1] != self.x.size or not (rows is None or np.array_equal(rows.bounds, bounds)):
+        bounds = [0, self.x.size] if part is None else part.edges  # listed once per run
+        if bounds[-1] != self.x.size or not (rows is None or rows.bounds is getattr(
+                part, "bounds", None) or np.array_equal(rows.bounds, bounds)):
             raise ContractViolation(f"the blocks (and rows) must partition [0, {self.x.size})")
         self._bounds = bounds
         self._rows = rows
         self.clock = 0
         self.stage_sum = np.zeros_like(self.x)
         self._log = deque(maxlen=tau_bound)
+        self._held = {}  # block -> its last committed values, for at most tau blocks
         self._x_view = self.x.view()  # what a current whole read returns
         self._x_view.flags.writeable = False
 
@@ -179,8 +184,13 @@ class MasterState:
         if values.shape != (hi - lo,):
             raise ContractViolation(f"a commit to block {block} takes {hi - lo} values, "
                                     f"got shape {values.shape}")
-        if self._log.maxlen:
-            self._log.append((block, self.x[lo:hi].copy(), values))
+        log, held = self._log, self._held
+        if log.maxlen:
+            before = held.pop(block, None)
+            if len(held) >= log.maxlen:
+                held.clear()
+            log.append((block, self.x[lo:hi].copy() if before is None else before, values))
+            held[block] = values
         self.x[lo:hi] = values
         self.clock += 1
         self.stage_sum += self.x
@@ -368,43 +378,45 @@ def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
 
 
 def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
-                rows: RowBlocks | None):
+                rows: RowBlocks | None, in_place: bool = False):
     """A stage's anchor at ``x_tilde`` and its update rule ``(anchor, grad,
     step)`` over the partition ``bounds`` (a list). ``grad(batch, j, read,
-    planned=None)`` is eta times the variance-corrected gradient on block j:
+    planned)`` is eta times the variance-corrected gradient on block j:
     with ``rows`` (the run's ``RowBlocks``; one-row batches) from the read
     on the row's support, on the row's entries in the block only, as ``(p,
-    q, values)`` for the stored entries p..q-1; else from a whole read, with
-    the batch's stage-plan entry or None. ``step(x, j, g)`` proxes block j's
-    ``x - g`` (``x - eta * anchor.base`` off a row's entries), from the
-    current ``x``, in a new buffer. The entry terms and ``eta *
-    anchor.base`` are computed once per stage."""
+    q, values)`` for the stored entries p..q-1; else from a whole read and
+    the batch's stage-plan entry. ``step(x, j, g)`` proxes block j's ``x -
+    g`` (``x - eta * anchor.base`` off a row's entries), from the current
+    ``x``, in a new buffer, or ``in_place`` in ``x``. The entry terms and
+    ``eta * anchor.base`` are computed once per stage."""
     anchor = problem.make_anchor(x_tilde)
-    reg, vr_grad = problem.reg, problem.vr_grad
+    kind, dataset, reg = problem.loss, problem.dataset, problem.reg
     if rows is not None:
-        terms = entry_terms(problem.dataset, anchor)
+        terms = entry_terms(dataset, anchor)
         step_base = eta * anchor.base
-        indices, offsets = rows.indices, rows.offsets
+        indices, offsets, span = rows.indices, rows.offsets, rows.span
 
-    def grad(batch, j, read, planned=None):
+    def grad(batch, j, read, planned):
         lo, hi = bounds[j], bounds[j + 1]
         if rows is None:
-            u = vr_grad(batch, read, anchor, None, planned)[lo:hi]
+            u = vr_gradient(kind, dataset, batch, read, anchor, None, planned)[lo:hi]
         else:
-            p, q = rows.span(batch[0], j)
-            u = vr_grad(batch, read, anchor, (lo, hi), (p, q, terms))
+            p, q = span(batch[0], j)
+            u = _vr_row(kind, dataset, batch[0], read, (p, q, terms))
         u *= eta
         return u if rows is None else (p, q, u)
 
     def step(x, j, g):
         lo, hi = bounds[j], bounds[j + 1]
+        out = x[lo:hi] if in_place else None
         if rows is None:
             # a buffer of the block's size for the undo log: g views the gradient
-            y = np.subtract(x[lo:hi], g)
+            y = np.subtract(x[lo:hi], g, out=out)
         else:
             p, q, u = g
-            y = x[lo:hi] - step_base[lo:hi]
-            y[offsets[p:q]] = x[indices[p:q]] - u
+            on_row = x[indices[p:q]] - u  # read before an in-place step writes x
+            y = np.subtract(x[lo:hi], step_base[lo:hi], out=out)
+            y[offsets[p:q]] = on_row
         return prox_elastic(y, eta, reg, out=y)
 
     return anchor, grad, step
@@ -434,10 +446,13 @@ def replay(
     A one-row update reads the iterate on the row's support and steps its
     block by the row-block index (``RowBlocks``, built once per run): O(nnz
     + d/m + tau * nnz) besides the O(d) stage sum. A larger batch reads the
-    whole vector and passes ``vr_grad`` its entry of the stage's batch plan
+    whole vector and steps with its entry of the stage's batch plan
     (``problem.stage_batches``), gathered a chunk of updates at a time or,
     for a batch of at least n rows, every stored row weighted by its
-    multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch."""
+    multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch. The
+    serial driver with no undo log and no ``debug`` log keeps no commit's
+    values, so it proxes in place; a threads worker never does, because
+    another's commit may be adding the whole iterate to the stage sum."""
     if not (mode is None or isinstance(mode, (DelaySchedule, ThreadsMode))):
         raise ContractViolation(f"unknown mode {mode!r}")
     threads = isinstance(mode, ThreadsMode)
@@ -447,18 +462,20 @@ def replay(
                                 f"{config.S * config.K}")
     m = 1 if svrg else config.m  # SVRG is the one-block case of SVRCD
     part = BlockPartition.equal(problem.d, m)
-    bounds = part.bounds.tolist()
+    bounds = part.edges
     streams = make_streams(config.seed)
     tau_bound = 0 if schedule is None else schedule.tau_bound
     # SVRG reads consistently: its applied sets are empty whatever the schedule
     applied_sets = None if schedule is None or svrg else schedule.applied
     B, K = config.B, config.K
     row_blocks = RowBlocks.build(problem.dataset, part) if B == 1 else None
+    in_place = not (threads or tau_bound or debug)
     delays, worker_updates = [], [0] * (mode.workers if threads else 1)
     log = [] if debug else None
 
     def inner(s, x_tilde, iterates):
-        anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks)
+        anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks,
+                                         in_place)
         state = MasterState(x_tilde, tau_bound, part, row_blocks)
         x = state.x
         rows, blocks = _stage_draws(streams, problem.n, B, m, K, config.with_replacement)
@@ -475,8 +492,9 @@ def replay(
 
         if threads:
             _run_workers(pool, mode.workers, locks, state, bounds, row_blocks, grad, step,
-                         blocks, batches, commit)
+                         blocks, rows, batches, commit)
             return x, state.stage_sum
+        read = state.read
         g = (s - 1) * K  # the stage's first update in the schedule
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
         included = None if applied_sets is None else applied_sets[g:g + K]
@@ -489,11 +507,9 @@ def replay(
                 # offset o is column o - 1 and names the commit at clock - o
                 flags = included[k]
                 applied = [k - o for o in range(1, tau + 1) if flags[o - 1]]
-            if row_blocks is None:
-                read = read_inconsistent(state, tau, applied)
-            else:  # one row: its support
-                read = read_inconsistent(state, tau, applied, batch[0])
-            commit(step(x, j, grad(batch, j, read, planned)), j, tau)
+            # one row reads its support
+            x_read = read(tau, applied, None if row_blocks is None else batch[0])
+            commit(step(x, j, grad(batch, j, x_read, planned)), j, tau)
         return x, state.stage_sum
 
     if threads:  # imported here only: concurrent.futures loads logging, ~0.4 MB of RSS
@@ -506,40 +522,64 @@ def replay(
     return AsyncReport(trace, delays, worker_updates, log)
 
 
-def _run_workers(pool, P, locks, state, bounds, row_blocks, grad, step, blocks, batches,
+def _run_workers(pool, P, locks, state, bounds, row_blocks, grad, step, blocks, rows, batches,
                  commit):
-    """A stage's K updates (``blocks`` and the plan ``batches``) by P tasks on
-    the run's ``pool`` against ``state``, with the run's ``locks`` (per block,
-    then clock and plan), as the module docstring sets out. The first error a
-    worker raises stops the remaining tickets, and is raised here once every
-    worker has returned."""
+    """A stage's K updates (``blocks``, ``rows`` and their plan ``batches``)
+    by P tasks on the run's ``pool`` against ``state``, with the run's
+    ``locks`` (per block, then clock and plan), as the module docstring sets
+    out. The first error a worker raises stops the remaining tickets, and is
+    raised here once every worker has returned."""
     x, K = state.x, len(blocks)
     *block_locks, clock_lock, plan_lock = locks
     tickets, plan, failed = [0], [], []
+    one_rows = None if row_blocks is None else rows.tolist()
+
+    def take():
+        """(ticket, pull clock), taken in block 0's lock; None once every
+        ticket is taken or a worker has failed."""
+        with clock_lock:
+            k = tickets[0]
+            if k == K or failed:
+                return None
+            tickets[0] = k + 1
+            return k, state.clock
+
+    def pull_whole():
+        x_hat = np.empty(x.size)
+        for jj, lock in enumerate(block_locks):
+            with lock:
+                if jj == 0 and (taken := take()) is None:
+                    return None
+                x_hat[bounds[jj]:bounds[jj + 1]] = x[bounds[jj]:bounds[jj + 1]]
+        with plan_lock:
+            while len(plan) <= taken[0]:
+                plan.append(next(batches))
+            (batch, planned), plan[taken[0]] = plan[taken[0]], None
+        return taken, batch, planned, x_hat
+
+    def pull_row():
+        with block_locks[0]:
+            if (taken := take()) is None:
+                return None
+            batch = one_rows[taken[0]]
+            met = row_blocks.meets(batch[0])
+            first = met[0][1] if met else 0
+            x_hat = np.empty(met[-1][2] - first if met else 0)
+            if met and met[0][0] == 0:
+                _, p, q = met.pop(0)
+                x_hat[:q - first] = x[row_blocks.indices[p:q]]
+        for jj, p, q in met:
+            with block_locks[jj]:
+                x_hat[p - first:q - first] = x[row_blocks.indices[p:q]]
+        return taken, batch, None, x_hat
+
+    pull = pull_whole if one_rows is None else pull_row
 
     def work(wid):
         try:
-            while True:
-                x_hat = np.empty(x.size)
-                for jj, lock in enumerate(block_locks):
-                    lo, hi = bounds[jj], bounds[jj + 1]
-                    with lock:
-                        if jj == 0:
-                            with clock_lock:
-                                k = tickets[0]
-                                if k == K or failed:
-                                    return
-                                tickets[0] = k + 1
-                                pulled_at = state.clock
-                        x_hat[lo:hi] = x[lo:hi]
-                with plan_lock:
-                    while len(plan) <= k:
-                        plan.append(next(batches))
-                    (batch, planned), plan[k] = plan[k], None
+            while (pulled := pull()) is not None:
+                (k, pulled_at), batch, planned, x_hat = pulled
                 j = blocks[k]
-                if row_blocks is not None:  # one row reads its support
-                    first, end = row_blocks.indptr[batch[0]:batch[0] + 2].tolist()
-                    x_hat = x_hat[row_blocks.indices[first:end]]
                 g = grad(batch, j, x_hat, planned)
                 with block_locks[j]:
                     new = step(x, j, g)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,11 @@ class BlockPartition:
     @property
     def m(self) -> int:
         return int(self.bounds.size - 1)
+
+    @cached_property
+    def edges(self) -> list:
+        """``bounds`` as a list of ints, made on the first call."""
+        return self.bounds.tolist()
 
     def block_bounds(self, j: int) -> tuple[int, int]:
         """Half-open coordinate range [lo, hi) of block ``j`` (0-based)."""

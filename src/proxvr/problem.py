@@ -207,6 +207,11 @@ class VRAnchor:
         the row's support (the substitution rule turns -0.0 into +0.0)."""
         return self.full_grad + 0.0
 
+    @cached_property
+    def has_zero(self) -> bool:
+        """Whether ``full_grad`` has an exact zero, of either sign."""
+        return not self.full_grad.all()
+
 
 @dataclass(frozen=True, eq=False)
 class RowBlocks:
@@ -256,16 +261,27 @@ class RowBlocks:
         cuts = start + self.indices[start:end].searchsorted(self.bounds[j:j + 2])
         return tuple(cuts.tolist())
 
+    def meets(self, i: int) -> list:
+        """``(j, *span(i, j))`` for every block j that row ``i`` has entries
+        in, ascending."""
+        if self.cuts is not None:
+            return [(j, p, q) for j, (p, q) in enumerate(zip(self.cuts[i], self.cuts[i][1:]))
+                    if p < q]
+        start, end = self.indptr[i:i + 2].tolist()
+        met = np.unique(self.bounds.searchsorted(self.indices[start:end], side="right") - 1)
+        return [(j, *self.span(i, j)) for j in met.tolist()]
+
 
 @dataclass(frozen=True)
 class EntryTerms:
     """An anchor's one-row terms on stored entries: ``grad[e] = 0.0 +
     coefs[i] * data[e]`` for entry e of row i, the one-row anchor gradient
-    at coordinate ``indices[e]``, and ``same``, where that bitwise-equals
-    the anchor full gradient there, so the substitution rule keeps the
-    read's gradient; None where it never does."""
+    at coordinate ``indices[e]``, ``full[e]``, the anchor full gradient
+    there, and ``same``, where the two are bitwise equal, so the
+    substitution rule keeps the read's gradient; None where it never does."""
 
     grad: np.ndarray
+    full: np.ndarray
     same: np.ndarray | None
 
 
@@ -275,8 +291,9 @@ def entry_terms(dataset: Dataset, anchor: VRAnchor) -> EntryTerms:
     products = anchor.coefs.repeat(dataset.row_nnz)
     products *= dataset.data
     products += 0.0
-    same = products == anchor.full_grad[dataset.indices]
-    return EntryTerms(products, same if same.any() else None)
+    full = anchor.full_grad[dataset.indices]
+    same = products == full
+    return EntryTerms(products, full, same if same.any() else None)
 
 
 def _check_labels(kind: LossKind, dataset: Dataset) -> None:
@@ -426,18 +443,28 @@ _PLAN_ENTRIES = 8192
 _PLAN_VALUES = 1 << 15
 
 
-def _anchor_terms(anchor: VRAnchor, keys, weights, c: int, B: int) -> tuple:
+def _anchor_terms(anchor: VRAnchor, keys, cols, weights, c: int, B: int) -> tuple:
     """(terms, same) of c batches: (1/B) times the sums of ``weights`` at
-    ``keys`` = batch * d + coordinate, as a (c, d) array, and for each
-    batch where its term equals the anchor full gradient, None where it
-    never does. One ``np.bincount`` adds each key's terms in order, as a
-    bincount per batch does."""
+    ``keys`` = batch * d + coordinate (``cols``), as a (c, d) array, and
+    for each batch where its term equals the anchor full gradient, None
+    where it never does. One ``np.bincount`` adds each key's terms in order,
+    as a bincount per batch does. Off the keys a term is +0.0, which can
+    equal only a zero of the full gradient; so where the keys are fewer,
+    only keyed terms are divided and compared, and the (c, d) comparison
+    runs only if the full gradient has a zero or a keyed term equals it."""
     d = anchor.full_grad.size
     if keys.size:
         terms = np.bincount(keys, weights=weights, minlength=c * d)
     else:
         terms = np.zeros(c * d)  # np.bincount of nothing is an integer array
-    terms /= B
+    if keys.size < terms.size:
+        keyed = terms[keys]
+        keyed /= B
+        terms[keys] = keyed
+        if not (anchor.has_zero or (keyed == anchor.full_grad[cols]).any()):
+            return terms.reshape(c, d), [None] * c
+    else:
+        terms /= B
     terms = terms.reshape(c, d)
     same = terms == anchor.full_grad
     return terms, [u if hit else None for u, hit in zip(same, same.any(axis=1).tolist())]
@@ -446,11 +473,11 @@ def _anchor_terms(anchor: VRAnchor, keys, weights, c: int, B: int) -> tuple:
 def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
     """Every batch of ``rows``, a (c, B) array, as the ``planned`` argument
     of ``vr_gradient`` in the gathered form: (its distinct rows as
-    ``_gather`` lays them out, their ``_weigh`` weights or None, B, anchor
-    term, same), ``same`` marking where the anchor term equals the anchor
-    full gradient (None where it never does). The c batches' distinct rows
-    are gathered at once, and their anchor terms (1/B) sum_i (m_i coefs[i])
-    a_i summed at once."""
+    ``_gather`` lays them out, with their ``_segments``, their ``_weigh``
+    weights or None, B, anchor term, same), ``same`` marking where the
+    anchor term equals the anchor full gradient (None where it never does).
+    The c batches' distinct rows are gathered, their anchor terms (1/B)
+    sum_i (m_i coefs[i]) a_i summed and their rows' segments found at once."""
     c, B = rows.shape
     flat, mult, counts = _fold(rows)
     idx, vals, lens, labels = _gather(dataset, flat)
@@ -463,10 +490,15 @@ def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
         per = np.add.reduceat(lens, row_cuts[:-1])
     ends = [0, *per.cumsum().tolist()]
     keys = idx if c == 1 else idx + np.arange(0, c * dataset.d, dataset.d).repeat(per)
-    terms, same = _anchor_terms(anchor, keys, w.repeat(lens) * vals, c, B)
+    terms, same = _anchor_terms(anchor, keys, idx, w.repeat(lens) * vals, c, B)
+    # every row's reduceat start inside its batch, as _segments finds it
+    starts = lens.cumsum() - lens - np.repeat(ends[:-1], B if mult is None else counts)
+    ne = lens > 0  # the rows reduceat can take
+    filled = ne.all()
     # a batch without repeats takes no weights
     return [
-        ((idx[e:f], vals[e:f], lens[r:s], labels[r:s], _segments(lens[r:s])),
+        ((idx[e:f], vals[e:f], lens[r:s], labels[r:s],
+          (starts[r:s], None) if filled or ne[r:s].all() else (starts[r:s][ne[r:s]], ne[r:s])),
          None if s - r == B else (mult[r:s], None), B, terms[u], same[u])
         for u, (r, s, e, f) in enumerate(zip(row_cuts, row_cuts[1:], ends, ends[1:]))
     ]
@@ -491,12 +523,14 @@ def _wide_plans(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray, chunk: int
     K, B = rows.shape
     idx, d = dataset.indices, dataset.d
     keys = idx if chunk == 1 else (idx + np.arange(0, min(chunk, K) * d, d)[:, None]).ravel()
+    cols = np.tile(idx, min(chunk, K))
     for k in range(0, K, chunk):
         part = _multisets(dataset.n, rows[k:k + chunk])
         c, outside = len(part), part == 0
         w = _weigh(anchor.coefs, (part, outside)).repeat(dataset.row_nnz, axis=1)
         w *= dataset.data
-        terms, same = _anchor_terms(anchor, keys[:c * idx.size], w.ravel(), c, B)
+        e = c * idx.size
+        terms, same = _anchor_terms(anchor, keys[:e], cols[:e], w.ravel(), c, B)
         for u in range(c):
             yield dataset._all_rows, (part[u], outside[u]), B, terms[u], same[u]
 
@@ -635,20 +669,21 @@ def vr_gradient(
         if len(batch) != 1 or planned is None:
             raise ContractViolation("a block gradient takes a one-row batch and its "
                                     "(p, q, terms)")
-        return _vr_row(kind, dataset, int(batch[0]), x_read, anchor, planned)
+        return _vr_row(kind, dataset, int(batch[0]), x_read, planned)
     if planned is None:
         planned = _plan_chunk(dataset, anchor, _batch_rows(dataset, batch).reshape(1, -1))[0]
     rows, weights, size, g_anchor, same = planned
     _, g_read = _grad_sum(kind, dataset.d, rows, x_read, weights)
     g_read /= size
-    out = g_read - g_anchor
+    # g_read is needed again only where the substitution rule keeps it
+    out = np.subtract(g_read, g_anchor, out=g_read if same is None else None)
     out += anchor.full_grad
     if same is not None:
         np.copyto(out, g_read, where=same)
     return out
 
 
-def _vr_row(kind, dataset, i, x_row, anchor, planned) -> np.ndarray:
+def _vr_row(kind, dataset, i, x_row, planned) -> np.ndarray:
     """``vr_gradient`` of row ``i`` on its stored entries p..q-1, with
     ``planned = (p, q, terms)`` and ``x_row`` the read on its support. A
     one-row ``minibatch_grad`` is ``0.0 + c * a_i`` on the support and +0.0
@@ -656,7 +691,7 @@ def _vr_row(kind, dataset, i, x_row, anchor, planned) -> np.ndarray:
     yields ``anchor.base`` on the rest of the block."""
     if not 0 <= i < dataset.n:
         raise ContractViolation("batch index out of range")
-    start, end = dataset.indptr[i], dataset.indptr[i + 1]
+    start, end = dataset.indptr[i:i + 2].tolist()
     p, q, terms = planned
     if not start <= p <= q <= end:
         raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
@@ -664,7 +699,7 @@ def _vr_row(kind, dataset, i, x_row, anchor, planned) -> np.ndarray:
     g_read = c_read * dataset.data[p:q]
     g_read += 0.0
     out = g_read - terms.grad[p:q]
-    out += anchor.full_grad[dataset.indices[p:q]]
+    out += terms.full[p:q]
     if terms.same is not None:
         np.copyto(out, g_read, where=terms.same[p:q])
     return out

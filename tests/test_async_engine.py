@@ -51,10 +51,10 @@ def format_commit_log(log) -> str:
     return "\n".join(f"{r.clock},{r.worker},{r.block},{r.delay}" for r in log)
 
 
-def _iterate_at(state, clock_idx):
+def _iterate_at(state, clock_idx, _read=MasterState.read):
     """The iterate as of clock ``clock_idx`` (0 = stage start), as
     ``MasterState.read`` returns it."""
-    return state.read(state.clock - clock_idx, ())
+    return _read(state, state.clock - clock_idx, ())
 
 
 def _random_block_walk(rng, d=6, m=3, steps=12, tau_bound=12):
@@ -183,6 +183,29 @@ def test_read_refuses_non_integer_updates_and_rows():
             read_inconsistent(state, tau, ())
 
 
+@pytest.mark.parametrize("m, tau_bound", [(3, 6), (5, 2)])
+def test_undo_log_takes_the_last_committed_values_as_before(rng, m, tau_bound):
+    # committed values are kept by reference, so a commit's before values
+    # are the block's last committed array itself, not a copy, while the
+    # state holds it; it holds at most tau_bound blocks' values
+    part = BlockPartition.equal(10, m)
+    state = MasterState(rng.standard_normal(10), tau_bound, part)
+    committed, reused = {}, 0
+    for _ in range(40):
+        j = int(rng.integers(0, m))
+        lo, hi = part.block_bounds(j)
+        held = state.x[lo:hi].copy()
+        values = held + rng.standard_normal(hi - lo)
+        state.commit(values, j)
+        _, before, after = state._log[-1]
+        assert after is values and before.tobytes() == held.tobytes()
+        reused += before is committed.get(j)
+        committed[j] = values
+        assert len(state._held) <= tau_bound
+    # with m <= tau_bound every commit but a block's first reuses its array
+    assert reused == 40 - m if m <= tau_bound else reused > 0
+
+
 def test_commit_refuses_values_of_another_length():
     # a block commit takes the block's values only; two values for a block
     # of three used to be broadcast across it, and logged as is
@@ -286,7 +309,12 @@ def test_block_only_read_matches_whole_vector_read(rng, m):
 def test_block_only_read_leaves_simulate_runs_bitwise_unchanged(monkeypatch, lambda1):
     # the sign of a zero in the read cannot reach a gradient, so a whole run
     # with the whole-vector read is byte-identical
-    from proxvr import async_engine
+    whole_reads, block_read = [], MasterState.read
+
+    def whole(state, tau_k, applied, row=None):
+        assert row is None
+        whole_reads.append(tau_k)
+        return _whole_vector_read(state, tau_k, applied)
 
     for seed, (m, tau, p) in enumerate(((4, 4, 0.5), (7, 3, 1.0), (3, 6, 0.3))):
         prob = make_problem(np.random.default_rng(seed), 30, 14, lambda1=lambda1, lambda2=0.05)
@@ -294,12 +322,14 @@ def test_block_only_read_leaves_simulate_runs_bitwise_unchanged(monkeypatch, lam
         sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, seed, inconsistent=True,
                                       include_prob=p)
         runs = []
-        for read in (async_engine.read_inconsistent, _whole_vector_read):
-            monkeypatch.setattr(async_engine, "read_inconsistent", read)
+        for read in (block_read, whole):
+            monkeypatch.setattr(MasterState, "read", read)
             tr = async_svrcd_run(prob, cfg, np.zeros(14), SimulateMode(sched),
                                  record_iterates=True).trace
             runs.append([o.hex() for o in tr.objectives] + [x.tobytes() for x in tr.iterates])
         assert runs[0] == runs[1]
+    # every update of the second runs read through the whole-vector rule
+    assert len(whole_reads) == 3 * 3 * 40 and max(whole_reads) > 0
 
 
 # ------------------------------------------------------------- schedules
@@ -583,6 +613,21 @@ def test_block_gradient_matches_dense_slice(rng):
     assert got.tobytes() == dense[[1, 3]].tobytes()
 
 
+@pytest.mark.parametrize("widths", [(3, 15), (1, 4)])
+def test_row_blocks_meets_lists_the_blocks_a_row_has_entries_in(widths):
+    # a one-row threads worker pulls the blocks ``meets`` lists, in order:
+    # from the table (m = 1, 3, 5 on rows of 3-14 entries) or by search
+    prob = _gappy_problem(np.random.default_rng(67), LossKind.LOGISTIC, widths=widths)
+    searched = 0
+    for m in (1, 3, 5, prob.d):
+        rows = RowBlocks.build(prob.dataset, BlockPartition.equal(prob.d, m))
+        searched += rows.cuts is None
+        for i in range(prob.n):
+            spans = [(j, *rows.span(i, j)) for j in range(m)]
+            assert rows.meets(i) == [(j, p, q) for j, p, q in spans if p < q]
+    assert 0 < searched < 4 if widths == (3, 15) else searched == 4
+
+
 @pytest.mark.parametrize("kind", list(LossKind))
 @pytest.mark.parametrize("lambda1", [0.0, 5e-2])
 @pytest.mark.parametrize("indexed", [True, False])
@@ -593,17 +638,18 @@ def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1, i
     # leave many updates with no entry in the drawn block. Rows of 3-14
     # entries make the row-block index a table at every m, rows of 1-3
     # entries a search
+    from proxvr import async_engine
+
     prob = _gappy_problem(np.random.default_rng(64), kind, lambda1,
                           widths=(3, 15) if indexed else (1, 4))
     seen = {"empty row": 0, "empty share": 0}
 
-    def record(self, batch, x_read, anchor, block=None, planned=None, _real=Problem.vr_grad):
-        out = _real(self, batch, x_read, anchor, block, planned)
-        if block is not None:
-            seen["empty row" if x_read.size == 0 else "empty share"] += out.size == 0
+    def record(kind, dataset, i, x_read, planned, _real=async_engine._vr_row):
+        out = _real(kind, dataset, i, x_read, planned)
+        seen["empty row" if x_read.size == 0 else "empty share"] += out.size == 0
         return out
 
-    monkeypatch.setattr(Problem, "vr_grad", record)
+    monkeypatch.setattr(async_engine, "_vr_row", record)
     for m, svrg in ((1, True), (3, False), (5, False)):
         assert m == 1 or prob.d % m
         part = BlockPartition.equal(prob.d, m)
@@ -818,6 +864,7 @@ def test_batched_replay_update_gathers_once(monkeypatch, rng):
     # (B >= n) gathers nothing, its plan and its update each passing once
     # over the stored rows. An update takes dot products at the read only,
     # and the anchor pass is one pass over the data that gathers nothing
+    from proxvr import async_engine
     from proxvr import problem as problem_mod
 
     names = ("_gather", "_dots", "minibatch_grad")
@@ -835,13 +882,19 @@ def test_batched_replay_update_gathers_once(monkeypatch, rng):
 
     monkeypatch.setattr(problem_mod, "_plan_chunk", plan_chunk)
     calls = {"vr_grad": [], "make_anchor": []}
-    for method in calls:
-        def delta(self, *args, _real=getattr(Problem, method), _calls=calls[method]):
+
+    def delta(real, record):
+        def counted(*args):
             before = dict(counts)
-            out = _real(self, *args)
-            _calls.append({k: counts[k] - before[k] for k in names})
+            out = real(*args)
+            record.append({k: counts[k] - before[k] for k in names})
             return out
-        monkeypatch.setattr(Problem, method, delta)
+        return counted
+
+    # replay's rule calls vr_gradient directly, not Problem.vr_grad
+    monkeypatch.setattr(async_engine, "vr_gradient",
+                        delta(async_engine.vr_gradient, calls["vr_grad"]))
+    monkeypatch.setattr(Problem, "make_anchor", delta(Problem.make_anchor, calls["make_anchor"]))
     prob = make_problem(rng, 30, 8)
     # 64 entries per chunk: chunks of one batch (B = 7) and of several (B = 2)
     monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", 64)
@@ -932,6 +985,93 @@ def test_batched_replay_matches_dense_step(monkeypatch, kind):
                             stage = [min(chunk, K - k) for k in range(0, K, chunk)]
                             assert chunks == stage * len(want.records)
     assert empty["chunks"] > 0 and empty["batches"] > empty["chunks"]
+
+
+def _substitution_problems(rng):
+    """(problem, what) pairs for the stage plan's rare substitution cases:
+    column 5 stored by no row, so the full gradient is exactly 0 there,
+    with every fourth row empty; and least-squares rows of label 0, whose
+    anchor coefficient at x = 0 is exactly 0, next to rows of label -1
+    (coefficient 1) that all store 1.0 in column 0, so the anchor term of a
+    batch of one row of each equals the full gradient there, 0.5."""
+    n, d = 12, 6
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        k = 0 if i % 4 == 1 else int(rng.integers(1, 4))
+        indices += np.sort(rng.choice(5, size=k, replace=False)).tolist()
+        data += (rng.standard_normal(k) + 2.0 * np.sign(rng.standard_normal(k))).tolist()
+        indptr.append(len(indices))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    column = Dataset(indptr, indices, data, labels, d)
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        cols = [0, 1 + i % 5] if i < 6 else [0, *rng.choice(np.arange(1, d), 2, replace=False)]
+        indices += sorted(cols)
+        data += [1.0, *(rng.standard_normal(len(cols) - 1) + 2.0)]
+        indptr.append(len(indices))
+    zero_coef = Dataset(indptr, indices, data, [-1.0] * 6 + [0.0] * 6, d)
+    reg = Regularizer(0.05, 0.05)
+    return [(Problem(column, kind, reg), "zero") for kind in LossKind] + [
+        (Problem(zero_coef, LossKind.LEAST_SQUARES, reg), "keyed")]
+
+
+def test_gathered_plan_substitution_cases_match_dense_step(monkeypatch):
+    # the gathered plan compares anchor terms with the full gradient on the
+    # batches' stored entries only, and compares all c x d terms only where
+    # the full gradient has a zero or a stored entry's term equals it. Each
+    # rare case must equal the two-minibatch_grad gradient and the
+    # per-update whole-vector path byte for byte, in chunks with empty and
+    # repeated rows too
+    from proxvr import problem as problem_mod
+
+    rng = np.random.default_rng(66)
+    seen = {"zero": 0, "keyed": 0, "empty and repeated rows": 0}
+
+    def anchor_terms(anchor, keys, cols, weights, c, B, _real=problem_mod._anchor_terms):
+        terms, same = _real(anchor, keys, cols, weights, c, B)
+        if any(u is not None for u in same):
+            seen["zero" if anchor.has_zero else "keyed"] += 1
+        return terms, same
+
+    def plan_chunk(dataset, anchor, rows, _real=problem_mod._plan_chunk):
+        repeated = any(len(set(batch)) < len(batch) for batch in rows.tolist())
+        seen["empty and repeated rows"] += repeated and not dataset.row_nnz[rows].all()
+        return _real(dataset, anchor, rows)
+
+    monkeypatch.setattr(problem_mod, "_anchor_terms", anchor_terms)
+    monkeypatch.setattr(problem_mod, "_plan_chunk", plan_chunk)
+    monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", 16)
+    for prob, case in _substitution_problems(rng):
+        ds, B = prob.dataset, 2 if case == "keyed" else 3
+        anchor = prob.make_anchor(np.zeros(prob.d))
+        assert anchor.has_zero == (case == "zero")
+        before = dict(seen)
+        rows = rng.integers(0, prob.n, size=(40, B))
+        for batch, planned in problem_mod.stage_batches(ds, anchor, rows):
+            for x in (rng.standard_normal(prob.d), anchor.x_tilde):
+                got = prob.vr_grad(batch, x, anchor, None, planned)
+                assert got.tobytes() == two_pass_vr(prob.loss, ds, batch, x, anchor).tobytes()
+        assert seen[case] > before[case]
+        for m, svrg in ((1, True), (3, False)):
+            for tau in (0, 3):
+                for wr in (True, False):
+                    cfg = SolverConfig(eta=0.3, B=B, K=10, S=3, m=m, seed=tau + 2 * m,
+                                       with_replacement=wr)
+                    sched = sample_delay_schedule("uniform", tau, cfg.S * cfg.K, 3,
+                                                  inconsistent=True)
+                    want, delays, log = _dense_replay(prob, cfg, np.zeros(prob.d), svrg, sched)
+                    for mode in (sched, None) if tau == 0 else (sched,):
+                        got = replay(prob, cfg, np.zeros(prob.d), svrg, mode,
+                                     record_iterates=True, debug=mode is not None)
+                        assert [o.hex() for o in got.trace.objectives] == [
+                            o.hex() for o in want.objectives]
+                        assert [x.tobytes() for x in got.trace.iterates] == [
+                            x.tobytes() for x in want.iterates]
+                        assert got.trace.x_final.tobytes() == want.x_final.tobytes()
+                        assert got.delays.tolist() == delays
+                        if mode is not None:
+                            assert format_commit_log(got.commit_log) == log
+    assert min(seen.values()) > 0
 
 
 @pytest.mark.parametrize("kind", list(LossKind))
@@ -1047,13 +1187,20 @@ def test_stage_draws_equal_per_update_draws(seed, n, B, m, K, stop):
 def test_replay_draws_are_per_update_draws(monkeypatch, rng, B, with_replacement):
     # whatever replay draws at once, its batches and blocks are those of one
     # draw_batch and one draw_block per update, in a run stopped early too
+    from proxvr import async_engine
+
     seen = []
 
-    def record(self, batch, *args, _real=Problem.vr_grad):
-        seen.append(np.asarray(batch).tolist())
-        return _real(self, batch, *args)
+    def rule(*args, _real=async_engine._stage_rule):
+        anchor, grad, step = _real(*args)
 
-    monkeypatch.setattr(Problem, "vr_grad", record)
+        def recorded(batch, *rest):
+            seen.append(np.asarray(batch).tolist())
+            return grad(batch, *rest)
+
+        return anchor, recorded, step
+
+    monkeypatch.setattr(async_engine, "_stage_rule", rule)
     prob = make_problem(rng, 30, 8)
     x0 = np.zeros(prob.d)
     cfg = SolverConfig(eta=0.05, B=B, K=10, S=6, m=3, seed=11,
