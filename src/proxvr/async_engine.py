@@ -15,9 +15,9 @@ stage it sets up one update rule (``_stage_rule``), one ``MasterState`` over
 the run's partition, one draw of the rows and blocks from the run's two
 streams (``seq_solvers._stage_draws``, through which every solver draws a
 stage) and one batch plan (``stage_batches``). Every commit replaces one
-block, advances the clock and adds the new iterate to the stage sum, through
-one function that also records it. Only the driver of a stage's K updates
-differs:
+block, advances the clock and adds the block's old values, times the commits
+they were held for, to the stage sum, in O(d/m), through one function that
+also records it. Only the driver of a stage's K updates differs:
 
 * serial (sequential and simulate): one logical thread replays a pre-drawn
   delay schedule against the master's undo log of its last tau commits;
@@ -151,11 +151,16 @@ class MasterState:
 
     A commit replaces one block, and its log entry ``(block, before,
     after)`` holds that block's values before and after it, so a commit
-    costs O(d/m) besides the O(d) stage sum and no whole iterate is stored.
-    Committed values are kept by reference and must not be modified
-    afterwards, so ``before`` is the block's last committed values where
-    they are held, else a copy. ``rows``, a ``RowBlocks`` over the same
-    partition, lets ``read`` read one row's support."""
+    costs O(d/m) and no whole iterate is stored. Committed values are kept
+    by reference and must not be modified afterwards, so ``before`` is the
+    block's last committed values where they are held, else a copy.
+    ``rows``, a ``RowBlocks`` over the same partition, lets ``read`` read
+    one row's support.
+
+    The stage sum is kept per block: before a block is overwritten, its
+    values times the commits they were held for go into a partial sum (a
+    plain add for one commit: with one block, the running sum of the
+    iterates, bit for bit)."""
 
     def __init__(self, x0: DenseVec, tau_bound: int, part: BlockPartition | None = None,
                  rows: RowBlocks | None = None):
@@ -166,13 +171,32 @@ class MasterState:
                 part, "bounds", None) or np.array_equal(rows.bounds, bounds)):
             raise ContractViolation(f"the blocks (and rows) must partition [0, {self.x.size})")
         self._bounds = bounds
+        self._widths = np.diff(bounds if part is None else part.bounds)
         self._rows = rows
         self.clock = 0
-        self.stage_sum = np.zeros_like(self.x)
+        self._partial = np.zeros_like(self.x)
+        self._since = [0] * (len(bounds) - 1)  # the clock of each block's values
         self._log = deque(maxlen=tau_bound)
         self._held = {}  # block -> its last committed values, for at most tau blocks
         self._x_view = self.x.view()  # what a current whole read returns
         self._x_view.flags.writeable = False
+
+    @property
+    def stage_sum(self) -> DenseVec:
+        """The sum of the iterates after each commit so far, in a new array;
+        reading it changes no state."""
+        total = np.repeat(self.clock - np.array(self._since, dtype=np.float64), self._widths)
+        return np.add(np.multiply(total, self.x, out=total), self._partial, out=total)
+
+    def _settle(self, block: int) -> DenseVec:
+        """Add block ``block``'s values, times the commits they were held
+        for, to the partial sum; return ``x``'s view of the block, free to overwrite."""
+        lo, hi = self._bounds[block], self._bounds[block + 1]
+        held = self.clock - self._since[block]
+        if held:
+            self._partial[lo:hi] += self.x[lo:hi] if held == 1 else held * self.x[lo:hi]
+            self._since[block] = self.clock
+        return self.x[lo:hi]
 
     def commit(self, values: DenseVec, block: int = 0) -> None:
         """Apply one update to block ``block``: ``values`` are the block's
@@ -191,9 +215,9 @@ class MasterState:
                 held.clear()
             log.append((block, self.x[lo:hi].copy() if before is None else before, values))
             held[block] = values
+        self._settle(block)
         self.x[lo:hi] = values
         self.clock += 1
-        self.stage_sum += self.x
 
     def read(self, tau_k: int, applied, row: int | None = None) -> DenseVec:
         """The iterate from ``tau_k`` commits ago plus exactly the updates in
@@ -210,7 +234,7 @@ class MasterState:
         bits of substituting every applied update into the old iterate over
         the whole vector, except possibly the sign of a zero, which no
         gradient can see; with one block, every bit. A row read takes each
-        commit's share of the row from ``rows.span``, in O(nnz(row) * (1 +
+        commit's share of the row from ``rows``' spans, in O(nnz(row) * (1 +
         tau_k)).
 
         A current whole read returns ``x`` as a read-only view, which
@@ -225,30 +249,37 @@ class MasterState:
                         or len(set(applied)) < len(applied)):
             raise ContractViolation(f"applied updates {applied} must lie in the window "
                                     f"[{start}, {self.clock - 1}] without a repeat")
-        rows = self._rows
+        if row is not None and self._rows is None:
+            raise ContractViolation("a row read needs a state built with rows")
+        if row is not None and (type(row) is not int or not 0 <= row < self._rows.indptr.size - 1):
+            row = check_int(row, "row", 0, self._rows.indptr.size - 1)
+        return self._read(tau_k, [self.clock - o in applied for o in range(1, tau_k + 1)], row)
+
+    def _read(self, tau_k: int, flags, row: int | None) -> DenseVec:
+        """``read`` without its checks: ``flags[o - 1]`` says whether the
+        commit ``o`` clocks ago is applied, for o in 1..tau_k."""
+        rows, log = self._rows, self._log
         if row is None:
             if not tau_k:
                 return self._x_view
             xhat = self.x.copy()
         else:
-            if rows is None:
-                raise ContractViolation("a row read needs a state built with rows")
-            if type(row) is not int or not 0 <= row < rows.indptr.size - 1:
-                row = check_int(row, "row", 0, rows.indptr.size - 1)
-            first, end = rows.indptr[row:row + 2].tolist()
+            cut = None if rows.cuts is None else rows.cuts[row]
+            first, end = rows.indptr[row:row + 2].tolist() if cut is None else (cut[0], cut[-1])
             xhat = self.x[rows.indices[first:end]]
             if not tau_k:
                 return xhat
-        behind = set()  # blocks whose first unapplied commit was written back
-        for h, (j, before, after) in enumerate(list(self._log)[-tau_k:], start):
+        bounds, behind = self._bounds, set()  # blocks whose first unapplied commit was undone
+        for o in range(tau_k, 0, -1):
+            j, before, after = log[-o]
             if row is None:
-                view, off = xhat[self._bounds[j]:self._bounds[j + 1]], slice(None)
+                view, off = xhat[bounds[j]:bounds[j + 1]], slice(None)
             else:
-                p, q = rows.span(row, j)
+                p, q = rows.span(row, j) if cut is None else (cut[j], cut[j + 1])
                 if p == q:
                     continue
                 view, off = xhat[p - first:q - first], rows.offsets[p:q]
-            if h not in applied:
+            if not flags[o - 1]:
                 if j not in behind:
                     behind.add(j)
                     view[...] = before[off]
@@ -378,7 +409,7 @@ def _run(problem, config, x0, mode, svrg, stop_below, record_iterates, debug):
 
 
 def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
-                rows: RowBlocks | None, in_place: bool = False):
+                rows: RowBlocks | None, settle=None):
     """A stage's anchor at ``x_tilde`` and its update rule ``(anchor, grad,
     step)`` over the partition ``bounds`` (a list). ``grad(batch, j, read,
     planned)`` is eta times the variance-corrected gradient on block j:
@@ -387,28 +418,31 @@ def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
     q, values)`` for the stored entries p..q-1; else from a whole read and
     the batch's stage-plan entry. ``step(x, j, g)`` proxes block j's ``x -
     g`` (``x - eta * anchor.base`` off a row's entries), from the current
-    ``x``, in a new buffer, or ``in_place`` in ``x``. The entry terms and
-    ``eta * anchor.base`` are computed once per stage."""
+    ``x``, in a new buffer or, given ``settle`` (``MasterState._settle``),
+    in place in ``x``. The entry terms, ``eta * anchor.base`` and the rows'
+    pointers and labels (lists) are made once per stage."""
     anchor = problem.make_anchor(x_tilde)
     kind, dataset, reg = problem.loss, problem.dataset, problem.reg
     if rows is not None:
         terms = entry_terms(dataset, anchor)
         step_base = eta * anchor.base
         indices, offsets, span = rows.indices, rows.offsets, rows.span
+        data, ptr, labels = dataset.data, dataset.indptr.tolist(), dataset.labels.tolist()
 
     def grad(batch, j, read, planned):
-        lo, hi = bounds[j], bounds[j + 1]
         if rows is None:
-            u = vr_gradient(kind, dataset, batch, read, anchor, None, planned)[lo:hi]
+            u = vr_gradient(kind, dataset, batch, read, anchor, None, planned)[
+                bounds[j]:bounds[j + 1]]
         else:
-            p, q = span(batch[0], j)
-            u = _vr_row(kind, dataset, batch[0], read, (p, q, terms))
+            i = batch[0]
+            p, q = span(i, j)
+            u = _vr_row(kind, data, ptr[i], ptr[i + 1], labels[i], read, p, q, terms)
         u *= eta
         return u if rows is None else (p, q, u)
 
     def step(x, j, g):
         lo, hi = bounds[j], bounds[j + 1]
-        out = x[lo:hi] if in_place else None
+        out = None if settle is None else settle(j)  # x[lo:hi], once the stage sum has it
         if rows is None:
             # a buffer of the block's size for the undo log: g views the gradient
             y = np.subtract(x[lo:hi], g, out=out)
@@ -445,14 +479,16 @@ def replay(
 
     A one-row update reads the iterate on the row's support and steps its
     block by the row-block index (``RowBlocks``, built once per run): O(nnz
-    + d/m + tau * nnz) besides the O(d) stage sum. A larger batch reads the
+    + d/m + tau * nnz), the stage sum included. A larger batch reads the
     whole vector and steps with its entry of the stage's batch plan
     (``problem.stage_batches``), gathered a chunk of updates at a time or,
     for a batch of at least n rows, every stored row weighted by its
     multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch. The
-    serial driver with no undo log and no ``debug`` log keeps no commit's
-    values, so it proxes in place; a threads worker never does, because
-    another's commit may be adding the whole iterate to the stage sum."""
+    serial driver reads through ``MasterState._read``, since the schedule
+    was checked when it was made. With no undo log and no ``debug`` log it
+    keeps no commit's values, so it proxes in place, adding the block's old
+    values to the stage sum first; a threads worker never does, because its
+    commit adds them at the clock it commits at."""
     if not (mode is None or isinstance(mode, (DelaySchedule, ThreadsMode))):
         raise ContractViolation(f"unknown mode {mode!r}")
     threads = isinstance(mode, ThreadsMode)
@@ -474,9 +510,9 @@ def replay(
     log = [] if debug else None
 
     def inner(s, x_tilde, iterates):
-        anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks,
-                                         in_place)
         state = MasterState(x_tilde, tau_bound, part, row_blocks)
+        anchor, grad, step = _stage_rule(problem, config.eta, x_tilde, bounds, row_blocks,
+                                         state._settle if in_place else None)
         x = state.x
         rows, blocks = _stage_draws(streams, problem.n, B, m, K, config.with_replacement)
         batches = stage_batches(problem.dataset, anchor, rows)
@@ -494,21 +530,17 @@ def replay(
             _run_workers(pool, mode.workers, locks, state, bounds, row_blocks, grad, step,
                          blocks, rows, batches, commit)
             return x, state.stage_sum
-        read = state.read
+        read = state._read
         g = (s - 1) * K  # the stage's first update in the schedule
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
-        included = None if applied_sets is None else applied_sets[g:g + K]
+        # update k's flags: offset o is column o - 1 and names the commit at clock - o
+        included = [(False,) * tau_bound] * K if applied_sets is None else applied_sets[g:g + K]
         for k, (j, (batch, planned)) in enumerate(zip(blocks, batches)):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start
             tau = min(taus[k], k)
-            applied = ()
-            if included is not None and tau:
-                # offset o is column o - 1 and names the commit at clock - o
-                flags = included[k]
-                applied = [k - o for o in range(1, tau + 1) if flags[o - 1]]
             # one row reads its support
-            x_read = read(tau, applied, None if row_blocks is None else batch[0])
+            x_read = read(tau, included[k], None if row_blocks is None else batch[0])
             commit(step(x, j, grad(batch, j, x_read, planned)), j, tau)
         return x, state.stage_sum
 

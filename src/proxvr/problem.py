@@ -234,15 +234,15 @@ class RowBlocks:
 
     @staticmethod
     def build(dataset: Dataset, part: BlockPartition) -> "RowBlocks":
-        """The offsets by one ``searchsorted`` of the entries' columns into
-        the bounds; the table, where it fits, by one ``searchsorted`` of
+        """The offsets from one table of each coordinate's block lower
+        bound; the table of spans, where it fits, by one ``searchsorted`` of
         every (row, bound) key into the stored entries' keys row * d +
         column, which ascend in storage order."""
         bounds = part.bounds
         if bounds[-1] != dataset.d:
             raise ContractViolation(f"the blocks cover [0, {bounds[-1]}), not [0, {dataset.d})")
         indices = dataset.indices
-        offsets = indices - bounds[bounds.searchsorted(indices, side="right") - 1]
+        offsets = indices - bounds[:-1].repeat(np.diff(bounds))[indices]
         cuts = None
         if dataset.n * bounds.size <= indices.size:
             rows = np.arange(dataset.n, dtype=np.int64) * dataset.d
@@ -669,7 +669,15 @@ def vr_gradient(
         if len(batch) != 1 or planned is None:
             raise ContractViolation("a block gradient takes a one-row batch and its "
                                     "(p, q, terms)")
-        return _vr_row(kind, dataset, int(batch[0]), x_read, planned)
+        i = int(batch[0])
+        if not 0 <= i < dataset.n:
+            raise ContractViolation("batch index out of range")
+        start, end = dataset.indptr[i:i + 2].tolist()
+        p, q, terms = planned
+        if not start <= p <= q <= end:
+            raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
+        return _vr_row(kind, dataset.data, start, end, float(dataset.labels[i]), x_read, p, q,
+                       terms)
     if planned is None:
         planned = _plan_chunk(dataset, anchor, _batch_rows(dataset, batch).reshape(1, -1))[0]
     rows, weights, size, g_anchor, same = planned
@@ -683,20 +691,15 @@ def vr_gradient(
     return out
 
 
-def _vr_row(kind, dataset, i, x_row, planned) -> np.ndarray:
-    """``vr_gradient`` of row ``i`` on its stored entries p..q-1, with
-    ``planned = (p, q, terms)`` and ``x_row`` the read on its support. A
+def _vr_row(kind, data, start, end, b, x_row, p, q, terms) -> np.ndarray:
+    """``vr_gradient`` of the row stored at entries start..end-1, label
+    ``b``, on its entries p..q-1 (start <= p <= q <= end, unchecked), from
+    ``x_row``, the read on its support, and the stage's ``EntryTerms``. A
     one-row ``minibatch_grad`` is ``0.0 + c * a_i`` on the support and +0.0
     elsewhere, so the substitution rule runs on these entries' values and
     yields ``anchor.base`` on the rest of the block."""
-    if not 0 <= i < dataset.n:
-        raise ContractViolation("batch index out of range")
-    start, end = dataset.indptr[i:i + 2].tolist()
-    p, q, terms = planned
-    if not start <= p <= q <= end:
-        raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
-    c_read = _row_coef(kind, dataset.data[start:end], x_row, float(dataset.labels[i]))
-    g_read = c_read * dataset.data[p:q]
+    c_read = _row_coef(kind, data[start:end], x_row, b)
+    g_read = c_read * data[p:q]
     g_read += 0.0
     out = g_read - terms.grad[p:q]
     out += terms.full[p:q]

@@ -57,6 +57,26 @@ def _iterate_at(state, clock_idx, _read=MasterState.read):
     return _read(state, state.clock - clock_idx, ())
 
 
+def _hold_sum(x0, iterates, blocks, bounds):
+    """The sum of a stage's iterates by the hold-length rule, stated without
+    ``MasterState``: coordinate by coordinate, in clock order, every value
+    it held times the number of commits it held it for. A coordinate starts
+    at ``x0`` and takes a new value at each commit to its block (commit c
+    wrote block ``blocks[c]`` and made ``iterates[c]``), whether or not the
+    value changes; its last value is held to the end of ``blocks``."""
+    total = np.zeros(len(x0))
+    for i, value in enumerate(np.asarray(x0, dtype=np.float64).tolist()):
+        j = int(np.searchsorted(bounds, i, side="right")) - 1
+        acc, since = 0.0, 0
+        for c in [c for c, b in enumerate(blocks) if b == j] + [len(blocks)]:
+            if c > since:
+                acc += (c - since) * value
+            if c < len(blocks):
+                value, since = float(iterates[c][i]), c
+        total[i] = acc
+    return total
+
+
 def _random_block_walk(rng, d=6, m=3, steps=12, tau_bound=12):
     """MasterState driven by random single-block updates; returns the state
     plus the full iterate history for oracle checks."""
@@ -234,12 +254,13 @@ def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
     d, steps = 11, 14
     part = BlockPartition(np.array([0, 1, 5, 6, 11]))  # uneven blocks
     state = MasterState(rng.standard_normal(d), tau_bound, part)
-    history = [state.x.copy()]
+    history, blocks = [state.x.copy()], []
     for _ in range(steps):
         j = int(rng.integers(0, part.m))
         lo, hi = part.block_bounds(j)
         state.commit(state.x[lo:hi] + rng.standard_normal(hi - lo), j)
         history.append(state.x.copy())
+        blocks.append(j)
         assert len(state._log) == min(state.clock, tau_bound)
         for block, before, after in state._log:
             lo, hi = part.block_bounds(block)
@@ -256,19 +277,68 @@ def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
             _iterate_at(state, state.clock + 1)
         # a current whole read is a view of x that callers cannot write
         assert not state.read(0, ()).flags.writeable
-    total = np.zeros(d)
-    for x in history[1:]:
-        total += x
-    assert state.stage_sum.tobytes() == total.tobytes()
+        # the stage sum holds each block's values for the commits they lasted
+        total = _hold_sum(history[0], history[1:], blocks, part.bounds)
+        assert state.stage_sum.tobytes() == total.tobytes()
 
 
-def _whole_vector_read(state, tau_k, applied):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.sampled_from(["1", "2", "3", "d"]),
+       svrg=st.booleans(), K=st.integers(1, 25), S=st.integers(1, 3), tau=st.integers(0, 4),
+       B=st.sampled_from([1, 4]), threads=st.booleans(),
+       reads=st.sets(st.integers(1, 25), max_size=6))
+def test_stage_sum_is_the_hold_length_sum(seed, blocks, svrg, K, S, tau, B, threads, reads):
+    # the run's stage sums against the hold-length oracle, with the stage sum
+    # also read after some commits mid-stage: every read matches the oracle,
+    # and the reads change no bit of the run. With one block the stage sum is
+    # the running sum of the recorded iterates, bit for bit
+    d = 7
+    m = d if blocks == "d" else int(blocks)
+    svrg = svrg and m == 1
+    prob = make_problem(np.random.default_rng(seed), 12, d, lambda1=1e-2, lambda2=0.05)
+    cfg = SolverConfig(eta=0.2, B=B, K=K, S=S, m=m, seed=seed % 997)
+    mode = ThreadsMode(1) if threads else sample_delay_schedule(
+        "uniform", tau, S * K, seed % 991, inconsistent=not svrg)
+    x0 = np.zeros(d)
+    plain = replay(prob, cfg, x0, svrg, mode, record_iterates=True)
+    events, real = [], MasterState.commit
+
+    def commit(state, values, block=0):
+        real(state, values, block)
+        events.append((block, state.stage_sum if state.clock in reads else None))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MasterState, "commit", commit)
+        got = replay(prob, cfg, x0, svrg, mode, record_iterates=True)
+    assert [o.hex() for o in got.trace.objectives] == [o.hex() for o in plain.trace.objectives]
+    assert [x.tobytes() for x in got.trace.iterates] == [
+        x.tobytes() for x in plain.trace.iterates]
+    bounds = BlockPartition.equal(d, m).bounds
+    x_tilde = x0
+    for s, objective in enumerate(got.trace.objectives):
+        xs, stage = got.trace.iterates[s * K:(s + 1) * K], events[s * K:(s + 1) * K]
+        drawn = [j for j, _ in stage]
+        for c, (_, mid) in enumerate(stage, 1):
+            if mid is not None:
+                assert mid.tobytes() == _hold_sum(x_tilde, xs[:c], drawn[:c], bounds).tobytes()
+        total = _hold_sum(x_tilde, xs, drawn, bounds)
+        if m == 1:
+            running = np.zeros(d)
+            for x in xs:
+                running += x
+            assert running.tobytes() == total.tobytes()
+        x_tilde = total / K
+        assert prob.objective(x_tilde).hex() == objective.hex()
+    assert x_tilde.tobytes() == got.trace.x_final.tobytes() == plain.trace.x_final.tobytes()
+
+
+def _whole_vector_read(state, tau_k, applied, iterate_at=_iterate_at):
     """The substitution read over the whole vector, one O(d) pass per applied
     update: the reference for the block-only read."""
     lo = state.clock - tau_k
-    xhat = _iterate_at(state, lo)
+    xhat = iterate_at(state, lo)
     for h in sorted(int(h) for h in applied):
-        before, after = _iterate_at(state, h), _iterate_at(state, h + 1)
+        before, after = iterate_at(state, h), iterate_at(state, h + 1)
         xhat = np.where(xhat == before, after, xhat + (after - before))
     return xhat
 
@@ -309,12 +379,17 @@ def test_block_only_read_matches_whole_vector_read(rng, m):
 def test_block_only_read_leaves_simulate_runs_bitwise_unchanged(monkeypatch, lambda1):
     # the sign of a zero in the read cannot reach a gradient, so a whole run
     # with the whole-vector read is byte-identical
-    whole_reads, block_read = [], MasterState.read
+    whole_reads, block_read = [], MasterState._read
 
-    def whole(state, tau_k, applied, row=None):
+    def whole(state, tau_k, flags, row):
+        # the serial driver's unchecked read: flags[o - 1] applies the
+        # commit o clocks ago
         assert row is None
         whole_reads.append(tau_k)
-        return _whole_vector_read(state, tau_k, applied)
+        applied = [state.clock - o for o in range(1, tau_k + 1) if flags[o - 1]]
+        return _whole_vector_read(state, tau_k, applied,
+                                  lambda st, c: block_read(st, st.clock - c,
+                                                           [False] * (st.clock - c), None))
 
     for seed, (m, tau, p) in enumerate(((4, 4, 0.5), (7, 3, 1.0), (3, 6, 0.3))):
         prob = make_problem(np.random.default_rng(seed), 30, 14, lambda1=lambda1, lambda2=0.05)
@@ -323,7 +398,7 @@ def test_block_only_read_leaves_simulate_runs_bitwise_unchanged(monkeypatch, lam
                                       include_prob=p)
         runs = []
         for read in (block_read, whole):
-            monkeypatch.setattr(MasterState, "read", read)
+            monkeypatch.setattr(MasterState, "_read", read)
             tr = async_svrcd_run(prob, cfg, np.zeros(14), SimulateMode(sched),
                                  record_iterates=True).trace
             runs.append([o.hex() for o in tr.objectives] + [x.tobytes() for x in tr.iterates])
@@ -470,6 +545,7 @@ def _dense_replay(problem, config, x0, svrg, schedule, stop_below=None):
         nonlocal g
         anchor = problem.make_anchor(x_tilde)
         state = MasterState(x_tilde, schedule.tau_bound)
+        stage, blocks = [], []
         for _ in range(config.K):
             tau = min(int(schedule.taus[g]), state.clock)
             offsets = [] if svrg else np.flatnonzero(schedule.applied[g, :tau]) + 1
@@ -484,9 +560,11 @@ def _dense_replay(problem, config, x0, svrg, schedule, stop_below=None):
             state.commit(x_new)
             delays.append(tau)
             iterates.append(state.x.copy())
+            stage.append(iterates[-1])
+            blocks.append(j)
             log.append(CommitRecord(s, state.clock, 0, -1 if svrg else j, tau))
             g += 1
-        return state.x, state.stage_sum
+        return state.x, _hold_sum(x_tilde, stage, blocks, part.bounds)
 
     trace = run_stages(problem, config, x0, inner, stop_below=stop_below, record_iterates=True)
     return trace, delays, format_commit_log(log)
@@ -644,8 +722,8 @@ def test_one_row_benchmark_path_matches_dense_step(monkeypatch, kind, lambda1, i
                           widths=(3, 15) if indexed else (1, 4))
     seen = {"empty row": 0, "empty share": 0}
 
-    def record(kind, dataset, i, x_read, planned, _real=async_engine._vr_row):
-        out = _real(kind, dataset, i, x_read, planned)
+    def record(kind, data, start, end, b, x_read, p, q, terms, _real=async_engine._vr_row):
+        out = _real(kind, data, start, end, b, x_read, p, q, terms)
         seen["empty row" if x_read.size == 0 else "empty share"] += out.size == 0
         return out
 
@@ -1434,13 +1512,14 @@ def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
         for s in (1, 2):
             commits = sorted((r for r in rep.commit_log if r.stage == s), key=lambda r: r.clock)
             assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
-            x, total = x_tilde.copy(), np.zeros(8)
+            x, xs = x_tilde.copy(), []
             for r in commits:
                 assert 0 <= r.delay < r.clock
                 lo, hi = part.block_bounds(max(r.block, 0))
                 x[lo:hi] = r.block_values
-                total += x
-            x_tilde = total / cfg.K
+                xs.append(x.copy())
+            blocks = [max(r.block, 0) for r in commits]
+            x_tilde = _hold_sum(x_tilde, xs, blocks, part.bounds) / cfg.K
             assert prob.objective(x_tilde).hex() == rep.trace.objectives[s - 1].hex()
         assert x_tilde.tobytes() == rep.trace.x_final.tobytes()
 
@@ -1465,14 +1544,15 @@ def test_threads_record_iterates_in_clock_order(rng):
         for s in (1, 2):
             commits = [r for r in rep.commit_log if r.stage == s]
             assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
-            x, total = x_tilde.copy(), np.zeros(8)
+            x = x_tilde.copy()
             for r in commits:
                 lo, hi = part.block_bounds(max(r.block, 0))
                 x[lo:hi] = r.block_values
                 assert x.tobytes() == rep.trace.iterates[k].tobytes()
-                total += x
                 k += 1
-            x_tilde = total / cfg.K
+            blocks = [max(r.block, 0) for r in commits]
+            x_tilde = _hold_sum(x_tilde, rep.trace.iterates[k - cfg.K:k], blocks,
+                                part.bounds) / cfg.K
         assert x_tilde.tobytes() == rep.trace.x_final.tobytes()
 
 
@@ -1536,14 +1616,15 @@ def test_one_worker_threads_equals_sequential_solver(kind, lambda1):
                 for s in range(1, cfg.S + 1):
                     commits = [r for r in got.commit_log if r.stage == s]
                     assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
-                    x, total = x_tilde.copy(), np.zeros(prob.d)
+                    x = x_tilde.copy()
                     for r in commits:
                         lo, hi = part.block_bounds(max(r.block, 0))
                         x[lo:hi] = r.block_values
                         assert x.tobytes() == want.trace.iterates[k].tobytes()
-                        total += x
                         k += 1
-                    x_tilde = total / cfg.K
+                    blocks = [max(r.block, 0) for r in commits]
+                    x_tilde = _hold_sum(x_tilde, want.trace.iterates[k - cfg.K:k], blocks,
+                                        part.bounds) / cfg.K
 
 
 @pytest.mark.parametrize("workers", [2, 4])
