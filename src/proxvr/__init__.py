@@ -16,8 +16,6 @@ from .problem import (
     SparseExample,
     VRAnchor,
     full_grad,
-    loss_grad,
-    loss_value,
     minibatch_grad,
     objective_value,
     prox_elastic,

@@ -431,8 +431,7 @@ def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
 
     def grad(batch, j, read, planned):
         if rows is None:
-            u = vr_gradient(kind, dataset, batch, read, anchor, None, planned)[
-                bounds[j]:bounds[j + 1]]
+            u = vr_gradient(kind, dataset, batch, read, anchor, planned)[bounds[j]:bounds[j + 1]]
         else:
             i = batch[0]
             p, q = span(i, j)

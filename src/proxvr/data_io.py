@@ -63,6 +63,8 @@ def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
     indices and non-finite labels or values on a line are errors, and {0,1}
     label files are mapped to {-1,+1} with a logged notice.
     """
+    if expected_dim is not None:
+        check_int(expected_dim, "expected_dim")
     labels, indices, values, lens = [], [], [], []
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,7 +127,7 @@ def write_libsvm(dataset: Dataset, path) -> None:
     vals = dataset.data.tolist()
     with opener(path, "wt") as fh:
         for lo, hi, b in zip(ptr[:-1], ptr[1:], dataset.labels.tolist()):
-            parts = [f"{b:g}"]
+            parts = [f"{b:.17g}"]
             parts += [f"{j}:{v:.17g}" for j, v in zip(cols[lo:hi], vals[lo:hi])]
             fh.write(" ".join(parts) + "\n")
 

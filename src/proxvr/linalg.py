@@ -41,23 +41,9 @@ class SparseVec:
             if np.any(val == 0.0):
                 raise ContractViolation("canonical form forbids stored zeros")
 
-    @staticmethod
-    def from_pairs(pairs, dim: int) -> "SparseVec":
-        """Build from (index, value) pairs; zeros dropped, order normalized."""
-        pairs = [(int(i), float(v)) for i, v in pairs if float(v) != 0.0]
-        pairs.sort(key=lambda p: p[0])
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        val = np.array([p[1] for p in pairs], dtype=np.float64)
-        return SparseVec(idx, val, dim)
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def to_dense(self) -> DenseVec:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
 
 
 def sparse_dot(a: SparseVec, x: DenseVec) -> float:
@@ -98,9 +84,3 @@ class BlockPartition:
     def edges(self) -> list:
         """``bounds`` as a list of ints, made on the first call."""
         return self.bounds.tolist()
-
-    def block_bounds(self, j: int) -> tuple[int, int]:
-        """Half-open coordinate range [lo, hi) of block ``j`` (0-based)."""
-        if not (0 <= j < self.m):
-            raise ContractViolation(f"block index {j} out of range [0, {self.m})")
-        return int(self.bounds[j]), int(self.bounds[j + 1])

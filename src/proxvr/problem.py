@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation
-from .linalg import BlockPartition, DenseVec, SparseVec, sparse_dot
+from .errors import ContractViolation, check_int
+from .linalg import BlockPartition, DenseVec, SparseVec
+from .linalg import sparse_dot  # noqa: F401  perfbench counts calls through problem.sparse_dot
 
 _FIRST = np.zeros(1, dtype=np.intp)  # reduceat offsets of a one-segment sum
 
@@ -54,7 +55,8 @@ class Regularizer:
                                     f"lambda1={self.lambda1}, lambda2={self.lambda2}")
 
     def value(self, x: DenseVec) -> float:
-        return float(self.lambda1 * np.abs(x).sum() + 0.5 * self.lambda2 * np.dot(x, x))
+        # einsum, not np.dot: a BLAS dot at large d leaves a BLAS thread spinning
+        return float(self.lambda1 * np.abs(x).sum() + 0.5 * self.lambda2 * np.einsum("i,i->", x, x))
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class Dataset:
             "indices": _read_only(self.indices, np.int64, "indices"),
             "data": _read_only(self.data, np.float64, "data"),
             "labels": _read_only(self.labels, np.float64, "labels"),
-            "d": int(self.d),
+            "d": check_int(self.d, "d"),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -126,26 +128,6 @@ class Dataset:
             if not rising.all():
                 raise ContractViolation("indices must be strictly increasing within a row")
 
-    @staticmethod
-    def build(examples, d: int | None = None) -> "Dataset":
-        """CSR dataset from a sequence of SparseExample rows."""
-        examples = tuple(examples)
-        if not examples:
-            raise ContractViolation("dataset must contain at least one example")
-        if d is None:
-            d = examples[0].a.dim
-        if any(ex.a.dim != d for ex in examples):
-            raise ContractViolation("all examples must share dimension d")
-        indptr = np.zeros(len(examples) + 1, dtype=np.int64)
-        np.cumsum([ex.a.nnz for ex in examples], out=indptr[1:])
-        return Dataset(
-            indptr,
-            np.concatenate([ex.a.indices for ex in examples]),
-            np.concatenate([ex.a.values for ex in examples]),
-            [ex.b for ex in examples],
-            d,
-        )
-
     @property
     def n(self) -> int:
         return int(self.labels.size)
@@ -154,8 +136,8 @@ class Dataset:
     def examples(self) -> tuple:
         """Per-row SparseExample views of the arrays, built on first access.
 
-        For per-example callers and tests; the solvers and the set-up code
-        read the arrays."""
+        No solver reads them: the solvers and the set-up code read the
+        arrays. The benchmark's kernel table times ``sparse_dot`` over them."""
         ptr = self.indptr.tolist()
         return tuple(
             SparseExample(SparseVec(self.indices[lo:hi], self.data[lo:hi], self.d), b)
@@ -539,12 +521,12 @@ def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
     """Yield a stage's mini-batches, the rows of ``rows`` (K, B), in order,
     each with its ``planned`` argument of ``vr_gradient``.
 
-    One-row batches take the block path (``planned`` None). Larger ones are
-    planned a chunk at a time, in the all-rows form (``_wide_plans``) if
-    they are wide (``_is_wide``), else in the gathered form
-    (``_plan_chunk``). A chunk's anchor terms sum at most ``_PLAN_ENTRIES``
-    entries and hold at most ``_PLAN_VALUES`` values, and a chunk holds at
-    least one batch."""
+    One-row batches come without a plan (``planned`` None), since their
+    updates run ``_vr_row``. Larger ones are planned a chunk at a time, in
+    the all-rows form (``_wide_plans``) if they are wide (``_is_wide``),
+    else in the gathered form (``_plan_chunk``). A chunk's anchor terms sum
+    at most ``_PLAN_ENTRIES`` entries and hold at most ``_PLAN_VALUES``
+    values, and a chunk holds at least one batch."""
     K, B = rows.shape
     if B == 1:
         yield from ((batch, None) for batch in rows.tolist())
@@ -559,23 +541,6 @@ def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
     for k in range(0, K, chunk):
         part = rows[k:k + chunk]
         yield from zip(part, _plan_chunk(dataset, anchor, part))
-
-
-def loss_value(kind: LossKind, example: SparseExample, x: DenseVec) -> float:
-    """f_i(x) for one example; the logistic branch never overflows."""
-    return float(_losses(kind, sparse_dot(example.a, x), example.b))
-
-
-def loss_grad(kind: LossKind, example: SparseExample, x: DenseVec) -> SparseVec:
-    """Gradient of one example's loss, supported on support(a_i); the same
-    arithmetic as a one-row ``minibatch_grad``."""
-    a = example.a
-    if a.dim != x.shape[0]:
-        raise ContractViolation(f"dimension mismatch: {a.dim} vs {x.shape[0]}")
-    c = _row_coef(kind, a.values, x[a.indices], example.b)
-    values = c * a.values
-    stored = values != 0.0  # c * a_ij may be zero (c = 0, or an underflow)
-    return SparseVec(a.indices[stored], values[stored], a.dim)
 
 
 def _batch_rows(dataset: Dataset, batch) -> np.ndarray:
@@ -633,7 +598,6 @@ def vr_gradient(
     batch,
     x_read: DenseVec,
     anchor: VRAnchor,
-    block: tuple[int, int] | None = None,
     planned: tuple | None = None,
 ) -> DenseVec:
     """Variance-corrected mini-batch gradient
@@ -654,30 +618,9 @@ def vr_gradient(
     products and coefficients, one scatter and the substitution rule:
     O(nnz(batch) + d) gathered, O(nnz + d) in the all-rows form, with no
     gather. Both terms equal the two ``minibatch_grad`` results (at the
-    read and at the anchor) bit for bit.
-
-    ``block = (lo, hi)`` takes a one-row batch and returns its gradient on
-    the row's stored entries inside [lo, hi) only, in index order, in
-    O(nnz(a_i)); every other coordinate of [lo, hi) is ``anchor.base``.
-    ``x_read`` then holds the read iterate on the row's support alone, in
-    index order, and ``planned`` must give ``(p, q, terms)``: the entries
-    p..q-1 of the stored arrays that fall in the block (``RowBlocks.span``)
-    and the stage's ``EntryTerms``. The values equal the same coordinates of
-    the whole-vector result bit for bit.
+    read and at the anchor) bit for bit. The one-row form, on one block of
+    the row's entries, is ``_vr_row``.
     """
-    if block is not None:
-        if len(batch) != 1 or planned is None:
-            raise ContractViolation("a block gradient takes a one-row batch and its "
-                                    "(p, q, terms)")
-        i = int(batch[0])
-        if not 0 <= i < dataset.n:
-            raise ContractViolation("batch index out of range")
-        start, end = dataset.indptr[i:i + 2].tolist()
-        p, q, terms = planned
-        if not start <= p <= q <= end:
-            raise ContractViolation(f"entries [{p}, {q}) are not in row {i}")
-        return _vr_row(kind, dataset.data, start, end, float(dataset.labels[i]), x_read, p, q,
-                       terms)
     if planned is None:
         planned = _plan_chunk(dataset, anchor, _batch_rows(dataset, batch).reshape(1, -1))[0]
     rows, weights, size, g_anchor, same = planned
@@ -769,9 +712,8 @@ class Problem:
     def minibatch_grad(self, batch, x: DenseVec) -> DenseVec:
         return minibatch_grad(self.loss, self.dataset, batch, x)
 
-    def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor, block=None,
-                planned=None) -> DenseVec:
-        return vr_gradient(self.loss, self.dataset, batch, x_read, anchor, block, planned)
+    def vr_grad(self, batch, x_read: DenseVec, anchor: VRAnchor, planned=None) -> DenseVec:
+        return vr_gradient(self.loss, self.dataset, batch, x_read, anchor, planned)
 
     def make_anchor(self, x_tilde: DenseVec) -> VRAnchor:
         x_tilde = x_tilde.copy()

@@ -61,6 +61,39 @@ def draw_block(rng, m):
     return int(rng.integers(0, m))
 
 
+def sparse_from_pairs(pairs, dim):
+    """Canonical sparse vector from (index, value) pairs; zeros dropped,
+    order normalized."""
+    pairs = sorted((int(i), float(v)) for i, v in pairs if float(v) != 0.0)
+    idx = np.array([i for i, _ in pairs], dtype=np.int64)
+    val = np.array([v for _, v in pairs], dtype=np.float64)
+    return SparseVec(idx, val, dim)
+
+
+def to_dense(v):
+    """A ``SparseVec`` as a dense vector."""
+    out = np.zeros(v.dim)
+    out[v.indices] = v.values
+    return out
+
+
+def build_dataset(examples, d=None):
+    """CSR dataset from a sequence of ``SparseExample`` rows of dimension
+    ``d`` (the first row's by default)."""
+    examples = tuple(examples)
+    if d is None:
+        d = examples[0].a.dim
+    indptr = np.zeros(len(examples) + 1, dtype=np.int64)
+    np.cumsum([ex.a.nnz for ex in examples], out=indptr[1:])
+    return Dataset(
+        indptr,
+        np.concatenate([ex.a.indices for ex in examples]),
+        np.concatenate([ex.a.values for ex in examples]),
+        [ex.b for ex in examples],
+        d,
+    )
+
+
 def random_sparse_vec(rng, d, density=0.6):
     """Random canonical sparse vector with at least one entry."""
     nnz = max(1, int(round(density * d)))
@@ -76,7 +109,7 @@ def random_dataset(rng, n, d, density=0.6):
         SparseExample(random_sparse_vec(rng, d, density), float(rng.choice([-1.0, 1.0])))
         for _ in range(n)
     ]
-    return Dataset.build(examples, d)
+    return build_dataset(examples, d)
 
 
 def make_problem(rng, n, d, kind=LossKind.LOGISTIC, lambda1=1e-3, lambda2=0.1, density=0.6):
@@ -86,7 +119,7 @@ def make_problem(rng, n, d, kind=LossKind.LOGISTIC, lambda1=1e-3, lambda2=0.1, d
 def one_dim_problem(lambda1=0.3):
     """P(x) = (x - 1)^2 / 2 + lambda1 |x|; minimizer soft(1, lambda1)."""
     ex = SparseExample(SparseVec(np.array([0]), np.array([1.0]), 1), 1.0)
-    return Problem(Dataset.build([ex], 1), LossKind.LEAST_SQUARES, Regularizer(lambda1, 0.0))
+    return Problem(build_dataset([ex], 1), LossKind.LEAST_SQUARES, Regularizer(lambda1, 0.0))
 
 
 def separable_quadratic(c):
@@ -98,7 +131,7 @@ def separable_quadratic(c):
         SparseExample(SparseVec(np.array([j]), np.array([s]), d), s * c[j])
         for j in range(d)
     ]
-    return Problem(Dataset.build(examples, d), LossKind.LEAST_SQUARES, Regularizer(0.0, 0.0))
+    return Problem(build_dataset(examples, d), LossKind.LEAST_SQUARES, Regularizer(0.0, 0.0))
 
 
 @pytest.fixture

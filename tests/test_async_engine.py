@@ -32,6 +32,7 @@ from proxvr.problem import (
     Problem,
     Regularizer,
     RowBlocks,
+    _vr_row,
     entry_terms,
     prox_elastic,
 )
@@ -86,7 +87,7 @@ def _random_block_walk(rng, d=6, m=3, steps=12, tau_bound=12):
     blocks = []
     for _ in range(steps):
         j = int(rng.integers(0, m))
-        lo, hi = part.block_bounds(j)
+        lo, hi = part.edges[j:j + 2]
         state.commit(state.x[lo:hi] + rng.standard_normal(hi - lo), j)
         history.append(state.x.copy())
         blocks.append((j, lo, hi))
@@ -213,7 +214,7 @@ def test_undo_log_takes_the_last_committed_values_as_before(rng, m, tau_bound):
     committed, reused = {}, 0
     for _ in range(40):
         j = int(rng.integers(0, m))
-        lo, hi = part.block_bounds(j)
+        lo, hi = part.edges[j:j + 2]
         held = state.x[lo:hi].copy()
         values = held + rng.standard_normal(hi - lo)
         state.commit(values, j)
@@ -257,13 +258,13 @@ def test_undo_log_rebuilds_every_retained_iterate(rng, tau_bound):
     history, blocks = [state.x.copy()], []
     for _ in range(steps):
         j = int(rng.integers(0, part.m))
-        lo, hi = part.block_bounds(j)
+        lo, hi = part.edges[j:j + 2]
         state.commit(state.x[lo:hi] + rng.standard_normal(hi - lo), j)
         history.append(state.x.copy())
         blocks.append(j)
         assert len(state._log) == min(state.clock, tau_bound)
         for block, before, after in state._log:
-            lo, hi = part.block_bounds(block)
+            lo, hi = part.edges[block:block + 2]
             for arr in (before, after):
                 assert arr.shape == (hi - lo,)
                 assert arr.base is None or arr.base.size == hi - lo
@@ -353,7 +354,7 @@ def test_block_only_read_matches_whole_vector_read(rng, m):
         state = MasterState(prox_elastic(rng.standard_normal(d), 1.0, reg), steps, part)
         for _ in range(steps):
             j = int(rng.integers(0, m))
-            lo, hi = part.block_bounds(j)
+            lo, hi = part.edges[j:j + 2]
             x_new = state.x.copy()
             # lambda1 > 0: the prox emits -0.0 for thresholded negatives
             x_new[lo:hi] = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo),
@@ -553,7 +554,7 @@ def _dense_replay(problem, config, x0, svrg, schedule, stop_below=None):
             batch = draw_batch(batch_rng, problem.n, config.B, config.with_replacement)
             j = draw_block(block_rng, m) if m > 1 else 0
             u = two_pass_vr(problem.loss, problem.dataset, batch, x_read, anchor)
-            lo, hi = part.block_bounds(j)
+            lo, hi = part.edges[j:j + 2]
             x_new = state.x.copy()
             x_new[lo:hi] = prox_elastic(x_new[lo:hi] - config.eta * u[lo:hi], config.eta,
                                         problem.reg)
@@ -632,6 +633,14 @@ def _block_from_entries(prob, i, entries, anchor, lo, hi):
     return out
 
 
+def _row_block(prob, i, x_row, p, q, terms):
+    """Row i's VR gradient on its stored entries p..q-1 through ``_vr_row``,
+    from the read on its support, ``x_row``, as a replay update calls it."""
+    ds = prob.dataset
+    start, end = ds.indptr[i:i + 2].tolist()
+    return _vr_row(prob.loss, ds.data, start, end, float(ds.labels[i]), x_row, p, q, terms)
+
+
 def test_block_gradient_matches_dense_slice(rng):
     # planted -0.0 and zero entries in the anchor gradient: off the support
     # the block gradient stands for full_grad + 0.0, as the dense rule gives
@@ -660,23 +669,12 @@ def test_block_gradient_matches_dense_slice(rng):
         dense = two_pass_vr(prob.loss, prob.dataset, [i], x, anchor)
         assert prob.vr_grad([i], x, anchor).tobytes() == dense.tobytes()
         for j, (lo, hi) in enumerate(((0, 3), (3, 4), (4, 9), (9, d - 1), (d - 1, d))):
-            got = prob.vr_grad([i], x[support], anchor, (lo, hi), (*index.span(i, j), terms))
+            got = _row_block(prob, i, x[support], *index.span(i, j), terms)
             block = _block_from_entries(prob, i, got, anchor, lo, hi)
             assert block.tobytes() == dense[lo:hi].tobytes()
-        got = prob.vr_grad([i], x[support], anchor, (0, d), (*whole.span(i, 0), terms))
+        got = _row_block(prob, i, x[support], *whole.span(i, 0), terms)
         assert _block_from_entries(prob, i, got, anchor, 0, d).tobytes() == dense.tobytes()
     assert planted > 20
-    with pytest.raises(ContractViolation):
-        prob.vr_grad([0, 1], x, anchor, (0, d), (*whole.span(0, 0), terms))
-    # a block gradient needs its entries and the stage's terms
-    with pytest.raises(ContractViolation):
-        prob.vr_grad([i], x[support], anchor, (0, d))
-    # planned entries outside the row are refused
-    wide = int(np.argmax(prob.dataset.row_nnz))
-    start, end = prob.dataset.indptr[wide:wide + 2].tolist()
-    with pytest.raises(ContractViolation):
-        prob.vr_grad([wide], x[prob.dataset.indices[start:end]], anchor, (0, d),
-                     (start, end + 1, terms))
     # a least-squares read with a_i^T x = b_i exactly: c = 0, c * a_i is -0.0
     # where a_i < 0, and the dense path adds it to +0.0
     ls = Problem(Dataset([0, 2], [1, 3], [-2.0, 4.0], [1.0], 5), LossKind.LEAST_SQUARES,
@@ -686,7 +684,7 @@ def test_block_gradient_matches_dense_slice(rng):
     dense = two_pass_vr(ls.loss, ls.dataset, [0], x, anchor)
     assert ls.vr_grad([0], x, anchor).tobytes() == dense.tobytes()
     assert not np.signbit(dense).any()
-    got = ls.vr_grad([0], x[[1, 3]], anchor, (0, 5), (0, 2, entry_terms(ls.dataset, anchor)))
+    got = _row_block(ls, 0, x[[1, 3]], 0, 2, entry_terms(ls.dataset, anchor))
     assert _block_from_entries(ls, 0, got, anchor, 0, 5).tobytes() == dense.tobytes()
     assert got.tobytes() == dense[[1, 3]].tobytes()
 
@@ -835,7 +833,7 @@ def test_row_read_matches_generic_read(rng, m, whole_values):
         history = [state.x.copy()]
         for k in range(3 * steps):
             j = int(rng.integers(0, m))
-            lo, hi = part.block_bounds(j)
+            lo, hi = part.edges[j:j + 2]
             # lambda1 > 0: the prox emits -0.0 for thresholded negatives
             new = prox_elastic(state.x[lo:hi] + 0.4 * rng.standard_normal(hi - lo), 1.0, reg)
             if whole_values:
@@ -916,7 +914,7 @@ def test_read_rule_matches_whole_iterate_oracle(seed, d, m, n, dense_rows, tau_b
     history = [state.x.copy()]
     for _ in range(steps):
         j = int(rng.integers(0, m))
-        lo, hi = part.block_bounds(j)
+        lo, hi = part.edges[j:j + 2]
         step = state.x[lo:hi] + 0.5 * rng.standard_normal(hi - lo)
         state.commit(prox_elastic(step, 1.0, reg), j)
         history.append(state.x.copy())
@@ -1127,7 +1125,7 @@ def test_gathered_plan_substitution_cases_match_dense_step(monkeypatch):
         rows = rng.integers(0, prob.n, size=(40, B))
         for batch, planned in problem_mod.stage_batches(ds, anchor, rows):
             for x in (rng.standard_normal(prob.d), anchor.x_tilde):
-                got = prob.vr_grad(batch, x, anchor, None, planned)
+                got = prob.vr_grad(batch, x, anchor, planned)
                 assert got.tobytes() == two_pass_vr(prob.loss, ds, batch, x, anchor).tobytes()
         assert seen[case] > before[case]
         for m, svrg in ((1, True), (3, False)):
@@ -1201,7 +1199,7 @@ def test_undo_log_keeps_block_sized_values(monkeypatch, rng, B):
     def commit(self, values, block=0, _real=MasterState.commit):
         _real(self, values, block)
         j, _, new = self._log[-1]
-        lo, hi = BlockPartition.equal(self.x.size, 3).block_bounds(j)
+        lo, hi = BlockPartition.equal(self.x.size, 3).edges[j:j + 2]
         kept.append((new.size == hi - lo < self.x.size, new.base is None))
 
     monkeypatch.setattr(MasterState, "commit", commit)
@@ -1478,7 +1476,7 @@ def test_threads_svrcd_block_isolation_fold(rng):
     # fold the commit log in clock order; no write may be lost
     fold = np.zeros(8)
     for rec in sorted(rep.commit_log, key=lambda r: r.clock):
-        lo, hi = part.block_bounds(rec.block)
+        lo, hi = part.edges[rec.block:rec.block + 2]
         fold[lo:hi] = rec.block_values
     assert np.array_equal(fold, rep.trace.x_final)
     clocks = sorted(r.clock for r in rep.commit_log)
@@ -1515,7 +1513,8 @@ def test_threads_stress_commit_log_rebuilds_stage_averages(rng, algo):
             x, xs = x_tilde.copy(), []
             for r in commits:
                 assert 0 <= r.delay < r.clock
-                lo, hi = part.block_bounds(max(r.block, 0))
+                j = max(r.block, 0)
+                lo, hi = part.edges[j:j + 2]
                 x[lo:hi] = r.block_values
                 xs.append(x.copy())
             blocks = [max(r.block, 0) for r in commits]
@@ -1546,7 +1545,8 @@ def test_threads_record_iterates_in_clock_order(rng):
             assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
             x = x_tilde.copy()
             for r in commits:
-                lo, hi = part.block_bounds(max(r.block, 0))
+                j = max(r.block, 0)
+                lo, hi = part.edges[j:j + 2]
                 x[lo:hi] = r.block_values
                 assert x.tobytes() == rep.trace.iterates[k].tobytes()
                 k += 1
@@ -1618,7 +1618,8 @@ def test_one_worker_threads_equals_sequential_solver(kind, lambda1):
                     assert [r.clock for r in commits] == list(range(1, cfg.K + 1))
                     x = x_tilde.copy()
                     for r in commits:
-                        lo, hi = part.block_bounds(max(r.block, 0))
+                        j = max(r.block, 0)
+                        lo, hi = part.edges[j:j + 2]
                         x[lo:hi] = r.block_values
                         assert x.tobytes() == want.trace.iterates[k].tobytes()
                         k += 1

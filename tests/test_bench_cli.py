@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem, one_dim_problem
+from conftest import build_dataset, make_problem, one_dim_problem, sparse_from_pairs
 from proxvr import bench_cli, seq_solvers
 from proxvr.async_engine import ThreadsMode
 from proxvr.bench_cli import (
@@ -24,9 +24,7 @@ from proxvr.bench_cli import (
     speedup_report,
 )
 from proxvr.errors import ContractViolation, ConvergenceFailure
-from proxvr.linalg import SparseVec
 from proxvr.problem import (
-    Dataset,
     LossKind,
     Problem,
     Regularizer,
@@ -90,10 +88,10 @@ def test_reference_optimum_matches_normal_equations(rng):
     A = rng.standard_normal((d, d)) + 3 * np.eye(d)
     b = rng.standard_normal(d)
     exs = [
-        SparseExample(SparseVec.from_pairs(list(enumerate(A[i])), d), float(b[i]))
+        SparseExample(sparse_from_pairs(list(enumerate(A[i])), d), float(b[i]))
         for i in range(d)
     ]
-    prob = Problem(Dataset.build(exs, d), LossKind.LEAST_SQUARES, Regularizer(0.0, 0.0))
+    prob = Problem(build_dataset(exs, d), LossKind.LEAST_SQUARES, Regularizer(0.0, 0.0))
     ref = compute_reference_optimum(prob, 1e-12)
     oracle = np.linalg.solve(A, b)
     assert np.allclose(ref.x_star, oracle, atol=1e-8)
@@ -707,6 +705,10 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "unknown config key: 'ref_eta'" in capsys.readouterr().err
     assert main(["stats", str(malformed)]) == 1
     assert "malformed.txt:1" in capsys.readouterr().err
+    bare = tmp_path / "bare.txt"  # no features: no index can exceed the dimension
+    bare.write_text("1\n-1\n")
+    assert main(["stats", str(bare), "--expected-dim", "-5"]) == 1
+    assert "expected_dim must be an integer in [0, inf), got -5" in capsys.readouterr().err
     assert main(["synth", "n=5,d=3,delta=1,seed=-1", "-o", str(tmp_path / "s.txt")]) == 1
     assert "proxvr: error:" in capsys.readouterr().err
 

@@ -80,6 +80,11 @@ def test_read_expected_dim(tmp_path):
     assert ds.d == 5
     with pytest.raises(ParseError):
         read_libsvm(_write(tmp_path, "+1 9:1.0\n"), expected_dim=5)
+    # a bad dimension is refused as such, also where no index exceeds it
+    for bad in (-5, 2.5, True):
+        with pytest.raises(ContractViolation, match="expected_dim must be an integer"):
+            read_libsvm(_write(tmp_path, "+1\n-1\n"), expected_dim=bad)
+    assert read_libsvm(_write(tmp_path, "+1\n-1\n"), expected_dim=0).d == 0
 
 
 def test_read_drops_explicit_zeros(tmp_path):
@@ -232,8 +237,9 @@ def _datasets(draw):
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 12))
     rows = [draw(st.sets(st.integers(0, d - 1), max_size=d)) for _ in range(n)]
-    labels = draw(st.lists(st.sampled_from([-1.0, 1.0, 0.5, -2.0, 3.0, 0.0, -0.0]),
-                           min_size=n, max_size=n))
+    label = st.one_of(st.sampled_from([-1.0, 1.0, 0.0, -0.0]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    labels = draw(st.lists(label, min_size=n, max_size=n))
     indptr = np.cumsum([0] + [len(r) for r in rows])
     indices = [j for r in rows for j in sorted(r)]
     data = draw(st.lists(_finite, min_size=len(indices), max_size=len(indices)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import sparse_from_pairs, to_dense
 from proxvr.errors import ContractViolation
 from proxvr.linalg import BlockPartition, SparseVec, sparse_dot
 
@@ -16,24 +17,18 @@ def test_sparse_vec_canonical_form():
         SparseVec(np.array([0]), np.array([0.0]), 4)  # stored zero
 
 
-def test_from_pairs_drops_zeros_and_sorts():
-    v = SparseVec.from_pairs([(3, -1.0), (0, 2.0), (1, 0.0)], 4)
-    assert v.indices.tolist() == [0, 3]
-    assert v.values.tolist() == [2.0, -1.0]
-
-
 def test_sparse_dot_hand_cases():
     x = np.array([1.0, 5.0, 7.0, 4.0])
     empty = SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 4)
     assert sparse_dot(empty, x) == 0.0
-    a = SparseVec.from_pairs([(0, 2.0), (3, -1.0)], 4)
+    a = sparse_from_pairs([(0, 2.0), (3, -1.0)], 4)
     assert sparse_dot(a, x) == -2.0
-    e2 = SparseVec.from_pairs([(2, 1.0)], 4)
+    e2 = sparse_from_pairs([(2, 1.0)], 4)
     assert sparse_dot(e2, x) == x[2]
 
 
 def test_sparse_dot_dimension_mismatch():
-    a = SparseVec.from_pairs([(0, 1.0)], 3)
+    a = sparse_from_pairs([(0, 1.0)], 3)
     with pytest.raises(ContractViolation):
         sparse_dot(a, np.zeros(4))
 
@@ -47,18 +42,16 @@ def test_sparse_dot_matches_dense(rng):
         vals[vals == 0.0] = 0.5
         a = SparseVec(idx, vals, d)
         x = rng.standard_normal(d)
-        assert sparse_dot(a, x) == pytest.approx(float(np.dot(a.to_dense(), x)), abs=1e-12)
+        assert sparse_dot(a, x) == pytest.approx(float(np.dot(to_dense(a), x)), abs=1e-12)
 
 
 def test_block_partition_hand_case():
     p = BlockPartition.equal(6, 3)
-    assert p.block_bounds(1) == (2, 4)  # second block covers {2, 3}
+    assert p.edges[1:3] == [2, 4]  # second block covers {2, 3}
     whole = BlockPartition.equal(5, 1)
-    assert whole.block_bounds(0) == (0, 5)
+    assert whole.edges == [0, 5]
     singles = BlockPartition.equal(4, 4)
-    assert [singles.block_bounds(j) for j in range(4)] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    with pytest.raises(ContractViolation):
-        p.block_bounds(3)
+    assert singles.edges == [0, 1, 2, 3, 4]
     with pytest.raises(ContractViolation):
         BlockPartition.equal(4, 5)
 
@@ -69,7 +62,7 @@ def test_block_partition_covers_everything():
             p = BlockPartition.equal(d, m)
             covered = []
             for j in range(m):
-                lo, hi = p.block_bounds(j)
+                lo, hi = p.edges[j:j + 2]
                 assert hi > lo
                 covered.extend(range(lo, hi))
             assert covered == list(range(d))

@@ -11,10 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    build_dataset,
     make_problem,
     prox_ternary_oracle,
     random_dataset,
     random_sparse_vec,
+    sparse_from_pairs,
+    to_dense,
     two_pass_vr,
 )
 from proxvr import problem as problem_mod
@@ -27,8 +30,6 @@ from proxvr.problem import (
     Regularizer,
     SparseExample,
     full_grad,
-    loss_grad,
-    loss_value,
     minibatch_grad,
     objective_value,
     prox_elastic,
@@ -43,25 +44,37 @@ LOG1P_EXP_M2 = 0.1269280110429725
 
 
 def _ex(pairs, d, b):
-    return SparseExample(SparseVec.from_pairs(pairs, d), b)
+    return SparseExample(sparse_from_pairs(pairs, d), b)
 
 
 # ---------------------------------------------------------------- losses
+#
+# One example's loss and gradient, from the kernels the solvers run: the
+# objective of a one-row dataset with a zero regularizer, and its one-row
+# mini-batch gradient.
+
+
+def _one_row(pairs, d, b):
+    return build_dataset([_ex(pairs, d, b)], d)
+
+
+def _loss(kind, ds, x):
+    return objective_value(kind, ds, Regularizer(), x)
 
 
 def test_logistic_at_zero_is_ln2():
-    ex = _ex([(0, 1.0)], 2, 1.0)
-    assert loss_value(LossKind.LOGISTIC, ex, np.zeros(2)) == pytest.approx(LN2, abs=1e-15)
+    ds = _one_row([(0, 1.0)], 2, 1.0)
+    assert _loss(LossKind.LOGISTIC, ds, np.zeros(2)) == pytest.approx(LN2, abs=1e-15)
 
 
 def test_least_squares_perfect_fit_is_zero():
-    ex = _ex([(0, 2.0)], 1, 3.0)
-    assert loss_value(LossKind.LEAST_SQUARES, ex, np.array([1.5])) == 0.0
+    ds = _one_row([(0, 2.0)], 1, 3.0)
+    assert _loss(LossKind.LEAST_SQUARES, ds, np.array([1.5])) == 0.0
 
 
 def test_logistic_margin_two():
-    ex = _ex([(0, 1.0)], 1, 1.0)
-    got = loss_value(LossKind.LOGISTIC, ex, np.array([2.0]))
+    ds = _one_row([(0, 1.0)], 1, 1.0)
+    got = _loss(LossKind.LOGISTIC, ds, np.array([2.0]))
     assert got == pytest.approx(LOG1P_EXP_M2, abs=1e-15)
     getcontext().prec = 60
     oracle = float((1 + Decimal(-2).exp()).ln())
@@ -69,43 +82,32 @@ def test_logistic_margin_two():
 
 
 def test_logistic_large_margin_no_overflow():
-    ex = _ex([(0, 1.0)], 1, 1.0)
+    ds = _one_row([(0, 1.0)], 1, 1.0)
     for t in (1e3, -1e3):
-        v = loss_value(LossKind.LOGISTIC, ex, np.array([t]))
+        v = _loss(LossKind.LOGISTIC, ds, np.array([t]))
         assert math.isfinite(v)
-    assert loss_value(LossKind.LOGISTIC, ex, np.array([-1e3])) == pytest.approx(1e3, rel=1e-12)
+    assert _loss(LossKind.LOGISTIC, ds, np.array([-1e3])) == pytest.approx(1e3, rel=1e-12)
 
 
 def test_logistic_grad_at_zero():
     ex = _ex([(0, 2.0), (2, -1.0)], 3, -1.0)
-    g = loss_grad(LossKind.LOGISTIC, ex, np.zeros(3))
+    g = minibatch_grad(LossKind.LOGISTIC, build_dataset([ex], 3), [0], np.zeros(3))
     # sigma(0) = 1/2, so grad = (-b/2) a
-    assert np.allclose(g.to_dense(), 0.5 * ex.a.to_dense(), atol=1e-15)
+    assert np.allclose(g, 0.5 * to_dense(ex.a), atol=1e-15)
 
 
 def test_least_squares_grad_stationary_is_empty():
-    ex = _ex([(0, 2.0)], 2, 3.0)
-    g = loss_grad(LossKind.LEAST_SQUARES, ex, np.array([1.5, 9.0]))
-    assert g.nnz == 0
-
-
-@pytest.mark.parametrize("kind, label, x0", [(LossKind.LOGISTIC, 1.0, 744.0),
-                                             (LossKind.LEAST_SQUARES, 0.0, 5e-324)])
-def test_loss_grad_drops_products_that_underflow(kind, label, x0):
-    # c * 0.25 underflows to zero while c * 1.0 does not; the gradient
-    # stores only the nonzero products, as minibatch_grad's zeros show
-    ds = Dataset([0, 2], [0, 1], [1.0, 0.25], [label], 2)
-    x = np.array([x0, 0.0])
-    g = loss_grad(kind, ds.examples[0], x)
-    assert g.indices.tolist() == [0]
-    assert g.to_dense().tobytes() == minibatch_grad(kind, ds, [0], x).tobytes()
+    ds = _one_row([(0, 2.0)], 2, 3.0)
+    g = minibatch_grad(LossKind.LEAST_SQUARES, ds, [0], np.array([1.5, 9.0]))
+    assert g.tolist() == [0.0, 0.0]
 
 
 def test_grad_support_inside_feature_support(rng):
     for _ in range(20):
         ex = SparseExample(random_sparse_vec(rng, 10, 0.4), 1.0)
-        g = loss_grad(LossKind.LOGISTIC, ex, rng.standard_normal(10))
-        assert set(g.indices.tolist()) <= set(ex.a.indices.tolist())
+        g = minibatch_grad(LossKind.LOGISTIC, build_dataset([ex], 10), [0],
+                           rng.standard_normal(10))
+        assert set(np.flatnonzero(g).tolist()) <= set(ex.a.indices.tolist())
 
 
 def test_grad_matches_finite_differences(rng):
@@ -114,13 +116,14 @@ def test_grad_matches_finite_differences(rng):
         for _ in range(100):
             d = int(rng.integers(2, 10))
             ex = SparseExample(random_sparse_vec(rng, d, 0.7), float(rng.choice([-1.0, 1.0])))
+            ds = build_dataset([ex], d)
             x = rng.standard_normal(d)
-            g = loss_grad(kind, ex, x).to_dense()
+            g = minibatch_grad(kind, ds, [0], x)
             fd = np.zeros(d)
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                fd[j] = (loss_value(kind, ex, x + e) - loss_value(kind, ex, x - e)) / (2 * h)
+                fd[j] = (_loss(kind, ds, x + e) - _loss(kind, ds, x - e)) / (2 * h)
             denom = max(np.linalg.norm(g), 1e-8)
             assert np.linalg.norm(fd - g) / denom < 1e-5
 
@@ -136,14 +139,15 @@ def _hand_dataset():
         _ex([(0, 0.5), (2, 1.0)], d, 1.0),
         _ex([(2, -2.0)], d, -1.0),
     ]
-    return Dataset.build(exs, d)
+    return build_dataset(exs, d)
 
 
 def test_minibatch_singleton_and_duplicates(rng):
     ds = _hand_dataset()
     x = rng.standard_normal(3)
     g1 = minibatch_grad(LossKind.LOGISTIC, ds, [2], x)
-    assert np.array_equal(g1, loss_grad(LossKind.LOGISTIC, ds.examples[2], x).to_dense())
+    one = build_dataset([ds.examples[2]], 3)
+    assert np.array_equal(g1, full_grad(LossKind.LOGISTIC, one, x))
     g2 = minibatch_grad(LossKind.LOGISTIC, ds, [2, 2], x)
     assert np.array_equal(g1, g2)
 
@@ -165,12 +169,11 @@ def test_minibatch_rejects_empty_and_bad_indices():
 
 
 def test_full_grad_single_example(rng):
-    ex = _ex([(0, 1.0)], 2, 1.0)
-    ds = Dataset.build([ex], 2)
+    ds = _one_row([(0, 1.0)], 2, 1.0)
     x = rng.standard_normal(2)
     assert np.array_equal(
         full_grad(LossKind.LOGISTIC, ds, x),
-        loss_grad(LossKind.LOGISTIC, ex, x).to_dense(),
+        minibatch_grad(LossKind.LOGISTIC, ds, [0], x),
     )
 
 
@@ -178,7 +181,7 @@ def test_hand_dataset_full_grad_direct_sum(rng):
     ds = _hand_dataset()
     x = rng.standard_normal(3)
     direct = sum(
-        loss_grad(LossKind.LEAST_SQUARES, ex, x).to_dense() for ex in ds.examples
+        minibatch_grad(LossKind.LEAST_SQUARES, ds, [i], x) for i in range(ds.n)
     ) / ds.n
     assert np.allclose(full_grad(LossKind.LEAST_SQUARES, ds, x), direct, atol=1e-14)
 
@@ -314,7 +317,7 @@ def test_objective_at_zero_logistic():
 def test_objective_hand_two_examples():
     # least squares on two 1-D examples, evaluated independently via decimal
     exs = [_ex([(0, 2.0)], 1, 1.0), _ex([(0, -1.0)], 1, 0.5)]
-    ds = Dataset.build(exs, 1)
+    ds = build_dataset(exs, 1)
     x = np.array([0.75])
     got = objective_value(LossKind.LEAST_SQUARES, ds, Regularizer(0.25, 0.5), x)
     getcontext().prec = 50
@@ -339,7 +342,7 @@ def test_strong_convexity_witness(rng):
 def test_logistic_labels_validated():
     ex = _ex([(0, 1.0)], 1, 2.0)
     with pytest.raises(ContractViolation):
-        Problem(Dataset.build([ex], 1), LossKind.LOGISTIC, Regularizer())
+        Problem(build_dataset([ex], 1), LossKind.LOGISTIC, Regularizer())
 
 
 # ---------------------------------------------------------------- CSR kernels
@@ -385,7 +388,7 @@ def _with_empty_rows(rng, n, d):
                       float(rng.choice([-1.0, 1.0])))
         for i in range(n)
     ]
-    return Dataset.build(exs, d)
+    return build_dataset(exs, d)
 
 
 def _close(got, want):
@@ -420,7 +423,7 @@ def test_kernels_match_per_row_oracle(rng, kind):
 
 def test_kernels_on_a_dataset_of_empty_rows_only():
     empty = SparseExample(SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 3), 1.0)
-    ds = Dataset.build([empty] * 3, 3)
+    ds = build_dataset([empty] * 3, 3)
     x = np.array([1.0, -2.0, 3.0])
     for kind in (LossKind.LOGISTIC, LossKind.LEAST_SQUARES):
         assert minibatch_grad(kind, ds, [0, 2, 2], x).tolist() == [0.0] * 3
@@ -435,7 +438,8 @@ def test_kernels_bitwise_identities(rng, kind):
     assert wide.a.nnz >= 200
     rows = [wide] + [SparseExample(random_sparse_vec(rng, d, 0.3), float(rng.choice([-1.0, 1.0])))
                      for _ in range(255)]
-    ds = Dataset.build(rows, d)
+    ds = build_dataset(rows, d)
+    one = build_dataset([wide], d)
     for _ in range(5):
         x = rng.standard_normal(d)
         # the one-row path and the batch path compute a row's gradient with
@@ -443,12 +447,11 @@ def test_kernels_bitwise_identities(rng, kind):
         for i in range(ds.n):
             g1 = minibatch_grad(kind, ds, [i], x)
             assert g1.tobytes() == minibatch_grad(kind, ds, [i, i], x).tobytes()
+        # so does a full pass over a dataset of that row alone
         g1 = minibatch_grad(kind, ds, [0], x)
-        assert g1.tobytes() == loss_grad(kind, wide, x).to_dense().tobytes()
+        assert g1.tobytes() == full_grad(kind, one, x).tobytes()
         # a batch of every row is the full gradient
         assert minibatch_grad(kind, ds, range(ds.n), x).tobytes() == full_grad(kind, ds, x).tobytes()
-        one = Dataset.build([wide], d)
-        assert full_grad(kind, one, x).tobytes() == loss_grad(kind, wide, x).to_dense().tobytes()
     big = _with_empty_rows(rng, 300, 8)
     x = rng.standard_normal(8)
     assert minibatch_grad(kind, big, range(big.n), x).tobytes() == full_grad(kind, big, x).tobytes()
@@ -508,27 +511,27 @@ def test_anchor_keeps_every_row_coefficient(rng):
         anchor = Problem(ds, kind, Regularizer()).make_anchor(xt)
         assert anchor.coefs.shape == (ds.n,)
         for i, ex in enumerate(ds.examples):
-            # grad f_i(x_tilde) = coefs[i] a_i, as the one-row gradient computes it
-            want = loss_grad(kind, ex, xt).to_dense()
-            assert (anchor.coefs[i] * ex.a.to_dense() + 0.0).tobytes() == (want + 0.0).tobytes()
+            # grad f_i(x_tilde) = coefs[i] a_i, as a full pass over row i alone computes it
+            want = full_grad(kind, build_dataset([ex], ds.d), xt)
+            assert (anchor.coefs[i] * to_dense(ex.a) + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_logistic_kernels_raise_no_warning_at_large_margins():
     import warnings
 
-    ds = Dataset.build([_ex([(0, 1.0)], 1, 1.0), _ex([(0, 1.0)], 1, -1.0)], 1)
+    ds = build_dataset([_ex([(0, 1.0)], 1, 1.0), _ex([(0, 1.0)], 1, -1.0)], 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (1e3, -1e3):
             x = np.array([t])
             g = minibatch_grad(LossKind.LOGISTIC, ds, [0, 1], x)
             assert np.all(np.isfinite(g))
-            assert np.isfinite(minibatch_grad(LossKind.LOGISTIC, ds, [1], x)).all()
+            for i in range(ds.n):
+                assert np.isfinite(minibatch_grad(LossKind.LOGISTIC, ds, [i], x)).all()
+                one = build_dataset([ds.examples[i]], 1)
+                assert math.isfinite(objective_value(LossKind.LOGISTIC, one, Regularizer(), x))
             assert np.isfinite(full_grad(LossKind.LOGISTIC, ds, x)).all()
             assert objective_value(LossKind.LOGISTIC, ds, Regularizer(), x) == pytest.approx(500.0)
-            for ex in ds.examples:
-                assert math.isfinite(loss_value(LossKind.LOGISTIC, ex, x))
-                loss_grad(LossKind.LOGISTIC, ex, x)
 
 
 # ---------------------------------------------------------------- CSR contract
@@ -573,8 +576,10 @@ def test_csr_constructor_rejects_bad_shapes():
         _csr([0], [], [], labels=[])  # no rows
     with pytest.raises(ContractViolation):
         _csr([0, 1], [0], [1.0], labels=[1.0, -1.0])  # labels vs indptr
-    with pytest.raises(ContractViolation):
-        Dataset.build([_ex([(0, 1.0)], 2, 1.0), _ex([(0, 1.0)], 3, 1.0)])
+    for d in (2.7, -3, "4", True):  # an integer >= 0, never truncated
+        with pytest.raises(ContractViolation, match="d must be an integer"):
+            _csr([0, 1], [0], [1.0], d=d)
+    assert _csr([0, 0], [], [], d=0).d == 0  # a dataset of empty rows has d = 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -685,7 +690,7 @@ def test_all_rows_form_gives_the_gathered_bytes(seed, n, d, B, with_replacement,
             (_, planned), = stage_batches(ds, anchor, batch.reshape(1, -1))
             assert (planned[0] is ds._all_rows) == wide
             got = (_planned_read(kind, ds, planned, x),
-                   vr_gradient(kind, ds, batch, x, anchor, None, planned))
+                   vr_gradient(kind, ds, batch, x, anchor, planned))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
     if bad is None and n > 1:
@@ -711,7 +716,7 @@ def test_all_rows_form_masks_rows_outside_the_batch(kind):
         with _forms(True), np.errstate(invalid="ignore"):
             (_, planned), = stage_batches(ds, anchor, np.array([[0, 3, 0]]))
             got = (_planned_read(kind, ds, planned, x),
-                   vr_gradient(kind, ds, [0, 3, 0], x, anchor, None, planned))
+                   vr_gradient(kind, ds, [0, 3, 0], x, anchor, planned))
         assert got[0].tobytes() == minibatch_grad(kind, ds, [0, 3, 0], x).tobytes()
         assert got[1].tobytes() == vr_gradient(kind, ds, [0, 3, 0], x, anchor).tobytes()
         assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()

@@ -162,7 +162,7 @@ def _per_update_plain(problem, config, x0, sgd, stop_below=None):
         for _ in range(config.K):
             j = draw_block(block_rng, config.m)
             g = problem.full_grad(x)
-            lo, hi = part.block_bounds(j)
+            lo, hi = part.edges[j:j + 2]
             x[lo:hi] = prox_elastic(x[lo:hi] - config.eta * g[lo:hi], config.eta, problem.reg)
             iterates.append(x.copy())
         return x, None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import build_dataset, random_dataset, sparse_from_pairs
 from proxvr.bench_cli import compute_reference_optimum
 from proxvr.errors import ContractViolation, RateDomainError
 from proxvr.linalg import SparseVec
@@ -31,19 +31,19 @@ def _c(**kw):
 
 
 def _ex(pairs, d, b=1.0):
-    return SparseExample(SparseVec.from_pairs(pairs, d), b)
+    return SparseExample(sparse_from_pairs(pairs, d), b)
 
 
 # ------------------------------------------------------------- sparsity
 
 
 def test_delta_dense_is_one():
-    ds = Dataset.build([_ex([(0, 1.0), (1, 1.0)], 2) for _ in range(5)], 2)
+    ds = build_dataset([_ex([(0, 1.0), (1, 1.0)], 2) for _ in range(5)], 2)
     assert data_sparsity_delta(ds) == 1.0
 
 
 def test_delta_hand_count():
-    ds = Dataset.build(
+    ds = build_dataset(
         [
             _ex([(0, 1.0)], 2),
             _ex([(1, 1.0)], 2),
@@ -58,7 +58,7 @@ def test_delta_hand_count():
 
 def test_delta_degenerate_warns():
     empty = SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 3)
-    ds = Dataset.build([SparseExample(empty, 1.0)], 3)
+    ds = build_dataset([SparseExample(empty, 1.0)], 3)
     with pytest.warns(UserWarning):
         assert data_sparsity_delta(ds) == 0.0
 
@@ -160,9 +160,9 @@ def test_svrcd_speedup_cases():
 
 
 def test_estimate_lipschitz_cases(rng):
-    ds = Dataset.build([_ex([(0, 1.0)], 2)], 2)
+    ds = build_dataset([_ex([(0, 1.0)], 2)], 2)
     assert estimate_lipschitz(ds, LossKind.LEAST_SQUARES) == (1.0, 1.0)
-    two = Dataset.build([_ex([(0, 1.0)], 2), _ex([(1, 2.0)], 2)], 2)
+    two = build_dataset([_ex([(0, 1.0)], 2), _ex([(1, 2.0)], 2)], 2)
     assert estimate_lipschitz(two, LossKind.LEAST_SQUARES) == (4.0, 4.0)
     from proxvr.data_io import synth_dataset
 
