@@ -288,11 +288,12 @@ def compute_reference_optimum(
     for it in range(1, max_iter + 1):
         x_next = prox_elastic(y - eta * problem.full_grad(y), eta, problem.reg)
         step = y - x_next
-        cert = float(np.linalg.norm(step)) / eta
+        # einsum, not a BLAS dot: at large d a BLAS dot leaves a BLAS thread spinning
+        cert = math.sqrt(np.einsum("i,i->", step, step)) / eta
         best = min(best, cert)
         if cert <= ref_tol:
             return ReferenceOptimum(x_next, problem.objective(x_next), cert, it, eta)
-        if float(step @ (x_next - x)) > 0:
+        if np.einsum("i,i->", step, x_next - x) > 0:
             y, t = x_next, 1.0
         else:
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0

@@ -9,7 +9,10 @@ loss (a^T x - b)^2 / 2. Gradients of f_i have support inside support(a_i).
 A Dataset is one CSR layout (``indptr``, ``indices``, ``data``, ``labels``).
 The kernels compute every row's dot product and gradient coefficient in one
 vector operation and scatter with ``np.bincount``, which adds each
-coordinate's terms in row order.
+coordinate's terms in row order. Where every row stores every coordinate,
+``data`` viewed as (n, d) is the design matrix, and the sums over every row
+run through it with ``np.einsum``, which adds the same terms in the same
+order (``_einsum_sums_in_row_order``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -155,8 +158,20 @@ class Dataset:
 
     @cached_property
     def _all_rows(self) -> tuple:
-        """Every row, laid out as ``_gather`` lays out a batch's rows."""
-        return self.indices, self.data, self.row_nnz, self.labels, _segments(self.row_nnz)
+        """Every row, laid out as ``_gather`` lays out a batch's rows, with
+        ``_matrix``."""
+        return (self.indices, self.data, self.row_nnz, self.labels, _segments(self.row_nnz),
+                self._matrix)
+
+    @cached_property
+    def _matrix(self) -> np.ndarray | None:
+        """The (n, d) view of ``data`` where every row stores all d >= 2
+        coordinates (canonical form then puts them in column order) and
+        ``np.einsum`` sums as ``np.bincount`` does; else None. At d = 1 the
+        rows are einsum's contiguous axis, which it sums pairwise."""
+        n, d = self.n, self.d
+        full = self.data.size == n * d and d >= 2 and _einsum_sums_in_row_order()
+        return self.data.reshape(n, d) if full else None
 
 
 def _row_norms_sq(dataset: Dataset) -> np.ndarray:
@@ -348,12 +363,33 @@ def _dots(idx, vals, x: DenseVec, segments) -> np.ndarray:
     return out
 
 
-def _scatter(d: int, idx, vals, lens, c) -> DenseVec:
+def _scatter(d: int, idx, vals, lens, c, matrix=None) -> DenseVec:
     """sum_i c_i a_i over consecutive rows laid out as in ``_dots``; every
-    coordinate adds its terms in row order."""
+    coordinate adds its terms in row order. Given ``matrix``, the rows'
+    (n, d) view (``Dataset._matrix``), one ``np.einsum`` over it adds the
+    terms ``np.bincount`` adds, in the same order, without forming them."""
+    if matrix is not None:
+        return np.einsum("i,ij->j", c, matrix)
     if not idx.size:
         return np.zeros(d)  # np.bincount of nothing is an integer array
     return np.bincount(idx, weights=c.repeat(lens) * vals, minlength=d)
+
+
+@cache
+def _einsum_sums_in_row_order() -> bool:
+    """Whether this build's ``np.einsum`` sums the rows of a matrix, one
+    weight per row, as ``np.bincount`` sums the same products keyed by
+    column: each product rounded on its own and added in row order. Checked
+    once per process on a fixed problem with mixed magnitudes, so a build
+    whose einsum fuses multiply-add keeps the bincount kernels."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((64, 5)) * np.logspace(-8, 8, 64)[:, None]
+    w = rng.standard_normal((3, 64)) * np.logspace(8, -8, 64)
+    cols = np.tile(np.arange(5), 64)
+    want = np.array([np.bincount(cols, weights=u.repeat(5) * a.ravel(), minlength=5)
+                     for u in w])
+    rows = np.array([np.einsum("i,ij->j", u, a) for u in w])
+    return rows.tobytes() == want.tobytes() == np.einsum("ki,ij->kj", w, a).tobytes()
 
 
 def _weigh(c, weights) -> np.ndarray:
@@ -371,12 +407,12 @@ def _weigh(c, weights) -> np.ndarray:
 
 def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec, weights=None):
     """(c, sum_i (m_i c_i) a_i) of ``rows`` = (indices, values, row lengths,
-    labels, segments): every row's coefficient at ``x`` and their sum
-    weighted as ``_weigh`` weights them (m_i = 1 where ``weights`` is None),
-    each coordinate adding its terms in row order."""
-    idx, vals, lens, b, segments = rows
+    labels, segments, matrix view or None): every row's coefficient at ``x``
+    and their sum weighted as ``_weigh`` weights them (m_i = 1 where
+    ``weights`` is None), each coordinate adding its terms in row order."""
+    idx, vals, lens, b, segments, matrix = rows
     c = _coefs(kind, _dots(idx, vals, x, segments), b)
-    return c, _scatter(d, idx, vals, lens, c if weights is None else _weigh(c, weights))
+    return c, _scatter(d, idx, vals, lens, c if weights is None else _weigh(c, weights), matrix)
 
 
 def _gather(dataset: Dataset, rows: np.ndarray):
@@ -420,7 +456,9 @@ def _is_wide(dataset: Dataset, B: int) -> bool:
 # One chunk of a stage's batch plan holds at most this many entries in its
 # anchor terms' keyed sum (the gathered entries, or every stored entry once
 # per batch in the all-rows form) and this many anchor-term values (batches
-# times d), and at least one batch.
+# times d), and at least one batch. An all-rows chunk summed through the
+# rows' matrix view keys no entries; it holds at most this many row weights
+# (batches times n) instead.
 _PLAN_ENTRIES = 8192
 _PLAN_VALUES = 1 << 15
 
@@ -448,8 +486,14 @@ def _anchor_terms(anchor: VRAnchor, keys, cols, weights, c: int, B: int) -> tupl
     else:
         terms /= B
     terms = terms.reshape(c, d)
+    return terms, _same(anchor, terms)
+
+
+def _same(anchor: VRAnchor, terms: np.ndarray) -> list:
+    """For each row of ``terms`` (c, d), where it equals the anchor full
+    gradient, None where it never does."""
     same = terms == anchor.full_grad
-    return terms, [u if hit else None for u, hit in zip(same, same.any(axis=1).tolist())]
+    return [u if hit else None for u, hit in zip(same, same.any(axis=1).tolist())]
 
 
 def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
@@ -480,7 +524,8 @@ def _plan_chunk(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray) -> list:
     # a batch without repeats takes no weights
     return [
         ((idx[e:f], vals[e:f], lens[r:s], labels[r:s],
-          (starts[r:s], None) if filled or ne[r:s].all() else (starts[r:s][ne[r:s]], ne[r:s])),
+          (starts[r:s], None) if filled or ne[r:s].all() else (starts[r:s][ne[r:s]], ne[r:s]),
+          None),
          None if s - r == B else (mult[r:s], None), B, terms[u], same[u])
         for u, (r, s, e, f) in enumerate(zip(row_cuts, row_cuts[1:], ends, ends[1:]))
     ]
@@ -499,20 +544,28 @@ def _wide_plans(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray, chunk: int
     argument of ``vr_gradient`` in the all-rows form: (every row, its
     ``_weigh`` weights, B, anchor term, same). Nothing is gathered: the
     multiplicities of ``chunk`` batches at a time are counted at once, and
-    their anchor terms (1/B) sum_i (m_i coefs[i]) a_i summed at once over
-    the stored entries. At n=200, d=20 dense, B = n (chunks of two), this
-    measured 0.97 times the paced solve time of one batch at a time."""
+    their anchor terms (1/B) sum_i (m_i coefs[i]) a_i summed at once, by one
+    ``np.einsum`` of the (chunk, n) weights with the rows' matrix view where
+    the dataset has one (``Dataset._matrix``), else by one keyed
+    ``np.bincount`` over every stored entry once per batch."""
     K, B = rows.shape
-    idx, d = dataset.indices, dataset.d
-    keys = idx if chunk == 1 else (idx + np.arange(0, min(chunk, K) * d, d)[:, None]).ravel()
-    cols = np.tile(idx, min(chunk, K))
+    matrix, idx, d = dataset._matrix, dataset.indices, dataset.d
+    if matrix is None:
+        keys = idx if chunk == 1 else (idx + np.arange(0, min(chunk, K) * d, d)[:, None]).ravel()
+        cols = np.tile(idx, min(chunk, K))
     for k in range(0, K, chunk):
         part = _multisets(dataset.n, rows[k:k + chunk])
         c, outside = len(part), part == 0
-        w = _weigh(anchor.coefs, (part, outside)).repeat(dataset.row_nnz, axis=1)
-        w *= dataset.data
-        e = c * idx.size
-        terms, same = _anchor_terms(anchor, keys[:e], cols[:e], w.ravel(), c, B)
+        w = _weigh(anchor.coefs, (part, outside))
+        if matrix is not None:
+            terms = np.einsum("ki,ij->kj", w, matrix)
+            terms /= B
+            same = _same(anchor, terms)
+        else:
+            w = w.repeat(dataset.row_nnz, axis=1)
+            w *= dataset.data
+            e = c * idx.size
+            terms, same = _anchor_terms(anchor, keys[:e], cols[:e], w.ravel(), c, B)
         for u in range(c):
             yield dataset._all_rows, (part[u], outside[u]), B, terms[u], same[u]
 
@@ -526,14 +579,19 @@ def stage_batches(dataset: Dataset, anchor: VRAnchor, rows: np.ndarray):
     the all-rows form (``_wide_plans``) if they are wide (``_is_wide``),
     else in the gathered form (``_plan_chunk``). A chunk's anchor terms sum
     at most ``_PLAN_ENTRIES`` entries and hold at most ``_PLAN_VALUES``
-    values, and a chunk holds at least one batch."""
+    values, and a chunk holds at least one batch. A wide chunk summed
+    through the rows' matrix view forms no per-entry terms: it weighs every
+    row once per batch, at most ``_PLAN_ENTRIES`` weights."""
     K, B = rows.shape
     if B == 1:
         yield from ((batch, None) for batch in rows.tolist())
         return
     rows = _batch_rows(dataset, rows) if K else rows
     wide = _is_wide(dataset, B)
-    width = dataset.indices.size if wide else B * int(dataset.row_nnz.max())
+    if wide:  # a batch weighs every row, or sums every stored entry
+        width = dataset.n if dataset._matrix is not None else dataset.indices.size
+    else:
+        width = B * int(dataset.row_nnz.max())
     chunk = max(1, min(_PLAN_ENTRIES // max(width, 1), _PLAN_VALUES // dataset.d))
     if wide:
         yield from zip(rows, _wide_plans(dataset, anchor, rows, chunk))
@@ -564,7 +622,7 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
         flat, mult, _ = _fold(batch.reshape(1, -1))
         weights = None if mult is None else (mult, None)
         idx, vals, lens, labels = _gather(dataset, flat)
-        rows = (idx, vals, lens, labels, _segments(lens))
+        rows = (idx, vals, lens, labels, _segments(lens), None)
         _, out = _grad_sum(kind, dataset.d, rows, x, weights)
         out /= batch.size
         return out
@@ -579,7 +637,8 @@ def minibatch_grad(kind: LossKind, dataset: Dataset, batch, x: DenseVec) -> Dens
 
 def _full_pass(kind: LossKind, dataset: Dataset, x: DenseVec):
     """(every row's coefficient c_i, (1/n) sum_i c_i a_i) at ``x``, from one
-    pass over every row in row order."""
+    pass over every row in row order, through the rows' matrix view where
+    the dataset has one (``Dataset._matrix``)."""
     c, out = _grad_sum(kind, dataset.d, dataset._all_rows, x)
     out /= dataset.n
     return c, out
@@ -587,8 +646,8 @@ def _full_pass(kind: LossKind, dataset: Dataset, x: DenseVec):
 
 def full_grad(kind: LossKind, dataset: Dataset, x: DenseVec) -> DenseVec:
     """(1/n) sum_i grad f_i(x): one pass over every row in row order, the
-    arithmetic ``minibatch_grad`` uses for a batch of every row, so the two
-    agree bit for bit."""
+    sums ``minibatch_grad`` forms for a batch of every row, in the same
+    order, so the two agree bit for bit."""
     return _full_pass(kind, dataset, x)[1]
 
 
@@ -679,7 +738,7 @@ def prox_elastic(y: DenseVec, step: float, reg: Regularizer, out=None) -> DenseV
 
 def objective_value(kind: LossKind, dataset: Dataset, reg: Regularizer, x: DenseVec) -> float:
     """P(x) = mean loss + regularizer."""
-    idx, vals, _, _, segments = dataset._all_rows
+    idx, vals, _, _, segments, _ = dataset._all_rows
     t = _dots(idx, vals, x, segments)
     return float(np.sum(_losses(kind, t, dataset.labels)) / dataset.n + reg.value(x))
 

@@ -1154,16 +1154,21 @@ def test_gathered_plan_substitution_cases_match_dense_step(monkeypatch):
 def test_wide_batched_replay_matches_dense_step(monkeypatch, kind):
     # batches of B >= n rows take the all-rows form: multiplicities counted
     # for the whole stage, anchor terms summed a chunk at a time over every
-    # stored entry. Every run must equal the per-update whole-vector path
-    # byte for byte, under both sampling laws, for chunks of one and of
-    # several batches, K not a multiple of the chunk, and an early stop
+    # stored entry, or through the (n, d) view where every row is full. Every
+    # run must equal the per-update whole-vector path byte for byte, under
+    # both sampling laws, for chunks of one and of several batches, K not a
+    # multiple of the chunk, and an early stop
     from proxvr import problem as problem_mod
 
     rng = np.random.default_rng(64)
-    for prob in (_gappy_problem(rng, kind, 0.05), _sparse_rows_problem(rng, kind)):
-        nnz = prob.dataset.indices.size
+    neg_zeros = 0
+    for prob in (_gappy_problem(rng, kind, 0.05), _sparse_rows_problem(rng, kind),
+                 _full_rows_problem(rng, kind)):
+        # a chunk weighs every row, or sums every stored entry, per batch
+        full = prob.dataset._matrix is not None
+        width = prob.n if full else prob.dataset.indices.size
         for chunk in (1, 3):
-            monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", chunk * nnz)
+            monkeypatch.setattr(problem_mod, "_PLAN_ENTRIES", chunk * width)
             for m, svrg in ((1, True), (3, False)):
                 for tau in (0, 3):
                     for wr in (True, False):
@@ -1186,7 +1191,10 @@ def test_wide_batched_replay_matches_dense_step(monkeypatch, kind):
                             assert got.trace.x_final.tobytes() == want.x_final.tobytes()
                             assert got.delays.tolist() == delays
                             assert format_commit_log(got.commit_log) == log
-
+                            if full:
+                                neg_zeros += sum(int(np.signbit(x[x == 0.0]).sum())
+                                                 for x in want.iterates)
+    assert neg_zeros > 0
 
 
 @pytest.mark.parametrize("B", [1, 3, 30])
@@ -1237,6 +1245,33 @@ def test_stage_plan_memory_budget(monkeypatch):
                    for c, e, v in chunks)
         assert max(c for c, _, _ in chunks) == largest
         assert K * B * nnz > 8 * problem_mod._PLAN_ENTRIES or d > problem_mod._PLAN_VALUES
+
+
+def test_matrix_view_plan_memory_budget(monkeypatch):
+    # a wide chunk summed through the rows' matrix view holds c batches'
+    # (c, n) row weights, at most the entry budget, and (c, d) anchor
+    # terms, at most the value budget; a chunk holds at least one batch
+    from proxvr import problem as problem_mod
+
+    chunks = []
+
+    def wide_plans(dataset, anchor, rows, chunk, _real=problem_mod._wide_plans):
+        chunks.append(chunk)
+        return _real(dataset, anchor, rows, chunk)
+
+    monkeypatch.setattr(problem_mod, "_wide_plans", wide_plans)
+    rng = np.random.default_rng(65)
+    for n, d, largest in ((200, 20, 40), (300, 40, 27), (20, 3000, 10), (3, 40_000, 1)):
+        ds = Dataset(np.arange(n + 1) * d, np.tile(np.arange(d), n), rng.random(n * d) + 1.0,
+                     np.ones(n), d)
+        assert ds._matrix is not None
+        anchor = Problem(ds, LossKind.LEAST_SQUARES, Regularizer()).make_anchor(np.zeros(d))
+        chunks.clear()
+        rows = np.random.default_rng(n).integers(0, n, size=(50, n))
+        assert len(list(problem_mod.stage_batches(ds, anchor, rows))) == 50
+        assert chunks == [largest]
+        assert largest == 1 or (largest * n <= problem_mod._PLAN_ENTRIES
+                                and largest * d <= problem_mod._PLAN_VALUES)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1626,6 +1661,28 @@ def test_one_worker_threads_equals_sequential_solver(kind, lambda1):
                     blocks = [max(r.block, 0) for r in commits]
                     x_tilde = _hold_sum(x_tilde, want.trace.iterates[k - cfg.K:k], blocks,
                                         part.bounds) / cfg.K
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_one_worker_threads_equals_sequential_on_full_rows(kind):
+    # at B = n on rows that store every coordinate, a worker's batches take
+    # the all-rows form through the (n, d) view, planned a chunk at a time
+    # under the plan lock; one worker walks the sequential run bit for bit
+    prob = _full_rows_problem(np.random.default_rng(72), kind)
+    assert prob.dataset._matrix is not None
+    x0 = np.zeros(prob.d)
+    for svrg, m in ((True, 1), (False, 3)):
+        runner = async_svrg_run if svrg else async_svrcd_run
+        for wr in (True, False):
+            cfg = SolverConfig(eta=0.4, B=prob.n, K=30, S=3, m=m, seed=m + 2 * wr,
+                               with_replacement=wr)
+            want = replay(prob, cfg, x0, svrg, None, record_iterates=True)
+            got = runner(prob, cfg, x0, ThreadsMode(1), record_iterates=True)
+            assert [o.hex() for o in got.trace.objectives] == [
+                o.hex() for o in want.trace.objectives]
+            assert [x.tobytes() for x in got.trace.iterates] == [
+                x.tobytes() for x in want.trace.iterates]
+            assert got.trace.x_final.tobytes() == want.trace.x_final.tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 4])

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -112,6 +115,35 @@ def test_reference_optimum_budget_failure():
     assert compute_reference_optimum(one_dim_problem(0.3), 1e-12, max_iter=2).iterations == 2
 
 
+_CERTIFY = """
+import time
+from proxvr import data_io
+from proxvr.bench_cli import compute_reference_optimum
+from proxvr.problem import LossKind, Problem, Regularizer
+ds = data_io.synth_dataset(200, 20_000, 0.01, seed=5)
+prob = Problem(ds, LossKind.LOGISTIC, Regularizer(1e-4, 1e-2))
+cpu, wall = time.process_time(), time.perf_counter()
+for _ in range(3):
+    compute_reference_optimum(prob, 1e-12)
+print(time.process_time() - cpu, time.perf_counter() - wall)
+"""
+
+
+def test_reference_certification_keeps_to_one_core():
+    # at d = 20,000 a BLAS dot (np.linalg.norm, x @ y) runs on a second
+    # BLAS thread, which keeps spinning after it: with the BLAS thread
+    # counts unset, certification used 1.6-1.9 s of process time per
+    # second of wall time on 2 cores; the certificate's sums take no BLAS
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _CERTIFY], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    cpu, wall = map(float, out.stdout.split())
+    assert cpu <= 1.3 * wall
+
+
 def _dense(dataset):
     A = np.zeros((dataset.n, dataset.d))
     for i, ex in enumerate(dataset.examples):
@@ -199,7 +231,11 @@ def test_reference_certificate_is_mapping_at_certified_point(rng, monkeypatch, k
         y, x = seen[-1], ref.x_star
         assert len(seen) == ref.iterations
         assert np.array_equal(x, prox_elastic(y - eta * prob.full_grad(y), eta, prob.reg)), tol
-        assert ref.certificate == float(np.linalg.norm(y - x)) / eta <= tol, tol
+        # the certificate sums ||y - x||^2 with einsum, not a BLAS dot; it is
+        # the 2-norm up to the rounding of the two sums
+        assert ref.certificate == math.sqrt(np.einsum("i,i->", y - x, y - x)) / eta <= tol, tol
+        assert ref.certificate == pytest.approx(float(np.linalg.norm(y - x)) / eta,
+                                                rel=4 * np.finfo(float).eps, abs=0.0), tol
         assert ref.p_star == prob.objective(x)
         # T is nonexpansive for eta <= 1/L: ||G(x_star)|| = ||T(y) - T(x_star)|| / eta <= ||G(y)||
         slack = _MAPPING_SLACK * (np.linalg.norm(x) + eta * np.linalg.norm(prob.full_grad(x))) / eta

@@ -1,5 +1,6 @@
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import replace
 from decimal import Decimal, getcontext
 
@@ -29,6 +30,7 @@ from proxvr.problem import (
     Problem,
     Regularizer,
     SparseExample,
+    VRAnchor,
     full_grad,
     minibatch_grad,
     objective_value,
@@ -722,3 +724,123 @@ def test_all_rows_form_masks_rows_outside_the_batch(kind):
         assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
         want, _ = _draw_order_mean(kind, ds, [0, 0], x)
         np.testing.assert_allclose(got[0], want * 2 / 3, rtol=1e-15)
+
+
+# --------------------------------------------- full rows: the matrix view
+
+
+def _full_rows(rng, n, d, scale=1.0):
+    """A +-1 labelled dataset whose every row stores all d coordinates,
+    standard normal values times ``scale``."""
+    values = rng.standard_normal((n, d))
+    values[values == 0.0] = 1.0
+    values *= scale
+    return Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(d), n), values.ravel(),
+                   rng.choice([-1.0, 1.0], size=n), d)
+
+
+def _bincount_twin(ds):
+    """The arrays of ``ds`` as a dataset that takes no matrix view, as on a
+    build whose einsum fails the probe."""
+    with mock.patch.object(problem_mod, "_einsum_sums_in_row_order", lambda: False):
+        twin = Dataset(ds.indptr, ds.indices, ds.data, ds.labels, ds.d)
+        assert twin._matrix is None
+    return twin
+
+
+def _weights(rng, size):
+    """Weights of magnitudes 1e-150 to 1e150, with zeros of both signs and
+    repeated values."""
+    w = rng.standard_normal(size) * 10.0 ** rng.integers(-150, 151, size=size)
+    pick = rng.integers(0, 5, size=size)
+    w[pick == 1] = 0.0
+    w[pick == 2] = -0.0
+    w[pick == 3] = w[-1]
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(2, 12),
+       K=st.integers(1, 6), kind=st.sampled_from(list(LossKind)))
+def test_matrix_view_sums_as_bincount(seed, n, d, K, kind):
+    # where every row stores all d >= 2 coordinates, the all-rows kernels sum
+    # through the (n, d) view with einsum, and each gives the bincount
+    # kernels' bytes: the scatter of any weights, the full pass (gradient
+    # and coefficients), and a wide plan's anchor terms, marks and reads,
+    # its K batches in one chunk and its anchor coefficients drawn as the
+    # weights are; values of magnitudes 1e-8 to 1e8
+    rng = np.random.default_rng(seed)
+    ds = _full_rows(rng, n, d, 10.0 ** rng.integers(-8, 9, size=(n, d)))
+    twin = _bincount_twin(ds)
+    matrix = ds._matrix
+    assert (matrix is not None) == problem_mod._einsum_sums_in_row_order()
+    idx, vals, lens = ds.indices, ds.data, ds.row_nnz
+    w = _weights(rng, n)
+    assert (problem_mod._scatter(d, idx, vals, lens, w, matrix).tobytes()
+            == problem_mod._scatter(d, idx, vals, lens, w).tobytes())
+    x = rng.standard_normal(d)
+    for got, want in zip(problem_mod._full_pass(kind, ds, x), problem_mod._full_pass(kind, twin, x)):
+        assert got.tobytes() == want.tobytes()
+    B = int(rng.integers(max(n, 2), 2 * n + 2))
+    rows = rng.integers(0, n, size=(K, B))
+    coefs = _weights(rng, n)
+    anchor = VRAnchor(np.zeros(d), rng.standard_normal(d), coefs)
+    # then a full gradient equal to the first batch's anchor term on about
+    # half its coordinates, so the plans mark where the two are equal
+    first = next(problem_mod._wide_plans(twin, anchor, rows, K))[3]
+    equal = rng.random(d) < 0.5
+    equal[0] = True
+    hit = np.where(equal, first, anchor.full_grad)
+    for anchor in (anchor, VRAnchor(np.zeros(d), hit, coefs)):
+        got, want = (list(problem_mod._wide_plans(data, anchor, rows, K)) for data in (ds, twin))
+        assert len(got) == len(want) == K
+        for (rows_g, w_g, _, terms_g, same_g), (rows_w, w_w, _, terms_w, same_w) in zip(got, want):
+            assert rows_g is ds._all_rows and rows_w is twin._all_rows
+            assert terms_g.tobytes() == terms_w.tobytes()
+            assert (same_g is None) == (same_w is None)
+            assert same_g is None or same_g.tobytes() == same_w.tobytes()
+            reads = [problem_mod._grad_sum(kind, d, r, x, u)[1]
+                     for r, u in ((rows_g, w_g), (rows_w, w_w))]
+            assert reads[0].tobytes() == reads[1].tobytes()
+        assert any(u is not None for *_, u in got) == (anchor.full_grad is hit)
+
+
+@pytest.mark.parametrize("case", ["d = 1", "a row not full", "probe fails"])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_no_matrix_view_takes_the_bincount_kernels(case, kind):
+    # at d = 1 the rows are einsum's contiguous axis, which it sums
+    # pairwise; one row short of d entries leaves no (n, d) view; a build
+    # whose einsum fails the probe keeps the bincount kernels. Each takes
+    # the bincount path with the bytes of the gathered oracle, and with
+    # the probe failing those of the matrix view too
+    rng = np.random.default_rng(81)
+    n, d = 30, 1 if case == "d = 1" else 5
+    full = _full_rows(rng, n, d)
+    indptr, indices, data = full.indptr, full.indices, full.data
+    if case == "a row not full":  # row 7 loses column 2
+        drop = 7 * d + 2
+        indptr = np.concatenate((indptr[:8], indptr[8:] - 1))
+        indices, data = np.delete(indices, drop), np.delete(data, drop)
+    patch = (mock.patch.object(problem_mod, "_einsum_sums_in_row_order", lambda: False)
+             if case == "probe fails" else nullcontext())
+    with patch:
+        ds = Dataset(indptr, indices, data, full.labels, d)
+        assert ds._matrix is None
+    reg = Regularizer(0.05, 0.1)
+    x_tilde = prox_elastic(rng.standard_normal(d), 1.0, reg)
+    anchors = [Problem(data_, kind, reg).make_anchor(x_tilde) for data_ in (ds, full)]
+    rows = rng.integers(0, n, size=(5, n))
+    plans = [list(stage_batches(data_, a, rows)) for data_, a in zip((ds, full), anchors)]
+    for _ in range(3):
+        x = rng.standard_normal(d)
+        got = full_grad(kind, ds, x)
+        assert got.tobytes() == minibatch_grad(kind, ds, range(n), x).tobytes()
+        if case != "a row not full":
+            assert got.tobytes() == full_grad(kind, full, x).tobytes()
+        for (batch, planned), (_, planned_full) in zip(*plans):
+            assert planned[0] is ds._all_rows
+            got = vr_gradient(kind, ds, batch, x, anchors[0], planned)
+            assert got.tobytes() == two_pass_vr(kind, ds, batch, x, anchors[0]).tobytes()
+            if case != "a row not full":
+                assert got.tobytes() == vr_gradient(kind, full, batch, x, anchors[1],
+                                                    planned_full).tobytes()
