@@ -7,7 +7,9 @@ import gzip
 import logging
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -29,31 +31,15 @@ class DatasetStats:
     zero_rows: int
 
 
-def _open_text(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt")
-    return open(path, "r")
+def _open_text(path, mode="rt", errors="strict"):
+    opener = gzip.open if str(path).endswith(".gz") else open
+    return opener(path, mode, encoding="utf-8", errors=errors)
 
 
 _INDEX_MAX = int(np.iinfo(np.int64).max)
-
-
-def _parse_error(toks, path, lineno) -> ParseError:
-    """The error for the first bad entry of a line, checked token by token."""
-    for tok in toks[1:]:
-        try:
-            raw_idx, raw_val = tok.split(":", 1)
-            idx = int(raw_idx)
-            val = float(raw_val)
-        except ValueError:
-            return ParseError(f"bad entry {tok!r}", path, lineno)
-        if idx < 1:
-            return ParseError(f"index {idx} is not 1-based", path, lineno)
-        if idx > _INDEX_MAX:
-            return ParseError(f"index {idx} does not fit in 64 bits", path, lineno)
-        if not math.isfinite(val):
-            return ParseError(f"non-finite value {tok!r}", path, lineno)
-    raise AssertionError("no bad entry on the line")
+# Characters read per block of whole lines: the parse holds one block's
+# strings at a time, so its transient memory does not grow with the file.
+_BLOCK_CHARS = 1 << 18
 
 
 def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
@@ -61,46 +47,30 @@ def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
 
     Explicit zero values are dropped (canonical sparse form), duplicate
     indices and non-finite labels or values on a line are errors, and {0,1}
-    label files are mapped to {-1,+1} with a logged notice.
+    label files are mapped to {-1,+1} with a logged notice. The file is read
+    as UTF-8 a block of lines at a time; a file that cannot be read or
+    decoded raises ParseError.
     """
     if expected_dim is not None:
         check_int(expected_dim, "expected_dim")
-    labels, indices, values, lens = [], [], [], []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks or toks[0].startswith("#"):
-                continue
-            try:
-                label = float(toks[0])
-            except ValueError:
-                raise ParseError(f"bad label {toks[0]!r}", path, lineno) from None
-            if not math.isfinite(label):
-                raise ParseError(f"non-finite label {toks[0]!r}", path, lineno)
-            try:
-                pairs = [tok.split(":", 1) for tok in toks[1:]]
-                idx = [int(i) for i, _ in pairs]
-                val = [float(v) for _, v in pairs]
-            except ValueError:
-                raise _parse_error(toks, path, lineno) from None
-            if idx and (min(idx) < 1 or max(idx) > _INDEX_MAX
-                        or not all(map(math.isfinite, val))):
-                raise _parse_error(toks, path, lineno)
-            if len(set(idx)) != len(idx):
-                dup = min(i for i in idx if idx.count(i) > 1)
-                raise ParseError(f"duplicate index {dup}", path, lineno)
-            labels.append(label)
-            indices += idx
-            values += val
-            lens.append(len(idx))
-    if not labels:
+    blocks = []
+    try:
+        with _open_text(path) as fh:
+            first = 1
+            while lines := fh.readlines(_BLOCK_CHARS):
+                blocks.append(_parse_block(lines, path, first))
+                first += len(lines)
+    except FileNotFoundError:
+        raise  # the CLI reports a missing file as such
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise ParseError(f"not UTF-8 text ({bad!r}: {exc.reason})", path,
+                         _undecodable_line(path)) from None
+    except (OSError, EOFError, zlib.error) as exc:
+        raise ParseError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path) from None
+    if not sum(block[0].size for block in blocks):
         raise ParseError("empty dataset (need n >= 1)", path)
-    indices = np.array(indices, dtype=np.int64) - 1
-    data = np.array(values, dtype=np.float64)
-    rows = np.repeat(np.arange(len(lens)), lens)
-    order = np.lexsort((indices, rows))
-    keep = order[data[order] != 0.0]
-    indices, data, rows = indices[keep], data[keep], rows[keep]
+    labels, indices, data, lens = map(np.concatenate, zip(*blocks))
     max_idx = int(indices.max()) if indices.size else -1
     if expected_dim is not None:
         if max_idx >= expected_dim:
@@ -110,22 +80,122 @@ def read_libsvm(path, expected_dim: int | None = None) -> Dataset:
         d = expected_dim
     else:
         d = max_idx + 1
-    labels = np.array(labels, dtype=np.float64)
     if np.all((labels == 0.0) | (labels == 1.0)) and np.any(labels == 0.0):
         log.info("mapping {0,1} labels to {-1,+1}")
         labels = np.where(labels == 1.0, 1.0, -1.0)
     indptr = np.zeros(labels.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=labels.size), out=indptr[1:])
+    np.cumsum(lens, out=indptr[1:])
     return Dataset(indptr, indices, data, labels, d)
 
 
+def _parse_block(lines, path, first):
+    """Labels, 0-based indices, values and row lengths of a block of lines,
+    each row sorted by index with explicit zeros dropped. Tokens are
+    converted by numpy, which calls Python's int() and float(); a block
+    that fails any check raises the error of its first bad line."""
+    labels, rests = [], []
+    for line in lines:
+        head = line.split(None, 1)
+        if head and not head[0].startswith("#"):
+            labels.append(head[0])
+            rests.append(head[1] if len(head) > 1 else "")
+    text = " ".join(" ".join(rests).split())
+    pieces = text.replace(":", " ").split()
+    try:
+        if not _is_pairs(pieces, text):
+            raise ValueError
+        labels = np.array(labels, dtype=np.float64)
+        idx = np.array(pieces[0::2], dtype=np.int64)
+        val = np.array(pieces[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        raise _first_error(lines, path, first) from None
+    if not (np.isfinite(labels).all() and np.isfinite(val).all()
+            and (idx.size == 0 or idx.min() >= 1)):
+        raise _first_error(lines, path, first)
+    idx -= 1
+    # every pair holds one colon, so a row's colons count its entries
+    lens = np.fromiter(map(str.count, rests, repeat(":")), np.int64, len(rests))
+    rows = np.repeat(np.arange(lens.size), lens)
+    if not ((idx[1:] > idx[:-1]) | (rows[1:] != rows[:-1])).all():
+        order = np.lexsort((idx, rows))
+        idx, val, rows = idx[order], val[order], rows[order]
+        if ((idx[1:] == idx[:-1]) & (rows[1:] == rows[:-1])).any():
+            raise _first_error(lines, path, first)
+    nonzero = val != 0.0
+    if not nonzero.all():
+        idx, val = idx[nonzero], val[nonzero]
+        lens = np.bincount(rows[nonzero], minlength=lens.size)
+    return labels, idx, val, lens
+
+
+def _is_pairs(pieces, text) -> bool:
+    """Whether ``text`` is ``pieces`` joined as ``p0:p1 p2:p3 ...``: every
+    space-separated token of ``text`` holds exactly one colon, between
+    ``pieces[2k]`` and ``pieces[2k + 1]``."""
+    if len(pieces) % 2:
+        return False
+    glued = [":"] * (2 * len(pieces) - 1)
+    glued[::2] = pieces
+    glued[3::4] = [" "] * len(range(3, len(glued), 4))
+    return "".join(glued) == text
+
+
+def _first_error(lines, path, first) -> ParseError:
+    """The error of the first bad line, checked line by line and token by
+    token: the label, then each entry in order, then duplicate indices."""
+    for lineno, line in enumerate(lines, start=first):
+        toks = line.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        try:
+            label = float(toks[0])
+        except ValueError:
+            return ParseError(f"bad label {toks[0]!r}", path, lineno)
+        if not math.isfinite(label):
+            return ParseError(f"non-finite label {toks[0]!r}", path, lineno)
+        seen = []
+        for tok in toks[1:]:
+            try:
+                raw_idx, raw_val = tok.split(":", 1)
+                idx = int(raw_idx)
+                val = float(raw_val)
+            except ValueError:
+                return ParseError(f"bad entry {tok!r}", path, lineno)
+            if idx < 1:
+                return ParseError(f"index {idx} is not 1-based", path, lineno)
+            if idx > _INDEX_MAX:
+                return ParseError(f"index {idx} does not fit in 64 bits", path, lineno)
+            if not math.isfinite(val):
+                return ParseError(f"non-finite value {tok!r}", path, lineno)
+            seen.append(idx)
+        if len(set(seen)) != len(seen):
+            dup = min(i for i in seen if seen.count(i) > 1)
+            return ParseError(f"duplicate index {dup}", path, lineno)
+    raise AssertionError("a block failed its checks with no bad line")
+
+
+def _undecodable_line(path) -> int | None:
+    """The first line holding bytes that are not UTF-8, numbered as
+    read_libsvm numbers lines; None when the file fails to read before it."""
+    try:
+        with _open_text(path, errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    return lineno
+    except (OSError, EOFError, zlib.error):
+        pass
+    return None
+
+
 def write_libsvm(dataset: Dataset, path) -> None:
-    """Write in the same `label idx:val` 1-based format (gzip by extension)."""
-    opener = gzip.open if str(path).endswith(".gz") else open
+    """Write in the same `label idx:val` 1-based format (UTF-8; gzip by
+    extension)."""
     ptr = dataset.indptr.tolist()
     cols = (dataset.indices + 1).tolist()
     vals = dataset.data.tolist()
-    with opener(path, "wt") as fh:
+    with _open_text(path, "wt") as fh:
         for lo, hi, b in zip(ptr[:-1], ptr[1:], dataset.labels.tolist()):
             parts = [f"{b:.17g}"]
             parts += [f"{j}:{v:.17g}" for j, v in zip(cols[lo:hi], vals[lo:hi])]

@@ -1,8 +1,11 @@
+import gzip
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
+from proxvr.errors import ParseError, check_int
 from proxvr.linalg import SparseVec
 from proxvr.problem import Dataset, LossKind, Problem, Regularizer, SparseExample, minibatch_grad
 
@@ -132,6 +135,86 @@ def separable_quadratic(c):
         for j in range(d)
     ]
     return Problem(build_dataset(examples, d), LossKind.LEAST_SQUARES, Regularizer(0.0, 0.0))
+
+
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
+
+def _oracle_parse_error(toks, path, lineno):
+    for tok in toks[1:]:
+        try:
+            raw_idx, raw_val = tok.split(":", 1)
+            idx = int(raw_idx)
+            val = float(raw_val)
+        except ValueError:
+            return ParseError(f"bad entry {tok!r}", path, lineno)
+        if idx < 1:
+            return ParseError(f"index {idx} is not 1-based", path, lineno)
+        if idx > _INDEX_MAX:
+            return ParseError(f"index {idx} does not fit in 64 bits", path, lineno)
+        if not math.isfinite(val):
+            return ParseError(f"non-finite value {tok!r}", path, lineno)
+    raise AssertionError("no bad entry on the line")
+
+
+def read_libsvm_oracle(path, expected_dim=None):
+    """Reference LIBSVM reader: every line and every token in Python, in file
+    order, the first bad line raising its ParseError. ``data_io.read_libsvm``
+    must give the same Dataset bytes or the same error."""
+    if expected_dim is not None:
+        check_int(expected_dim, "expected_dim")
+    labels, indices, values, lens = [], [], [], []
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            toks = line.split()
+            if not toks or toks[0].startswith("#"):
+                continue
+            try:
+                label = float(toks[0])
+            except ValueError:
+                raise ParseError(f"bad label {toks[0]!r}", path, lineno) from None
+            if not math.isfinite(label):
+                raise ParseError(f"non-finite label {toks[0]!r}", path, lineno)
+            try:
+                pairs = [tok.split(":", 1) for tok in toks[1:]]
+                idx = [int(i) for i, _ in pairs]
+                val = [float(v) for _, v in pairs]
+            except ValueError:
+                raise _oracle_parse_error(toks, path, lineno) from None
+            if idx and (min(idx) < 1 or max(idx) > _INDEX_MAX
+                        or not all(map(math.isfinite, val))):
+                raise _oracle_parse_error(toks, path, lineno)
+            if len(set(idx)) != len(idx):
+                dup = min(i for i in idx if idx.count(i) > 1)
+                raise ParseError(f"duplicate index {dup}", path, lineno)
+            labels.append(label)
+            indices += idx
+            values += val
+            lens.append(len(idx))
+    if not labels:
+        raise ParseError("empty dataset (need n >= 1)", path)
+    indices = np.array(indices, dtype=np.int64) - 1
+    data = np.array(values, dtype=np.float64)
+    rows = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((indices, rows))
+    keep = order[data[order] != 0.0]
+    indices, data, rows = indices[keep], data[keep], rows[keep]
+    max_idx = int(indices.max()) if indices.size else -1
+    if expected_dim is not None:
+        if max_idx >= expected_dim:
+            raise ParseError(
+                f"index {max_idx + 1} exceeds expected_dim={expected_dim}", path
+            )
+        d = expected_dim
+    else:
+        d = max_idx + 1
+    labels = np.array(labels, dtype=np.float64)
+    if np.all((labels == 0.0) | (labels == 1.0)) and np.any(labels == 0.0):
+        labels = np.where(labels == 1.0, 1.0, -1.0)
+    indptr = np.zeros(labels.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=labels.size), out=indptr[1:])
+    return Dataset(indptr, indices, data, labels, d)
 
 
 @pytest.fixture

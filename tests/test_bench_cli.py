@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import math
 import os
@@ -911,3 +912,32 @@ def test_load_dataset_synth_spec_errors():
         load_dataset("synth:n=10,delta=0.5")  # missing d
     with pytest.raises(ContractViolation):
         load_dataset("synth:n=10,d=3,delta=0.5,bogus=1")
+
+
+def _unreadable(tmp_path, case):
+    text = "".join(f"{(-1) ** k} {k % 9 + 1}:0.{k:04d}\n" for k in range(400)).encode()
+    if case == "not-utf8":
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"1 1:1\n-1 2:\xff\n")
+        return path, 2, "not UTF-8"
+    if case == "truncated-gz":
+        path = tmp_path / "cut.txt.gz"
+        blob = gzip.compress(text)
+        path.write_bytes(blob[: len(blob) // 2])
+        return path, None, "cannot read"
+    if case == "not-gzip":
+        path = tmp_path / "plain.txt.gz"
+        path.write_bytes(text)
+        return path, None, "cannot read"
+    path = tmp_path / "folder"
+    path.mkdir()
+    return path, None, "cannot read"
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "truncated-gz", "not-gzip", "directory"])
+def test_cli_unreadable_dataset_is_parse_error(tmp_path, capsys, case):
+    path, line, message = _unreadable(tmp_path, case)
+    assert main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    where = f"{path}:{line}: " if line else f"{path}: "
+    assert err.startswith(f"proxvr: error: {where}{message}") and "Traceback" not in err, err

@@ -1,12 +1,15 @@
 import gzip
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import read_libsvm_oracle
+from proxvr import data_io
 from proxvr.data_io import (
     dataset_stats,
     format_stats,
@@ -310,3 +313,113 @@ def test_read_rejects_index_beyond_64_bits(tmp_path):
     with pytest.raises(ParseError, match="64 bits") as err:
         read_libsvm(_write(tmp_path, "1 1:1\n1 2:1 99999999999999999999:1\n"), expected_dim=5)
     assert err.value.line == 2
+
+
+# ---------------------------------------------------------------- reader oracle
+#
+# read_libsvm parses a block of lines at a time through array conversions;
+# conftest.read_libsvm_oracle reads line by line and token by token. On any
+# text the two give the same Dataset bytes, or the same ParseError message
+# and line.
+
+
+def _outcome(reader, path):
+    try:
+        ds = reader(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return ("ok", ds.d) + tuple(
+        getattr(ds, name).tobytes() for name in ("indptr", "indices", "data", "labels"))
+
+
+# whitespace str.split() splits on but file iteration does not break lines at
+_SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\x85", " ", "　"]
+_BAD_TOKENS = ["1:2:3", ":5", "5:", "1::2", "x:1", "1:x", "#c", "7", "1.5:1", "0x1:1",
+               "99999999999999999999:1", "-99999999999999999999:1", "3:1e999", "3:nan",
+               "1:1", "2:0"]
+
+
+def _num_text(draw, value):
+    """``value`` in one of the spellings Python's int()/float() accept."""
+    if isinstance(value, int):
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        digits = draw(st.sampled_from(["", "0", "00"])) + str(abs(value))
+        cut = draw(st.integers(1, len(digits)))
+        return sign + (digits[:cut] + "_" + digits[cut:] if cut < len(digits) else digits)
+    return draw(st.sampled_from([f"{value:.17g}", f"{value!r}", f"{value:+.12e}",
+                                 f"{value:.3E}", f"{value:.12g}"]))
+
+
+@st.composite
+def _libsvm_texts(draw):
+    binary = draw(st.booleans())
+    label = st.sampled_from([0.0, 1.0]) if binary else st.one_of(
+        st.sampled_from([-1.0, 1.0, 0.0, -0.0, 2.5]),
+        st.floats(allow_nan=False, allow_infinity=False))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "label", "comment", "blank", "bad"]))
+        sep = st.sampled_from(_SPACES)
+        if kind == "comment":
+            lines.append(draw(sep) + "#" + draw(st.sampled_from(["", " 1:2", "x"])))
+        elif kind == "blank":
+            lines.append("".join(draw(st.lists(sep, max_size=3))))
+        else:
+            b = draw(label)
+            toks = [_num_text(draw, int(b) if b.is_integer() and abs(b) < 1e6
+                              and draw(st.booleans()) else b)]
+            if kind != "label":
+                idx = draw(st.lists(st.integers(1, 40), max_size=6, unique=True))
+                vals = draw(st.lists(st.one_of(_finite, st.just(0.0), st.just(-0.0)),
+                                     min_size=len(idx), max_size=len(idx)))
+                toks += [f"{_num_text(draw, j)}:{_num_text(draw, v)}" for j, v in zip(idx, vals)]
+            if kind == "bad":
+                toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(_BAD_TOKENS)))
+            lines.append(draw(sep).lstrip(" ") + "".join(
+                tok + draw(sep) for tok in toks[:-1]) + toks[-1] + draw(st.sampled_from(["", " "])))
+    newline = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(newline) for line in lines)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(text=_libsvm_texts(), budget=st.integers(1, 60), gz=st.booleans())
+@example(text="1 7 1:2:3\n-1 5: :5\n", budget=60, gz=False)  # pieces pair up, tokens do not
+def test_read_matches_line_oracle_fuzz(tmp_path, monkeypatch, text, budget, gz):
+    monkeypatch.setattr(data_io, "_BLOCK_CHARS", budget)
+    path = tmp_path / ("fuzz.svm.gz" if gz else "fuzz.svm")
+    path.write_bytes(gzip.compress(text.encode()) if gz else text.encode())
+    assert _outcome(read_libsvm, path) == _outcome(read_libsvm_oracle, path)
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("where", [0, 5, 11])
+def test_read_fault_in_each_block_matches_oracle(tmp_path, monkeypatch, fault, where):
+    # a 40-character budget puts 2 to 3 of these lines in a block, so the
+    # fault lands in the first, a middle or the last block
+    monkeypatch.setattr(data_io, "_BLOCK_CHARS", 40)
+    lines = [f"{(-1) ** k} {k % 7 + 1}:0.5 {k % 5 + 9}:{k}.25" for k in range(11)]
+    text, message = _FAULTS[fault]
+    lines.insert(where, text.format(j=4))
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as err:
+        read_libsvm(path)
+    assert err.value.line == where + 1
+    assert _outcome(read_libsvm, path) == _outcome(read_libsvm_oracle, path)
+
+
+def test_read_peak_memory_below_line_oracle(tmp_path):
+    # about 100k entries: the block reader holds one block's strings at a
+    # time, the line reader a Python object per entry
+    path = tmp_path / "big.svm"
+    write_libsvm(synth_dataset(2000, 2500, 0.02, label_rule="regression", seed=7), path)
+
+    def peak(reader):
+        tracemalloc.start()
+        try:
+            reader(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(read_libsvm) < peak(read_libsvm_oracle)
