@@ -333,7 +333,7 @@ def _outcome(reader, path):
 
 
 # whitespace str.split() splits on but file iteration does not break lines at
-_SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\x85", " ", "　"]
+_SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\x85", "\u2028", "\u3000"]
 _BAD_TOKENS = ["1:2:3", ":5", "5:", "1::2", "x:1", "1:x", "#c", "7", "1.5:1", "0x1:1",
                "99999999999999999999:1", "-99999999999999999999:1", "3:1e999", "3:nan",
                "1:1", "2:0"]
