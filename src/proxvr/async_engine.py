@@ -53,8 +53,9 @@ import numpy as np
 
 from .errors import ContractViolation, check_int
 from .linalg import BlockPartition, DenseVec
-from .problem import (Problem, RowBlocks, _vr_row, entry_terms, prox_elastic, stage_batches,
-                      vr_gradient)
+from .problem import (Problem, RowBlocks, _prox, _prox_weights, _vr_row, entry_terms,
+                      stage_batches, vr_gradient)
+from .problem import prox_elastic  # noqa: F401  perfbench spans async_engine.prox_elastic
 from .seq_solvers import RunTrace, SolverConfig, _stage_draws, make_streams, run_stages
 
 
@@ -201,13 +202,17 @@ class MasterState:
     def commit(self, values: DenseVec, block: int = 0) -> None:
         """Apply one update to block ``block``: ``values`` are the block's
         new values. Any other length is refused before anything changes."""
-        if type(block) is not int or not 0 <= block < len(self._bounds) - 1:
-            block = check_int(block, "block", 0, len(self._bounds) - 1)
+        block = check_int(block, "block", 0, len(self._bounds) - 1)
         lo, hi = self._bounds[block], self._bounds[block + 1]
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (hi - lo,):
             raise ContractViolation(f"a commit to block {block} takes {hi - lo} values, "
                                     f"got shape {values.shape}")
+        self._commit(values, block)
+
+    def _commit(self, values: np.ndarray, block: int) -> None:
+        """``commit`` without its checks."""
+        lo, hi = self._bounds[block], self._bounds[block + 1]
         log, held = self._log, self._held
         if log.maxlen:
             before = held.pop(block, None)
@@ -238,7 +243,10 @@ class MasterState:
         tau_k)).
 
         A current whole read returns ``x`` as a read-only view, which
-        changes at the next commit; every other read is a new array."""
+        changes at the next commit. With one block, a whole read whose
+        oldest unapplied commit has no applied commit after it returns that
+        commit's logged before values, read-only. Every other read is a new
+        array."""
         if type(tau_k) is not int or not 0 <= tau_k <= len(self._log):
             tau_k = check_int(tau_k, "tau_k (commits retained)", 0, len(self._log) + 1)
         start = self.clock - tau_k
@@ -262,6 +270,14 @@ class MasterState:
         if row is None:
             if not tau_k:
                 return self._x_view
+            if len(self._bounds) == 2:
+                o = tau_k  # the oldest unapplied commit
+                while o and flags[o - 1]:
+                    o -= 1
+                if o and not any(flags[:o - 1]):  # none after it applied: its before values
+                    before = log[-o][1].view()
+                    before.setflags(write=False)
+                    return before
             xhat = self.x.copy()
         else:
             cut = None if rows.cuts is None else rows.cuts[row]
@@ -419,10 +435,11 @@ def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
     the batch's stage-plan entry. ``step(x, j, g)`` proxes block j's ``x -
     g`` (``x - eta * anchor.base`` off a row's entries), from the current
     ``x``, in a new buffer or, given ``settle`` (``MasterState._settle``),
-    in place in ``x``. The entry terms, ``eta * anchor.base`` and the rows'
-    pointers and labels (lists) are made once per stage."""
+    in place in ``x``. The entry terms, ``eta * anchor.base``, the prox
+    weights and the rows' pointers and labels (lists) are made once per stage."""
     anchor = problem.make_anchor(x_tilde)
-    kind, dataset, reg = problem.loss, problem.dataset, problem.reg
+    kind, dataset = problem.loss, problem.dataset
+    shrink, scale = _prox_weights(eta, problem.reg)
     if rows is not None:
         terms = entry_terms(dataset, anchor)
         step_base = eta * anchor.base
@@ -450,7 +467,7 @@ def _stage_rule(problem: Problem, eta: float, x_tilde: DenseVec, bounds: list,
             on_row = x[indices[p:q]] - u  # read before an in-place step writes x
             y = np.subtract(x[lo:hi], step_base[lo:hi], out=out)
             y[offsets[p:q]] = on_row
-        return prox_elastic(y, eta, reg, out=y)
+        return _prox(y, shrink, scale, y)
 
     return anchor, grad, step
 
@@ -484,10 +501,11 @@ def replay(
     for a batch of at least n rows, every stored row weighted by its
     multiplicity: O(nnz(batch) + d), or O(nnz + d) for a wide batch. The
     serial driver reads through ``MasterState._read``, since the schedule
-    was checked when it was made. With no undo log and no ``debug`` log it
-    keeps no commit's values, so it proxes in place, adding the block's old
-    values to the stage sum first; a threads worker never does, because its
-    commit adds them at the clock it commits at."""
+    was checked when it was made; both commit through ``MasterState._commit``,
+    since ``step`` makes the block's values. With no undo log and no
+    ``debug`` log the serial driver keeps no commit's values, so it proxes in
+    place, adding the block's old values to the stage sum first; a threads
+    worker never does, because its commit adds them at the clock it commits at."""
     if not (mode is None or isinstance(mode, (DelaySchedule, ThreadsMode))):
         raise ContractViolation(f"unknown mode {mode!r}")
     threads = isinstance(mode, ThreadsMode)
@@ -517,7 +535,7 @@ def replay(
         batches = stage_batches(problem.dataset, anchor, rows)
 
         def commit(new, j, delay, worker=0):
-            state.commit(new, j)
+            state._commit(new, j)
             delays.append(delay)
             worker_updates[worker] += 1
             if iterates is not None:
@@ -533,7 +551,8 @@ def replay(
         g = (s - 1) * K  # the stage's first update in the schedule
         taus = [0] * K if schedule is None else schedule.taus[g:g + K].tolist()
         # update k's flags: offset o is column o - 1 and names the commit at clock - o
-        included = [(False,) * tau_bound] * K if applied_sets is None else applied_sets[g:g + K]
+        included = ([(False,) * tau_bound] * K if applied_sets is None
+                    else applied_sets[g:g + K].tolist())
         for k, (j, (batch, planned)) in enumerate(zip(blocks, batches)):
             # full-gradient phase is a barrier: delays never reach past the
             # stage start

@@ -177,17 +177,20 @@ _ALIASES = {"S": "max_stages"}
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines of UTF-8 text; '#' starts a comment."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractViolation(f"{path}:{lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            out[key.strip()] = raw.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ContractViolation(f"{path}:{lineno}: expected key=value")
+                key, raw = line.split("=", 1)
+                out[key.strip()] = raw.strip()
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out
 
 
@@ -643,7 +646,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ContractViolation, ParseError, FileNotFoundError) as exc:
+    except (ContractViolation, ParseError, OSError) as exc:  # OSError names its path
         print(f"proxvr: error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceFailure as exc:
@@ -663,6 +666,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "synth":
+        if Path(args.output).is_dir():
+            raise IsADirectoryError(f"output {args.output} is a directory")
         ds = load_dataset("synth:" + args.spec)
         data_io.write_libsvm(ds, args.output)
         print(data_io.format_stats(data_io.dataset_stats(ds)))

@@ -10,9 +10,9 @@ A Dataset is one CSR layout (``indptr``, ``indices``, ``data``, ``labels``).
 The kernels compute every row's dot product and gradient coefficient in one
 vector operation and scatter with ``np.bincount``, which adds each
 coordinate's terms in row order. Where every row stores every coordinate,
-``data`` viewed as (n, d) is the design matrix, and the sums over every row
-run through it with ``np.einsum``, which adds the same terms in the same
-order (``_einsum_sums_in_row_order``).
+``data`` viewed as (n, d) is the design matrix, which the row dots multiply
+by x, and the sums over every row run through it with ``np.einsum``, which
+adds the same terms in the same order (``_einsum_sums_in_row_order``).
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ class Dataset:
         """The (n, d) view of ``data`` where every row stores all d >= 2
         coordinates (canonical form then puts them in column order) and
         ``np.einsum`` sums as ``np.bincount`` does; else None. At d = 1 the
-        rows are einsum's contiguous axis, which it sums pairwise."""
+        rows are einsum's contiguous axis, which it sums pairwise. The row
+        dots (``_dots``) and the sums over every row go through it."""
         n, d = self.n, self.d
         full = self.data.size == n * d and d >= 2 and _einsum_sums_in_row_order()
         return self.data.reshape(n, d) if full else None
@@ -313,11 +314,11 @@ def _losses(kind: LossKind, t, b):
 def _coefs(kind: LossKind, t, b):
     """Scalars c_i with grad f_i(x) = c_i a_i, from ``t = a_i^T x``."""
     if kind is LossKind.LOGISTIC:
-        # -b sigmoid(-b t) = -b q' / (1 + q) with q = exp(-|b t|), and q' = q
+        # -b sigmoid(-b t) = b q' / (-1 - q) with q = exp(-|b t|), and q' = q
         # where b t >= 0, else 1; exp() never sees a positive argument
         m = b * t
         q = np.exp(-np.abs(m))
-        return -b * np.where(m >= 0.0, q, 1.0) / (1.0 + q)
+        return b * np.where(m >= 0.0, q, 1.0) / (-1.0 - q)
     return t - b
 
 
@@ -327,7 +328,7 @@ def _coef(kind: LossKind, t: float, b: float) -> float:
     if kind is LossKind.LOGISTIC:
         m = b * t
         q = float(np.exp(-abs(m)))
-        return -b * (q if m >= 0.0 else 1.0) / (1.0 + q)
+        return b * (q if m >= 0.0 else 1.0) / (-1.0 - q)
     return t - b
 
 
@@ -351,11 +352,12 @@ def _segments(lens) -> tuple:
     return starts[full], full
 
 
-def _dots(idx, vals, x: DenseVec, segments) -> np.ndarray:
+def _dots(idx, vals, x: DenseVec, segments, matrix=None) -> np.ndarray:
     """a_i^T x for consecutive rows of ``idx``/``vals``, laid out as
-    ``segments`` (from ``_segments``) says."""
+    ``segments`` (from ``_segments``) says; given ``matrix``, the rows' (n, d)
+    view, ``matrix * x`` forms the products ``vals * x[idx]`` forms."""
     starts, full = segments
-    t = np.add.reduceat(vals * x[idx], starts)
+    t = np.add.reduceat(vals * x[idx] if matrix is None else (matrix * x).ravel(), starts)
     if full is None:
         return t
     out = np.zeros(full.size)
@@ -411,7 +413,7 @@ def _grad_sum(kind: LossKind, d: int, rows, x: DenseVec, weights=None):
     and their sum weighted as ``_weigh`` weights them (m_i = 1 where
     ``weights`` is None), each coordinate adding its terms in row order."""
     idx, vals, lens, b, segments, matrix = rows
-    c = _coefs(kind, _dots(idx, vals, x, segments), b)
+    c = _coefs(kind, _dots(idx, vals, x, segments, matrix), b)
     return c, _scatter(d, idx, vals, lens, c if weights is None else _weigh(c, weights), matrix)
 
 
@@ -713,33 +715,45 @@ def _vr_row(kind, data, start, end, b, x_row, p, q, terms) -> np.ndarray:
 def prox_elastic(y: DenseVec, step: float, reg: Regularizer, out=None) -> DenseVec:
     """Closed-form elastic-net prox: soft-threshold by step*lambda1, then
     divide by (1 + step*lambda2). Exact; zero regularizer is the identity.
+    The result is written to ``out`` (float64, shaped as ``y``; it may be
+    ``y`` itself) or to a new array: ``_prox`` with the step checked."""
+    return _prox(np.asarray(y), *_prox_weights(step, reg), out)
 
-    ``copysign(max(|y| - t, 0), y + 0.0)`` equals ``sign(y) * max(|y| - t,
-    0)`` bit for bit: ``y + 0.0`` turns -0.0 into +0.0, the zero that
-    ``np.sign`` multiplies by. The result is written to ``out`` (float64,
-    shaped as ``y``; it may be ``y`` itself) or to a new array."""
+
+def _prox_weights(step: float, reg: Regularizer) -> tuple:
+    """``_prox``'s (step * lambda1, 1 + step * lambda2), or (None, 1.0) for
+    the zero regularizer, whatever the products."""
     if not (math.isfinite(step) and step > 0):
         raise ContractViolation("prox step must be finite and > 0")
-    y = np.asarray(y)
     if reg.lambda1 == 0.0 and reg.lambda2 == 0.0:
+        return None, 1.0
+    return step * reg.lambda1, 1.0 + step * reg.lambda2
+
+
+def _prox(y: np.ndarray, shrink: float | None, scale: float, out=None) -> np.ndarray:
+    """``prox_elastic`` from ``_prox_weights``, unchecked. ``copysign(max(|y|
+    - t, 0), y + 0.0)`` equals ``sign(y) * max(|y| - t, 0)`` bit for bit:
+    ``y + 0.0`` turns -0.0 into +0.0, the zero that ``np.sign`` multiplies
+    by; a division by 1.0 changes no bit."""
+    if shrink is None:
         if out is None:
             return y.copy()
         out[...] = y
         return out
     sign = y + 0.0
     out = np.abs(sign, out=out)
-    out -= step * reg.lambda1
+    out -= shrink
     np.maximum(out, 0.0, out=out)
     np.copysign(out, sign, out=out)
-    if reg.lambda2 != 0.0:
-        out /= 1.0 + step * reg.lambda2
+    if scale != 1.0:
+        out /= scale
     return out
 
 
 def objective_value(kind: LossKind, dataset: Dataset, reg: Regularizer, x: DenseVec) -> float:
     """P(x) = mean loss + regularizer."""
-    idx, vals, _, _, segments, _ = dataset._all_rows
-    t = _dots(idx, vals, x, segments)
+    idx, vals, _, _, segments, matrix = dataset._all_rows
+    t = _dots(idx, vals, x, segments, matrix)
     return float(np.sum(_losses(kind, t, dataset.labels)) / dataset.n + reg.value(x))
 
 

@@ -302,14 +302,14 @@ def test_stage_sum_is_the_hold_length_sum(seed, blocks, svrg, K, S, tau, B, thre
         "uniform", tau, S * K, seed % 991, inconsistent=not svrg)
     x0 = np.zeros(d)
     plain = replay(prob, cfg, x0, svrg, mode, record_iterates=True)
-    events, real = [], MasterState.commit
+    events, real = [], MasterState._commit  # the unchecked commit both drivers call
 
-    def commit(state, values, block=0):
+    def commit(state, values, block):
         real(state, values, block)
         events.append((block, state.stage_sum if state.clock in reads else None))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MasterState, "commit", commit)
+        mp.setattr(MasterState, "_commit", commit)
         got = replay(prob, cfg, x0, svrg, mode, record_iterates=True)
     assert [o.hex() for o in got.trace.objectives] == [o.hex() for o in plain.trace.objectives]
     assert [x.tobytes() for x in got.trace.iterates] == [
@@ -374,6 +374,41 @@ def test_block_only_read_matches_whole_vector_read(rng, m):
                 if m == 1:
                     assert got.tobytes() == want.tobytes()
     assert neg_zeros > 0
+
+
+def test_one_block_delayed_read_is_the_logged_iterate(rng):
+    # with one block, a whole read whose oldest unapplied commit has no
+    # applied commit after it is that commit's logged before values: the
+    # iterate of the history and of _iterate_at, no copy, read-only, and
+    # left as it was by later commits. A read with an applied commit after
+    # an unapplied one, or with every commit applied, is a new array
+    d, tau_bound = 6, 4
+    state = MasterState(rng.standard_normal(d), tau_bound)
+    history, kept = [state.x.copy()], []
+    for _ in range(10):
+        state.commit(state.x + rng.standard_normal(d))
+        history.append(state.x.copy())
+        k = state.clock
+        for tau in range(1, min(k, tau_bound) + 1):
+            got = read_consistent(state, tau)
+            assert got.tobytes() == history[k - tau].tobytes()
+            assert got.tobytes() == _iterate_at(state, k - tau).tobytes()
+            assert np.shares_memory(got, state._log[-tau][1])
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+            kept.append((got, history[k - tau]))
+            # the oldest a commits applied, the newer ones not
+            for a in range(1, tau + 1):
+                got = read_inconsistent(state, tau, range(k - tau, k - tau + a))
+                assert got.tobytes() == history[k - tau + a].tobytes()
+                assert got.flags.writeable == (a == tau)
+            if tau >= 2:
+                got = read_inconsistent(state, tau, [k - 1])
+                assert got.flags.writeable and not np.shares_memory(got, state.x)
+                assert got.tobytes() == _whole_vector_read(state, tau, [k - 1]).tobytes()
+    for got, want in kept:
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lambda1", [0.0, 1e-3, 5e-2])
@@ -1204,13 +1239,13 @@ def test_undo_log_keeps_block_sized_values(monkeypatch, rng, B):
     # not a view that keeps a whole d-vector alive (B = 30 = n is wide)
     kept = []
 
-    def commit(self, values, block=0, _real=MasterState.commit):
+    def commit(self, values, block, _real=MasterState._commit):
         _real(self, values, block)
         j, _, new = self._log[-1]
         lo, hi = BlockPartition.equal(self.x.size, 3).edges[j:j + 2]
         kept.append((new.size == hi - lo < self.x.size, new.base is None))
 
-    monkeypatch.setattr(MasterState, "commit", commit)
+    monkeypatch.setattr(MasterState, "_commit", commit)
     prob = make_problem(rng, 30, 12)
     cfg = SolverConfig(eta=0.05, B=B, K=10, S=2, m=3, seed=B)
     sched = sample_delay_schedule("uniform", 3, cfg.S * cfg.K, 2, inconsistent=True)

@@ -750,6 +750,41 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "proxvr: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config not UTF-8", "config is a directory",
+                                  "synth output is a directory"])
+def test_cli_unreadable_paths_exit_1_without_traceback(tmp_path, case):
+    # a config that is not UTF-8 text, or a directory where a config or an
+    # output file should be, is a usage error naming the path, in a process
+    # of its own so that a traceback would show on stderr
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(f"dataset = {SYNTH}\n# caf\xe9\n".encode("latin-1") + b"\xff\n")
+    out_dir = str(tmp_path / "out")
+    args, path = {
+        "config not UTF-8": (["run", str(bad), "-o", out_dir], bad),
+        "config is a directory": (["run", str(tmp_path), "-o", out_dir], tmp_path),
+        "synth output is a directory": (["synth", "n=20,d=5,delta=0.5", "-o", str(tmp_path)],
+                                        tmp_path),
+    }[case]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-m", "proxvr.bench_cli", *args], env=env,
+                         capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("proxvr: error:")
+    assert "Traceback" not in out.stderr
+    assert str(path) in out.stderr
+
+
+def test_cli_synth_checks_its_output_before_synthesizing(tmp_path, monkeypatch, capsys):
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("synthesized before the output path was checked")
+
+    monkeypatch.setattr("proxvr.bench_cli.load_dataset", no_dataset)
+    assert main(["synth", "n=20,d=5,delta=0.5", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("proxvr: error:")
+
+
 def test_cli_theory_constants_checked_before_reference(tmp_path, capsys, monkeypatch):
     def no_reference(*args, **kwargs):
         raise AssertionError("the reference optimum was computed before the theory verdict")

@@ -287,6 +287,37 @@ def test_prox_bytes_equal_sign_form(rng, l1, l2):
     assert got.tobytes() == _sign_form_prox(ints, 1.0, reg).tobytes()
 
 
+@pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (0.0, 0.5), (0.7, 0.0), (0.7, 0.5),
+                                    (1e-300, 0.0), (0.0, 1e-300), (1e-300, 1e-300)])
+def test_prox_kernel_equals_prox_elastic(rng, l1, l2):
+    # the unchecked kernel the replay step runs, from the weights step *
+    # lambda1 and 1 + step * lambda2 made once per stage, gives the bytes of
+    # prox_elastic and of the sign form: new, into a buffer and in place.
+    # At step 1e-300 a weight of 1e-300 underflows to 0 (or leaves 1.0):
+    # the zero regularizer alone is the identity, which keeps -0.0
+    reg = Regularizer(l1, l2)
+    for step in (1.0, 0.04, 1e-300):
+        shrink, scale = problem_mod._prox_weights(step, reg)
+        assert (shrink, scale) == ((None, 1.0) if l1 == l2 == 0.0
+                                   else (step * l1, 1.0 + step * l2))
+        y = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, size=200)
+        y[:10] = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, step * l1, -step * l1,
+                  5e-324, -5e-324]
+        want = _sign_form_prox(y, step, reg)
+        assert prox_elastic(y, step, reg).tobytes() == want.tobytes()
+        assert problem_mod._prox(y, shrink, scale).tobytes() == want.tobytes()
+        out = np.empty_like(y)
+        assert problem_mod._prox(y, shrink, scale, out) is out
+        assert out.tobytes() == want.tobytes()
+        inplace = y.copy()
+        assert problem_mod._prox(inplace, shrink, scale, inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
+        assert np.signbit(want[1]) == (l1 == l2 == 0.0)
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="finite and > 0"):
+            problem_mod._prox_weights(step, reg)
+
+
 def test_prox_matches_ternary_oracle(rng):
     for _ in range(200):
         y = float(rng.uniform(-5, 5))
@@ -844,3 +875,72 @@ def test_no_matrix_view_takes_the_bincount_kernels(case, kind):
             if case != "a row not full":
                 assert got.tobytes() == vr_gradient(kind, full, batch, x, anchors[1],
                                                     planned_full).tobytes()
+
+
+def _gathered_dots(idx, vals, x, segments, matrix=None, _real=problem_mod._dots):
+    """The row dots from the gathered products ``vals * x[idx]``, whatever
+    view the rows have: the oracle for the dots through the (n, d) view."""
+    return _real(idx, vals, x, segments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(2, 64),
+       span=st.sampled_from([0, 8, 150]), kind=st.sampled_from(list(LossKind)))
+def test_view_dots_equal_gathered_dots(seed, n, d, span, kind):
+    # a full-row dataset's row dots go through its (n, d) view where it has
+    # one, and give the gathered products' bytes in full_grad,
+    # objective_value and a wide vr_gradient; values and x of magnitudes
+    # 10^-span to 10^span (at span 150 one term outweighs a row's others, at
+    # 0 every term counts), x with zeros of both signs
+    rng = np.random.default_rng(seed)
+    ds = _full_rows(rng, n, d, 10.0 ** rng.integers(-span, span + 1, size=(n, d)))
+    reg = Regularizer(1e-3, 0.1)
+    x = rng.standard_normal(d) * 10.0 ** rng.integers(-span, span + 1, size=d)
+    x[rng.integers(0, 3, size=d) == 0] = 0.0
+    x[rng.integers(0, 3, size=d) == 0] = -0.0
+    with np.errstate(all="ignore"):
+        anchor = Problem(ds, kind, reg).make_anchor(_weights(rng, d))
+        batch, planned = next(stage_batches(ds, anchor, rng.integers(0, n, size=(1, n + 1))))
+    views = []
+
+    def spy(idx, vals, x, segments, matrix=None, _real=problem_mod._dots):
+        views.append(matrix is not None)
+        return _real(idx, vals, x, segments, matrix)
+
+    def outputs():
+        with np.errstate(all="ignore"):
+            return (full_grad(kind, ds, x).tobytes(),
+                    np.float64(objective_value(kind, ds, reg, x)).tobytes(),
+                    vr_gradient(kind, ds, batch, x, anchor, planned).tobytes())
+
+    with mock.patch.object(problem_mod, "_dots", spy):
+        got = outputs()
+    with mock.patch.object(problem_mod, "_dots", _gathered_dots):
+        assert got == outputs()
+    assert views == [problem_mod._einsum_sums_in_row_order()] * 3
+
+
+@pytest.mark.parametrize("case", ["d = 1", "a row not full"])
+def test_rows_without_a_view_take_the_gathered_dots(case):
+    # at d = 1, or with a row short of d entries, there is no (n, d) view
+    # and every row dot gathers its products
+    rng = np.random.default_rng(82)
+    full = _full_rows(rng, 20, 1 if case == "d = 1" else 4)
+    ds = full
+    if case == "a row not full":  # row 3 loses column 1
+        ds = Dataset(np.concatenate((full.indptr[:4], full.indptr[4:] - 1)),
+                     np.delete(full.indices, 13), np.delete(full.data, 13), full.labels, 4)
+    views = []
+
+    def spy(idx, vals, x, segments, matrix=None, _real=problem_mod._dots):
+        views.append(matrix)
+        return _real(idx, vals, x, segments, matrix)
+
+    x, reg = rng.standard_normal(ds.d), Regularizer(1e-3, 0.1)
+    with mock.patch.object(problem_mod, "_dots", spy):
+        anchor = Problem(ds, LossKind.LOGISTIC, reg).make_anchor(x)
+        full_grad(LossKind.LOGISTIC, ds, x)
+        objective_value(LossKind.LOGISTIC, ds, reg, x)
+        batch, planned = next(stage_batches(ds, anchor, rng.integers(0, 20, size=(1, 20))))
+        vr_gradient(LossKind.LOGISTIC, ds, batch, x, anchor, planned)
+    assert views == [None] * 4
